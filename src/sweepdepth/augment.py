@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .costvolume import CostVolume, zero_volume
+from .errors import InvalidParameter
 
 
 class Augmentation(enum.Enum):
@@ -54,7 +55,7 @@ class AugmentConfig:
 
     def __post_init__(self):
         if not (0 <= self.p <= 1 and 0 <= self.q <= 1 and self.p + self.q <= 1):
-            raise ValueError(
+            raise InvalidParameter(
                 f"need p, q in [0, 1] with p + q <= 1, got p={self.p} q={self.q}"
             )
 

@@ -5,7 +5,8 @@ Subcommands:
   depth    estimate depth from a dataset via the cost-volume argmin
   loss     compute the full loss report for a student/teacher depth pair
   eval     score a predicted depth map against ground truth
-  dump-cv  build a cost volume and write the raw SWPCV1 dump
+  dump-cv  build a cost volume and write only its raw dump (SWPCV1, or
+           SWPCV2 when the planes are not linearly spaced)
 
 Datasets are directories of frame_%04d.ppm, depth_%04d.pfm, pose_%04d.json
 (camera-to-world), and intrinsics.json, as written by `synth`. All
@@ -31,8 +32,6 @@ from .costvolume import (
     DepthPlaneSet,
     argmin_depth,
     build_cost_volume,
-    inverse_depth_planes,
-    linear_planes,
     upsample_nearest,
     zero_volume,
 )
@@ -56,24 +55,21 @@ from .synth import (
 class Dataset:
     K: Intrinsics
     images: list[np.ndarray]
-    depths: list[np.ndarray | None]
     poses: list[Pose]
 
 
 def load_dataset(root: str | Path) -> Dataset:
     root = Path(root)
     K = sdio.read_intrinsics(root / "intrinsics.json")
-    images, depths, poses = [], [], []
+    images, poses = [], []
     t = 0
     while (root / f"frame_{t:04d}.ppm").exists():
         images.append(sdio.read_ppm(root / f"frame_{t:04d}.ppm"))
-        depth_path = root / f"depth_{t:04d}.pfm"
-        depths.append(sdio.read_pfm(depth_path) if depth_path.exists() else None)
         poses.append(sdio.read_pose(root / f"pose_{t:04d}.json"))
         t += 1
     if not images:
         raise SweepDepthError(f"no frame_0000.ppm under {root}")
-    return Dataset(K=K, images=images, depths=depths, poses=poses)
+    return Dataset(K=K, images=images, poses=poses)
 
 
 def _resolve_planes(args) -> DepthPlaneSet:
@@ -82,39 +78,45 @@ def _resolve_planes(args) -> DepthPlaneSet:
         raise SweepDepthError(
             "specify either --d-min/--d-max or --adaptive-state, not both or neither"
         )
-    spacing = inverse_depth_planes if args.inverse_depth_planes else linear_planes
     if args.adaptive_state:
-        obj = json.loads(Path(args.adaptive_state).read_text())
-        return spacing(float(obj["d_min"]), float(obj["d_max"]), args.planes)
-    if args.d_min is None or args.d_max is None:
+        try:
+            obj = json.loads(Path(args.adaptive_state).read_text())
+            d_min, d_max = float(obj["d_min"]), float(obj["d_max"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise SweepDepthError(f"bad adaptive state {args.adaptive_state}: {exc!r}") from exc
+    elif args.d_min is None or args.d_max is None:
         raise SweepDepthError("--d-min and --d-max must be given together")
-    return spacing(args.d_min, args.d_max, args.planes)
-
-
-def _source_indices(args, target: int, count: int) -> list[int]:
-    if args.sources is not None:
-        idxs = args.sources
     else:
-        idxs = [target - 1]
-    for i in idxs:
+        d_min, d_max = args.d_min, args.d_max
+    spacing = "inverse" if args.inverse_depth_planes else "linear"
+    return DepthPlaneSet(d_min, d_max, args.planes, spacing)
+
+
+def _check_frames(target: int, source_idxs: list[int], count: int) -> None:
+    if not (0 <= target < count):
+        raise SweepDepthError(f"target {target} out of range for {count}-frame dataset")
+    for i in source_idxs:
         if not (0 <= i < count) or i == target:
             raise SweepDepthError(f"bad source index {i} for {count}-frame dataset")
-    return idxs
 
 
-def _build_volume(
-    data: Dataset, target: int, source_idxs: list[int], planes: DepthPlaneSet, args
-) -> tuple[CostVolume, Intrinsics]:
-    """Feature extraction + plane sweep, honoring --zero-cv and augmentation."""
+def _volume_for(
+    args, data: Dataset, source_idxs: list[int] | None
+) -> tuple[CostVolume, DepthPlaneSet]:
+    """Plane-sweep volume for ``args.target`` (default source: the frame before it),
+    honoring --zero-cv and augmentation."""
+    target = args.target
+    source_idxs = source_idxs or [target - 1]
+    _check_frames(target, source_idxs, len(data.images))
+    planes = _resolve_planes(args)
     K_f = data.K.scaled(args.feature_scale)
-    f_target = extract_features(data.images[target], args.features, args.feature_scale)
     shape = (K_f.height, K_f.width, len(planes))
 
     if args.zero_cv:
-        return zero_volume(*shape), K_f
+        return zero_volume(*shape), planes
 
     source_images = {i: data.images[i] for i in source_idxs}
-    if getattr(args, "augment_sample", None) is not None:
+    if args.augment_sample is not None:
         cfg = AugmentConfig(p=args.aug_p, q=args.aug_q, rng_seed=args.seed)
         decision = draw_augmentation(cfg, args.augment_sample)
         result = apply_augmentation(
@@ -126,15 +128,23 @@ def _build_volume(
             args.augment_sample,
         )
         if decision is Augmentation.ZERO_VOLUME:
-            return result, K_f
-        if decision is Augmentation.STATIC_SUBSTITUTE:
-            source_images[source_idxs[0]] = result
+            return result, planes
+        source_images[source_idxs[0]] = result
 
+    f_target = extract_features(data.images[target], args.features, args.feature_scale)
     sources = []
     for i in source_idxs:
         fmap = extract_features(source_images[i], args.features, args.feature_scale)
         sources.append((fmap, relative_pose(data.poses[target], data.poses[i])))
-    return build_cost_volume(f_target, sources, K_f, planes), K_f
+    return build_cost_volume(f_target, sources, K_f, planes), planes
+
+
+def _depth_image(
+    args, data: Dataset, cv: CostVolume, planes: DepthPlaneSet
+) -> tuple[np.ndarray, np.ndarray]:
+    """Argmin depth upsampled to image resolution, and its feature-resolution validity."""
+    depth_f, valid = argmin_depth(cv, planes)
+    return upsample_nearest(depth_f, args.feature_scale, data.K.height, data.K.width), valid
 
 
 def cmd_synth(args) -> int:
@@ -169,17 +179,8 @@ def cmd_synth(args) -> int:
 
 def cmd_depth(args) -> int:
     data = load_dataset(args.data)
-    target = args.target
-    if not (0 <= target < len(data.images)):
-        raise SweepDepthError(f"target {target} out of range")
-    source_idxs = _source_indices(args, target, len(data.images))
-    planes = _resolve_planes(args)
-    cv, K_f = _build_volume(data, target, source_idxs, planes, args)
-
-    depth_f, valid = argmin_depth(cv, planes)
-    depth_img = upsample_nearest(
-        depth_f, args.feature_scale, data.K.height, data.K.width
-    )
+    cv, planes = _volume_for(args, data, args.sources)
+    depth_img, valid = _depth_image(args, data, cv, planes)
     sdio.write_pfm(args.out, depth_img)
     written = {"depth": str(args.out)}
 
@@ -201,11 +202,8 @@ def cmd_depth(args) -> int:
 def cmd_loss(args) -> int:
     data = load_dataset(args.data)
     target = args.target
-    if not (0 <= target < len(data.images)):
-        raise SweepDepthError(f"target {target} out of range")
-    if args.sources is None:
-        args.sources = [i for i in (target - 1, target + 1) if 0 <= i < len(data.images)]
-    loss_sources = _source_indices(args, target, len(data.images))
+    loss_sources = args.sources or [i for i in (target - 1, target + 1) if 0 <= i < len(data.images)]
+    _check_frames(target, loss_sources, len(data.images))
 
     student = sdio.read_pfm(args.student)
     teacher = sdio.read_pfm(args.teacher)
@@ -217,13 +215,8 @@ def cmd_loss(args) -> int:
         img, valid = bilinear_sample(data.images[i], grid)
         synthesized.append((img, valid))
 
-    cv_args = argparse.Namespace(**vars(args))
-    cv_args.sources = args.cv_sources
-    cv_source_idxs = _source_indices(cv_args, target, len(data.images))
-    planes = _resolve_planes(args)
-    cv, _K_f = _build_volume(data, target, cv_source_idxs, planes, args)
-    depth_f, _ = argmin_depth(cv, planes)
-    d_cv = upsample_nearest(depth_f, args.feature_scale, data.K.height, data.K.width)
+    cv, planes = _volume_for(args, data, args.cv_sources)
+    d_cv, _ = _depth_image(args, data, cv, planes)
 
     report = total_loss(
         target_img,
@@ -264,10 +257,7 @@ def cmd_eval(args) -> int:
 
 def cmd_dump_cv(args) -> int:
     data = load_dataset(args.data)
-    target = args.target
-    source_idxs = _source_indices(args, target, len(data.images))
-    planes = _resolve_planes(args)
-    cv, _ = _build_volume(data, target, source_idxs, planes, args)
+    cv, planes = _volume_for(args, data, args.sources)
     sdio.write_cost_volume(args.out, cv, planes)
     print(json.dumps({"cost_volume": str(args.out), "shape": list(cv.shape)}))
     return 0
@@ -352,10 +342,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except SweepDepthError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (SweepDepthError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

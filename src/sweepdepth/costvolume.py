@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -31,19 +31,38 @@ DEFAULT_MOMENTUM = 0.99
 
 @dataclass(frozen=True)
 class DepthPlaneSet:
-    """Ordered fronto-parallel hypothesis depths from d_min to d_max."""
+    """``count`` fronto-parallel hypothesis depths from d_min to d_max inclusive,
+    uniform in depth (spacing "linear") or in 1/depth ("inverse")."""
 
-    depths: np.ndarray
     d_min: float
     d_max: float
+    count: int = DEFAULT_PLANE_COUNT
+    spacing: str = "linear"
+    depths: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "d_min", float(self.d_min))
+        object.__setattr__(self, "d_max", float(self.d_max))
+        if not (0 < self.d_min < self.d_max):
+            raise InvalidRange(f"need 0 < d_min < d_max, got ({self.d_min}, {self.d_max})")
+        if self.count < 2:
+            raise InvalidRange(f"need at least 2 planes, got {self.count}")
+        if self.spacing == "linear":
+            depths = np.linspace(self.d_min, self.d_max, self.count)
+        elif self.spacing == "inverse":
+            depths = 1.0 / np.linspace(1.0 / self.d_min, 1.0 / self.d_max, self.count)
+            depths[0], depths[-1] = self.d_min, self.d_max
+        else:
+            raise InvalidRange(f"unknown plane spacing {self.spacing!r}")
+        object.__setattr__(self, "depths", depths)
 
     def __len__(self) -> int:
-        return len(self.depths)
+        return self.count
 
     @property
     def quantization_floor(self) -> float:
-        """Half the plane spacing: the best achievable argmin accuracy."""
-        return (self.d_max - self.d_min) / (2 * (len(self.depths) - 1))
+        """Half the widest plane gap: the best achievable argmin accuracy."""
+        return float(np.max(np.diff(self.depths))) / 2
 
 
 @dataclass(frozen=True)
@@ -76,25 +95,12 @@ class AdaptiveRangeState:
 
 def linear_planes(d_min: float, d_max: float, count: int = DEFAULT_PLANE_COUNT) -> DepthPlaneSet:
     """``count`` depths linearly spaced from d_min to d_max inclusive."""
-    if not (0 < d_min < d_max):
-        raise InvalidRange(f"need 0 < d_min < d_max, got ({d_min}, {d_max})")
-    if count < 2:
-        raise InvalidRange(f"need at least 2 planes, got {count}")
-    step = (d_max - d_min) / (count - 1)
-    depths = d_min + step * np.arange(count, dtype=float)
-    depths[-1] = d_max
-    return DepthPlaneSet(depths=depths, d_min=float(d_min), d_max=float(d_max))
+    return DepthPlaneSet(d_min, d_max, count, "linear")
 
 
 def inverse_depth_planes(d_min: float, d_max: float, count: int = DEFAULT_PLANE_COUNT) -> DepthPlaneSet:
     """Experimental alternative: planes uniform in 1/depth. Not the default."""
-    if not (0 < d_min < d_max):
-        raise InvalidRange(f"need 0 < d_min < d_max, got ({d_min}, {d_max})")
-    if count < 2:
-        raise InvalidRange(f"need at least 2 planes, got {count}")
-    depths = 1.0 / np.linspace(1.0 / d_min, 1.0 / d_max, count)
-    depths[0], depths[-1] = d_min, d_max
-    return DepthPlaneSet(depths=depths, d_min=float(d_min), d_max=float(d_max))
+    return DepthPlaneSet(d_min, d_max, count, "inverse")
 
 
 def _thread_count(plane_count: int) -> int:
@@ -141,11 +147,11 @@ def build_cost_volume(
 
     n_planes = len(planes)
     costs = np.empty((h, w, n_planes))
-    counts = np.empty((h, w, n_planes), dtype=int)
+    counts = np.empty((h, w, n_planes), dtype=np.min_scalar_type(len(sources)))
 
     def sweep_plane(p: int) -> None:
         total = np.zeros((h, w))
-        count = np.zeros((h, w), dtype=int)
+        count = np.zeros((h, w), dtype=counts.dtype)
         for fmap, pose in sources:
             grid = plane_warp_grid(float(planes.depths[p]), pose, K)
             warped, valid = bilinear_sample(fmap.data, grid)
@@ -194,7 +200,7 @@ def zero_volume(height: int, width: int, plane_count: int) -> CostVolume:
         raise InvalidRange("zero volume dimensions must be positive")
     return CostVolume(
         costs=np.zeros((height, width, plane_count)),
-        valid_count=np.ones((height, width, plane_count), dtype=int),
+        valid_count=np.ones((height, width, plane_count), dtype=np.uint8),
     )
 
 

@@ -23,7 +23,11 @@ class ShapeMismatch(SweepDepthError):
 
 
 class InvalidRange(SweepDepthError):
-    """A (d_min, d_max) depth range is empty, inverted, or non-positive."""
+    """A depth range or plane set is empty, inverted, non-positive, or of unknown spacing."""
+
+
+class InvalidParameter(SweepDepthError, ValueError):
+    """A camera, pose, or augmentation parameter is outside its valid domain."""
 
 
 class EmptySourceList(SweepDepthError):

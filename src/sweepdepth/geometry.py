@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonPositiveDepth, ShapeMismatch
+from .errors import DimensionMismatch, InvalidParameter, NonPositiveDepth, ShapeMismatch
 
 _ORTHONORMAL_TOL = 1e-9
 
@@ -36,9 +36,9 @@ class Intrinsics:
 
     def __post_init__(self):
         if self.fx <= 0 or self.fy <= 0:
-            raise ValueError(f"focal lengths must be positive, got ({self.fx}, {self.fy})")
+            raise InvalidParameter(f"focal lengths must be positive, got ({self.fx}, {self.fy})")
         if not (0 <= self.cx < self.width) or not (0 <= self.cy < self.height):
-            raise ValueError(
+            raise InvalidParameter(
                 f"principal point ({self.cx}, {self.cy}) outside "
                 f"{self.width}x{self.height} image"
             )
@@ -72,11 +72,11 @@ class Pose:
         R = np.asarray(self.rotation, dtype=float)
         t = np.asarray(self.translation, dtype=float).reshape(3)
         if R.shape != (3, 3):
-            raise ValueError(f"rotation must be 3x3, got {R.shape}")
+            raise InvalidParameter(f"rotation must be 3x3, got {R.shape}")
         if not np.allclose(R.T @ R, np.eye(3), atol=_ORTHONORMAL_TOL, rtol=0):
-            raise ValueError("rotation is not orthonormal")
+            raise InvalidParameter("rotation is not orthonormal")
         if abs(np.linalg.det(R) - 1.0) > _ORTHONORMAL_TOL:
-            raise ValueError("rotation determinant is not +1")
+            raise InvalidParameter("rotation determinant is not +1")
         object.__setattr__(self, "rotation", R)
         object.__setattr__(self, "translation", t)
 
@@ -138,12 +138,18 @@ def project(point: np.ndarray, K: Intrinsics) -> tuple[float, float]:
     return (K.fx * x / z + K.cx, K.fy * y / z + K.cy)
 
 
+def _pixel_coords(K: Intrinsics) -> np.ndarray:
+    """(H, W, 3) array of homogeneous pixel coordinates (u, v, 1)."""
+    uu, vv = np.meshgrid(np.arange(K.width, dtype=float), np.arange(K.height, dtype=float))
+    return np.stack([uu, vv, np.ones_like(uu)], axis=-1)
+
+
 def _pixel_rays(K: Intrinsics) -> np.ndarray:
     """(H, W, 3) array of K^-1 @ (u, v, 1) per pixel."""
-    u = np.arange(K.width, dtype=float)
-    v = np.arange(K.height, dtype=float)
-    uu, vv = np.meshgrid(u, v)
-    return np.stack([(uu - K.cx) / K.fx, (vv - K.cy) / K.fy, np.ones_like(uu)], axis=-1)
+    rays = _pixel_coords(K)
+    rays[..., 0] = (rays[..., 0] - K.cx) / K.fx
+    rays[..., 1] = (rays[..., 1] - K.cy) / K.fy
+    return rays
 
 
 _BOUNDARY_SNAP = 1e-9
@@ -159,13 +165,13 @@ def _snap_to_range(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
     return np.where(np.abs(x - hi) < _BOUNDARY_SNAP, hi, x)
 
 
-def _grid_from_camera_points(points: np.ndarray, K: Intrinsics) -> PixelGrid:
-    """Project an (H, W, 3) field of camera-frame points, masking bad pixels."""
-    z = points[..., 2]
-    in_front = z > 0
-    safe_z = np.where(in_front, z, 1.0)
-    u = _snap_to_range(K.fx * points[..., 0] / safe_z + K.cx, 0, K.width - 1)
-    v = _snap_to_range(K.fy * points[..., 1] / safe_z + K.cy, 0, K.height - 1)
+def _grid_from_homogeneous(q: np.ndarray, K: Intrinsics) -> PixelGrid:
+    """Dehomogenize an (H, W, 3) field; w <= 0 (behind the camera) or off-image is invalid."""
+    w = q[..., 2]
+    in_front = w > 0
+    safe_w = np.where(in_front, w, 1.0)
+    u = _snap_to_range(q[..., 0] / safe_w, 0, K.width - 1)
+    v = _snap_to_range(q[..., 1] / safe_w, 0, K.height - 1)
     valid = (
         in_front & (u >= 0) & (u <= K.width - 1) & (v >= 0) & (v <= K.height - 1)
     )
@@ -188,8 +194,10 @@ def reproject_grid(depth: np.ndarray, T: Pose, K: Intrinsics) -> PixelGrid:
         )
     if np.any(depth <= 0):
         raise NonPositiveDepth("depth map contains non-positive values")
+    # K (R X + t), with K folded into the pose so the field takes one matmul.
+    Km = K.matrix()
     points = _pixel_rays(K) * depth[..., None]
-    return _grid_from_camera_points(points @ T.rotation.T + T.translation, K)
+    return _grid_from_homogeneous(points @ (Km @ T.rotation).T + Km @ T.translation, K)
 
 
 def plane_warp_grid(d: float, T: Pose, K: Intrinsics) -> PixelGrid:
@@ -197,8 +205,7 @@ def plane_warp_grid(d: float, T: Pose, K: Intrinsics) -> PixelGrid:
 
     Equivalent to ``reproject_grid`` on a constant depth map but computed as
     a single 3x3 homography H = K R K^-1 + (K t) e3^T / d. The third
-    homogeneous coordinate of H @ (u, v, 1) is z'/d, so its sign gives the
-    behind-camera mask.
+    homogeneous coordinate of H @ (u, v, 1) is z'/d.
     """
     if d <= 0:
         raise NonPositiveDepth(f"plane depth must be positive, got {d}")
@@ -207,20 +214,7 @@ def plane_warp_grid(d: float, T: Pose, K: Intrinsics) -> PixelGrid:
     H = Km @ T.rotation @ Kinv
     H[:, 2] += Km @ T.translation / d
 
-    u = np.arange(K.width, dtype=float)
-    v = np.arange(K.height, dtype=float)
-    uu, vv = np.meshgrid(u, v)
-    p = np.stack([uu, vv, np.ones_like(uu)], axis=-1)
-    q = p @ H.T
-    w = q[..., 2]
-    in_front = w > 0
-    safe_w = np.where(in_front, w, 1.0)
-    up = _snap_to_range(q[..., 0] / safe_w, 0, K.width - 1)
-    vp = _snap_to_range(q[..., 1] / safe_w, 0, K.height - 1)
-    valid = (
-        in_front & (up >= 0) & (up <= K.width - 1) & (vp >= 0) & (vp <= K.height - 1)
-    )
-    return PixelGrid(coords=np.stack([up, vp], axis=-1), valid=valid)
+    return _grid_from_homogeneous(_pixel_coords(K) @ H.T, K)
 
 
 def bilinear_sample(img: np.ndarray, grid: PixelGrid) -> tuple[np.ndarray, np.ndarray]:

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .costvolume import CostVolume, DepthPlaneSet, linear_planes
+from .costvolume import CostVolume, DepthPlaneSet
 from .errors import (
     MalformedHeader,
     ShapeMismatch,
@@ -24,7 +24,8 @@ from .geometry import Intrinsics, Pose
 
 _PFM_GRAY = b"Pf"
 _PFM_COLOR = b"PF"
-_CV_MAGIC = "SWPCV1"
+_CV_MAGIC_LINEAR = "SWPCV1"
+_CV_MAGIC_SPACED = "SWPCV2"
 
 
 def _split_header_tokens(buf: bytes, count: int) -> tuple[list[bytes], int]:
@@ -157,8 +158,8 @@ def write_pgm(path: str | Path, img: np.ndarray) -> None:
     _write_netpbm(path, b"P5", img[..., None])
 
 
-def read_intrinsics(path: str | Path) -> Intrinsics:
-    obj = json.loads(Path(path).read_text())
+def intrinsics_from_json(obj: dict) -> Intrinsics:
+    """Intrinsics from a parsed ``{fx, fy, cx, cy, width, height}`` object."""
     return Intrinsics(
         fx=float(obj["fx"]),
         fy=float(obj["fy"]),
@@ -167,6 +168,10 @@ def read_intrinsics(path: str | Path) -> Intrinsics:
         width=int(obj["width"]),
         height=int(obj["height"]),
     )
+
+
+def read_intrinsics(path: str | Path) -> Intrinsics:
+    return intrinsics_from_json(json.loads(Path(path).read_text()))
 
 
 def write_intrinsics(path: str | Path, K: Intrinsics) -> None:
@@ -186,11 +191,15 @@ def write_intrinsics(path: str | Path, K: Intrinsics) -> None:
     )
 
 
-def read_pose(path: str | Path) -> Pose:
-    obj = json.loads(Path(path).read_text())
+def pose_from_json(obj: dict) -> Pose:
+    """Pose from a parsed ``{"R": 9 row-major, "t": 3}`` object."""
     R = np.asarray(obj["R"], dtype=float).reshape(3, 3)
     t = np.asarray(obj["t"], dtype=float)
     return Pose(R, t)
+
+
+def read_pose(path: str | Path) -> Pose:
+    return pose_from_json(json.loads(Path(path).read_text()))
 
 
 def write_pose(path: str | Path, pose: Pose) -> None:
@@ -207,20 +216,30 @@ def write_pose(path: str | Path, pose: Pose) -> None:
 
 
 def write_cost_volume(path: str | Path, cv: CostVolume, planes: DepthPlaneSet) -> None:
-    """Dump a volume: 'SWPCV1 H W P d_min d_max' then plane-major float32."""
+    """Dump a volume: 'SWPCV1 H W P d_min d_max' for linear planes, else
+    'SWPCV2 H W P d_min d_max spacing', then plane-major float32."""
     h, w, p = cv.costs.shape
-    header = f"{_CV_MAGIC} {h} {w} {p} {planes.d_min!r} {planes.d_max!r}\n"
+    fields = f"{h} {w} {p} {planes.d_min!r} {planes.d_max!r}"
+    if planes.spacing == "linear":
+        header = f"{_CV_MAGIC_LINEAR} {fields}\n"
+    else:
+        header = f"{_CV_MAGIC_SPACED} {fields} {planes.spacing}\n"
     payload = np.moveaxis(cv.costs, 2, 0).astype("<f4").tobytes()
     Path(path).write_bytes(header.encode("ascii") + payload)
 
 
 def read_cost_volume(path: str | Path) -> tuple[CostVolume, DepthPlaneSet]:
+    """Read an SWPCV1 (linear planes) or SWPCV2 (spacing recorded) dump."""
     buf = Path(path).read_bytes()
     newline = buf.find(b"\n")
     if newline < 0:
         raise MalformedHeader("cost volume dump has no header line")
     fields = buf[:newline].decode("ascii", errors="replace").split()
-    if len(fields) != 6 or fields[0] != _CV_MAGIC:
+    if fields[:1] == [_CV_MAGIC_LINEAR] and len(fields) == 6:
+        spacing = "linear"
+    elif fields[:1] == [_CV_MAGIC_SPACED] and len(fields) == 7:
+        spacing = fields[6]
+    else:
         raise MalformedHeader(f"bad cost volume header {fields!r}")
     try:
         h, w, p = (int(x) for x in fields[1:4])
@@ -236,5 +255,5 @@ def read_cost_volume(path: str | Path) -> tuple[CostVolume, DepthPlaneSet]:
     costs = np.moveaxis(
         np.frombuffer(payload, dtype="<f4").astype(np.float64).reshape(p, h, w), 0, 2
     )
-    valid = np.where(np.isfinite(costs), 1, 0)
-    return CostVolume(costs=costs, valid_count=valid), linear_planes(d_min, d_max, p)
+    valid = np.isfinite(costs).astype(np.uint8)
+    return CostVolume(costs=costs, valid_count=valid), DepthPlaneSet(d_min, d_max, p, spacing)

@@ -14,12 +14,16 @@ texture with it.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from .errors import DegenerateRay
+from .features import _central_diff_x, _central_diff_y
 from .geometry import Intrinsics, Pose, _pixel_rays
+from .io import intrinsics_from_json, pose_from_json
 
 
 @dataclass(frozen=True)
@@ -123,13 +127,13 @@ def texture_value(tex: Texture, x: np.ndarray, y: np.ndarray, seed: int = 0) -> 
 
 
 def _plane_hits(
-    plane: PlaneElement, origin: np.ndarray, dirs: np.ndarray
+    normal: tuple[float, float, float], offset: float, origin: np.ndarray, dirs: np.ndarray
 ) -> np.ndarray:
-    """Ray parameter (= camera depth) of the intersection; inf where missed."""
-    n = np.asarray(plane.normal, dtype=float)
+    """Ray parameter (= camera depth) of the hit on normal . X = offset; inf where missed."""
+    n = np.asarray(normal, dtype=float)
     denom = dirs @ n
     with np.errstate(divide="ignore", invalid="ignore"):
-        s = (plane.offset - origin @ n) / denom
+        s = (offset - origin @ n) / denom
     s = np.where(np.isfinite(s) & (s > 0), s, np.inf)
     return s
 
@@ -143,7 +147,7 @@ def render(scene: Scene, pose: Pose, K: Intrinsics, t: int = 0) -> Frame:
     depth = np.full((K.height, K.width), np.inf)
     winner = np.full((K.height, K.width), -1, dtype=int)
     for i, plane in enumerate(scene.planes):
-        s = _plane_hits(plane, origin, dirs_w)
+        s = _plane_hits(plane.normal, plane.offset, origin, dirs_w)
         closer = s < depth
         depth = np.where(closer, s, depth)
         winner = np.where(closer, i, winner)
@@ -184,10 +188,7 @@ def _mover_hits(
     mover: Mover, origin: np.ndarray, dirs: np.ndarray, t: float
 ) -> tuple[np.ndarray, np.ndarray]:
     pos = mover.position(t)
-    dz = dirs[..., 2]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        s = (pos[2] - origin[2]) / dz
-    s = np.where(np.isfinite(s) & (s > 0), s, np.inf)
+    s = _plane_hits((0.0, 0.0, 1.0), pos[2], origin, dirs)
     px = origin[0] + dirs[..., 0] * s
     py = origin[1] + dirs[..., 1] * s
     hx, hy = mover.half_size
@@ -222,7 +223,8 @@ def mover_mask(scene: Scene, pose: Pose, K: Intrinsics, t: int) -> np.ndarray:
     origin = pose.translation
     static_depth = np.full((K.height, K.width), np.inf)
     for plane in scene.planes:
-        static_depth = np.minimum(static_depth, _plane_hits(plane, origin, dirs_w))
+        s = _plane_hits(plane.normal, plane.offset, origin, dirs_w)
+        static_depth = np.minimum(static_depth, s)
     s, inside = _mover_hits(scene.mover, origin, dirs_w, t)
     return inside & (s < static_depth)
 
@@ -247,10 +249,7 @@ def mover_rect(scene: Scene, pose: Pose, K: Intrinsics, t: int) -> tuple[float, 
 
 def texture_contrast_mask(gray: np.ndarray, threshold: float = 0.01) -> np.ndarray:
     """Pixels with local intensity gradient above ``threshold`` per pixel."""
-    padded = np.pad(gray, 1, mode="edge")
-    gx = (padded[1:-1, 2:] - padded[1:-1, :-2]) / 2.0
-    gy = (padded[2:, 1:-1] - padded[:-2, 1:-1]) / 2.0
-    return np.hypot(gx, gy) > threshold
+    return np.hypot(_central_diff_x(gray), _central_diff_y(gray)) > threshold
 
 
 @dataclass(frozen=True)
@@ -363,15 +362,6 @@ PRESET_NAMES = (
 )
 
 
-def _pose_from_json(obj) -> Pose:
-    if isinstance(obj, dict):
-        return Pose(
-            np.asarray(obj["R"], dtype=float).reshape(3, 3),
-            np.asarray(obj["t"], dtype=float),
-        )
-    return Pose.from_translation(*obj)
-
-
 def load_scene_setup(path) -> SceneSetup:
     """Parse a scene description JSON file.
 
@@ -380,10 +370,7 @@ def load_scene_setup(path) -> SceneSetup:
     "camera_motion" (list of [tx, ty, tz] or {R, t}), optional "intrinsics",
     "seed", and "target_index".
     """
-    import json
-    from pathlib import Path as _Path
-
-    obj = json.loads(_Path(path).read_text())
+    obj = json.loads(Path(path).read_text())
     planes = tuple(
         PlaneElement(
             normal=tuple(p["normal"]),
@@ -404,14 +391,13 @@ def load_scene_setup(path) -> SceneSetup:
             albedo=tuple(m.get("albedo", (1.0, 1.0, 1.0))),
         )
     if "intrinsics" in obj:
-        k = obj["intrinsics"]
-        K = Intrinsics(
-            fx=float(k["fx"]), fy=float(k["fy"]), cx=float(k["cx"]),
-            cy=float(k["cy"]), width=int(k["width"]), height=int(k["height"]),
-        )
+        K = intrinsics_from_json(obj["intrinsics"])
     else:
         K = _desk_intrinsics(int(obj.get("width", 64)), int(obj.get("height", 48)))
-    poses = [_pose_from_json(p) for p in obj["camera_motion"]]
+    poses = [
+        pose_from_json(p) if isinstance(p, dict) else Pose.from_translation(*p)
+        for p in obj["camera_motion"]
+    ]
     return SceneSetup(
         scene=Scene(planes=planes, mover=mover, seed=int(obj.get("seed", 0))),
         poses=poses,

@@ -1,12 +1,19 @@
 """End-to-end CLI behavior on the bundled scenes."""
 
 import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sweepdepth
 from sweepdepth.cli import main
-from sweepdepth.io import read_pfm
+from sweepdepth.costvolume import inverse_depth_planes
+from sweepdepth.io import read_cost_volume, read_pfm
 
 
 def run(capsys, *argv):
@@ -227,6 +234,18 @@ class TestDumpCv:
         assert cv.costs.shape == (12, 16, 4)
         assert len(planes) == 4
 
+    def test_inverse_planes_round_trip(self, lateral_dataset, tmp_path, capsys):
+        out = tmp_path / "v.swpcv"
+        code, _, _ = run(
+            capsys,
+            "dump-cv", "--data", str(lateral_dataset), "--out", str(out),
+            "--d-min", "1", "--d-max", "10", "--planes", "8", "--inverse-depth-planes",
+        )
+        assert code == 0
+        assert out.read_bytes().startswith(b"SWPCV2 12 16 8 1.0 10.0 inverse\n")
+        _, planes = read_cost_volume(out)
+        assert np.array_equal(planes.depths, inverse_depth_planes(1.0, 10.0, 8).depths)
+
 
 class TestStaticCamera:
     def test_degenerate_baseline_completes(self, tmp_path, capsys):
@@ -240,3 +259,45 @@ class TestStaticCamera:
         )
         assert code == 0
         assert np.isfinite(read_pfm(out)).all()
+
+
+def _bad_input_argv(case, data, tmp):
+    """argv for one malformed input; files it needs are written under ``tmp``."""
+    volume = ["--data", str(data), "--d-min", "1", "--d-max", "10", "--planes", "4"]
+    if case in ("state_without_d_max", "state_not_json"):
+        state = tmp / "state.json"
+        state.write_text('{"d_min": 1.0}' if case == "state_without_d_max" else "d_min = 1")
+        return ["depth", "--data", str(data), "--out", str(tmp / "d.pfm"),
+                "--adaptive-state", str(state)]
+    if case == "aug_p_plus_q_above_one":
+        return ["depth", *volume, "--out", str(tmp / "d.pfm"),
+                "--augment-sample", "0", "--aug-p", "0.9", "--aug-q", "0.9"]
+    if case == "negative_focal_length":
+        bad = tmp / "data"
+        shutil.copytree(data, bad)
+        k = json.loads((bad / "intrinsics.json").read_text())
+        (bad / "intrinsics.json").write_text(json.dumps({**k, "fx": -k["fx"]}))
+        return ["depth", *volume, "--data", str(bad), "--out", str(tmp / "d.pfm")]
+    assert case == "target_out_of_range"
+    return ["dump-cv", *volume, "--out", str(tmp / "v.swpcv"), "--target", "9"]
+
+
+@pytest.mark.parametrize("case", [
+    "state_without_d_max",
+    "state_not_json",
+    "aug_p_plus_q_above_one",
+    "negative_focal_length",
+    "target_out_of_range",
+])
+def test_bad_input_is_a_typed_error(case, lateral_dataset, tmp_path):
+    argv = _bad_input_argv(case, lateral_dataset, tmp_path)
+    src = str(Path(sweepdepth.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run([sys.executable, "-m", "sweepdepth", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:"), proc.stderr
+    assert "Traceback" not in proc.stderr
+    if case == "target_out_of_range":
+        assert "target 9 out of range" in proc.stderr

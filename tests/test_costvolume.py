@@ -72,6 +72,7 @@ class TestBuildCostVolume:
         )
         assert np.allclose(cv.costs, 0.2, atol=1e-12)
         assert (cv.valid_count == 2).all()
+        assert cv.valid_count.dtype == np.uint8
 
     def test_out_of_bounds_cells_are_sentinel(self, rng):
         # A huge lateral translation pushes every warped sample out of the
@@ -237,6 +238,10 @@ class TestInverseDepthPlanes:
         assert planes.depths[0] == 1.0 and planes.depths[-1] == 10.0
         assert np.allclose(np.diff(1.0 / planes.depths), -0.1, atol=1e-12)
         assert (np.diff(planes.depths) > 0).all()
+
+    def test_quantization_floor_is_half_the_widest_gap(self):
+        # The widest gap is the far one, 10 - 1 / (0.1 + 0.9 / 7) = 5.625.
+        assert inverse_depth_planes(1.0, 10.0, 8).quantization_floor == pytest.approx(2.8125)
 
 
 def _sweep_pipeline(setup, frames, planes, scale=1):
