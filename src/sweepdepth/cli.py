@@ -36,8 +36,8 @@ from .costvolume import (
     zero_volume,
 )
 from .errors import SweepDepthError
-from .evaluation import crop, depth_metrics, abs_rel_error_map, error_heatmap, median_scale
-from .features import EXTRACTOR_KINDS, extract_features
+from .evaluation import CROP_SCHEMES, crop, depth_metrics, abs_rel_error_map, error_heatmap, median_scale
+from .features import EXTRACTOR_KINDS, VALID_SCALES, extract_features
 from .geometry import Intrinsics, Pose, bilinear_sample, reproject_grid
 from .losses import consistency_mask, total_loss
 from .synth import (
@@ -79,11 +79,9 @@ def _resolve_planes(args) -> DepthPlaneSet:
             "specify either --d-min/--d-max or --adaptive-state, not both or neither"
         )
     if args.adaptive_state:
-        try:
-            obj = json.loads(Path(args.adaptive_state).read_text())
-            d_min, d_max = float(obj["d_min"]), float(obj["d_max"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SweepDepthError(f"bad adaptive state {args.adaptive_state}: {exc!r}") from exc
+        d_min, d_max = sdio.read_json(
+            args.adaptive_state, lambda obj: (float(obj["d_min"]), float(obj["d_max"]))
+        )
     elif args.d_min is None or args.d_max is None:
         raise SweepDepthError("--d-min and --d-max must be given together")
     else:
@@ -147,6 +145,14 @@ def _depth_image(
     return upsample_nearest(depth_f, args.feature_scale, data.K.height, data.K.width), valid
 
 
+def _emit(report, out: str | None) -> None:
+    """Print a report as indent-2 JSON, and also write it to ``out`` when given."""
+    payload = json.dumps(report.to_json_dict(), indent=2)
+    if out:
+        Path(out).write_text(payload + "\n")
+    print(payload)
+
+
 def cmd_synth(args) -> int:
     if args.scene in PRESET_NAMES:
         setup: SceneSetup = preset_scene(args.scene, seed=args.seed)
@@ -156,9 +162,9 @@ def cmd_synth(args) -> int:
         raise SweepDepthError(
             f"scene {args.scene!r} is neither a preset {PRESET_NAMES} nor a file"
         )
+    frames = make_sequence(setup.scene, setup.poses, setup.K)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    frames = make_sequence(setup.scene, setup.poses, setup.K)
     sdio.write_intrinsics(out / "intrinsics.json", setup.K)
     for frame in frames:
         sdio.write_ppm(out / f"frame_{frame.time:04d}.ppm", frame.image)
@@ -166,10 +172,7 @@ def cmd_synth(args) -> int:
         sdio.write_pose(out / f"pose_{frame.time:04d}.json", frame.pose)
     if setup.scene.mover is not None:
         rects = [
-            {
-                "time": frame.time,
-                "rect": list(mover_rect(setup.scene, frame.pose, setup.K, frame.time)),
-            }
+            {"time": frame.time, "rect": mover_rect(setup.scene, frame.pose, setup.K, frame.time)}
             for frame in frames
         ]
         (out / "mover.json").write_text(json.dumps({"frames": rects}, indent=2) + "\n")
@@ -227,10 +230,7 @@ def cmd_loss(args) -> int:
         target_img,
         smoothness_weight=args.smooth_weight,
     )
-    payload = json.dumps(report.to_json_dict(), indent=2)
-    if args.out:
-        Path(args.out).write_text(payload + "\n")
-    print(payload)
+    _emit(report, args.out)
     return 0
 
 
@@ -248,10 +248,7 @@ def cmd_eval(args) -> int:
             sdio.write_ppm(path, error_heatmap(err))
         else:
             sdio.write_pfm(path, err)
-    payload = json.dumps(report.to_json_dict(), indent=2)
-    if args.out:
-        Path(args.out).write_text(payload + "\n")
-    print(payload)
+    _emit(report, args.out)
     return 0
 
 
@@ -265,7 +262,7 @@ def cmd_dump_cv(args) -> int:
 
 def _add_volume_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--features", choices=EXTRACTOR_KINDS, default="gradient")
-    p.add_argument("--feature-scale", type=int, choices=(1, 2, 4), default=4,
+    p.add_argument("--feature-scale", type=int, choices=VALID_SCALES, default=4,
                    help="feature downsample factor (default quarter resolution)")
     p.add_argument("--planes", type=int, default=96, help="number of depth planes")
     p.add_argument("--d-min", type=float, default=None)
@@ -322,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pred", required=True)
     p.add_argument("--gt", required=True)
     p.add_argument("--cap", type=float, default=80.0)
-    p.add_argument("--crop", choices=("none", "cityscapes_A", "cityscapes_B"), default="none")
+    p.add_argument("--crop", choices=CROP_SCHEMES, default="none")
     p.add_argument("--median-scale", action="store_true")
     p.add_argument("--error-map", default=None,
                    help="write the abs-rel error map (.pfm raw or .ppm heatmap)")

@@ -129,9 +129,9 @@ def build_cost_volume(
     features; contributions average over the sources whose warped sample
     was in bounds. Cells with no valid source get cost +inf.
 
-    The plane loop may run on a thread pool (capped by SWEEPDEPTH_THREADS);
-    every plane writes a disjoint slice, so the result does not depend on
-    execution order.
+    The plane loop runs on a thread pool whose width SWEEPDEPTH_THREADS sets
+    (0 or unset: min(cores, 4)); every plane writes a disjoint slice, so the
+    result does not depend on the width or the execution order.
     """
     if not sources:
         raise EmptySourceList("cost volume needs at least one source view")
@@ -162,13 +162,8 @@ def build_cost_volume(
             costs[:, :, p] = np.where(count > 0, total / np.maximum(count, 1), np.inf)
         counts[:, :, p] = count
 
-    workers = _thread_count(n_planes)
-    if workers == 1:
-        for p in range(n_planes):
-            sweep_plane(p)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(sweep_plane, range(n_planes)))
+    with ThreadPoolExecutor(max_workers=_thread_count(n_planes)) as pool:
+        list(pool.map(sweep_plane, range(n_planes)))
 
     return CostVolume(costs=costs, valid_count=counts)
 

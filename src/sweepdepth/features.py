@@ -37,12 +37,14 @@ def _box_downsample(img: np.ndarray, scale: int) -> np.ndarray:
     h, w = img.shape[:2]
     hp = -(-h // scale)
     wp = -(-w // scale)
-    out = np.empty((hp, wp) + img.shape[2:], dtype=float)
-    for i in range(hp):
-        for j in range(wp):
-            block = img[i * scale : (i + 1) * scale, j * scale : (j + 1) * scale]
-            out[i, j] = block.mean(axis=(0, 1))
-    return out
+    rest = img.shape[2:]
+    pad = ((0, hp * scale - h), (0, wp * scale - w)) + ((0, 0),) * len(rest)
+    blocks = np.pad(img, pad).reshape(hp, scale, wp, scale, *rest).swapaxes(1, 2)
+    blocks = blocks.reshape(hp, wp, scale * scale, *rest)
+    rows = np.minimum(scale, h - scale * np.arange(hp))
+    cols = np.minimum(scale, w - scale * np.arange(wp))
+    counts = np.outer(rows, cols).reshape((hp, wp) + (1,) * len(rest))
+    return blocks.sum(axis=2) / counts
 
 
 def _to_gray(img: np.ndarray) -> np.ndarray:

@@ -17,6 +17,7 @@ from .costvolume import CostVolume, DepthPlaneSet
 from .errors import (
     MalformedHeader,
     ShapeMismatch,
+    SweepDepthError,
     TruncatedPayload,
     UnsupportedMaxval,
 )
@@ -158,6 +159,18 @@ def write_pgm(path: str | Path, img: np.ndarray) -> None:
     _write_netpbm(path, b"P5", img[..., None])
 
 
+def read_json(path: str | Path, parse):
+    """``parse(content of path)``; malformed content raises a SweepDepthError naming
+    the file, and SweepDepthErrors raised by ``parse`` pass through unchanged."""
+    text = Path(path).read_text()
+    try:
+        return parse(json.loads(text))
+    except SweepDepthError:
+        raise
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise SweepDepthError(f"malformed {path}: {exc!r}") from exc
+
+
 def intrinsics_from_json(obj: dict) -> Intrinsics:
     """Intrinsics from a parsed ``{fx, fy, cx, cy, width, height}`` object."""
     return Intrinsics(
@@ -171,7 +184,7 @@ def intrinsics_from_json(obj: dict) -> Intrinsics:
 
 
 def read_intrinsics(path: str | Path) -> Intrinsics:
-    return intrinsics_from_json(json.loads(Path(path).read_text()))
+    return read_json(path, intrinsics_from_json)
 
 
 def write_intrinsics(path: str | Path, K: Intrinsics) -> None:
@@ -199,7 +212,7 @@ def pose_from_json(obj: dict) -> Pose:
 
 
 def read_pose(path: str | Path) -> Pose:
-    return pose_from_json(json.loads(Path(path).read_text()))
+    return read_json(path, pose_from_json)
 
 
 def write_pose(path: str | Path, pose: Pose) -> None:

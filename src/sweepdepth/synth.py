@@ -14,16 +14,16 @@ texture with it.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .errors import DegenerateRay
+from .errors import DegenerateRay, InvalidParameter
 from .features import _central_diff_x, _central_diff_y
-from .geometry import Intrinsics, Pose, _pixel_rays
-from .io import intrinsics_from_json, pose_from_json
+from .geometry import Intrinsics, Pose, _pixel_rays, project
+from .io import intrinsics_from_json, pose_from_json, read_json
+
+TEXTURE_KINDS = ("grating", "checker", "noise")
 
 
 @dataclass(frozen=True)
@@ -44,6 +44,10 @@ class Texture:
     phase_x: float = 0.0
     phase_y: float = 0.0
     cell: float = 1.0
+
+    def __post_init__(self):
+        if self.kind not in TEXTURE_KINDS:
+            raise InvalidParameter(f"texture kind {self.kind!r} is not one of {TEXTURE_KINDS}")
 
 
 @dataclass(frozen=True)
@@ -121,9 +125,7 @@ def texture_value(tex: Texture, x: np.ndarray, y: np.ndarray, seed: int = 0) -> 
     if tex.kind == "checker":
         parity = (np.floor(x / tex.cell) + np.floor(y / tex.cell)) % 2
         return 0.25 + 0.5 * parity
-    if tex.kind == "noise":
-        return 0.1 + 0.8 * _value_noise(x, y, tex.cell, seed)
-    raise ValueError(f"unknown texture kind {tex.kind!r}")
+    return 0.1 + 0.8 * _value_noise(x, y, tex.cell, seed)  # "noise"
 
 
 def _plane_hits(
@@ -138,55 +140,50 @@ def _plane_hits(
     return s
 
 
-def render(scene: Scene, pose: Pose, K: Intrinsics, t: int = 0) -> Frame:
-    """Render one frame: nearest-intersection image and exact depth map."""
-    dirs_cam = _pixel_rays(K)  # z component is 1, so ray parameter == depth
-    dirs_w = dirs_cam @ pose.rotation.T
-    origin = pose.translation
-
-    depth = np.full((K.height, K.width), np.inf)
-    winner = np.full((K.height, K.width), -1, dtype=int)
-    for i, plane in enumerate(scene.planes):
-        s = _plane_hits(plane.normal, plane.offset, origin, dirs_w)
+def _nearest_hits(
+    scene: Scene, origin: np.ndarray, dirs_w: np.ndarray, t: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest positive hit depth per ray and the index of that element: the planes
+    in order, then the mover. Ties go to the lower index; misses keep (inf, -1)."""
+    hits = [_plane_hits(p.normal, p.offset, origin, dirs_w) for p in scene.planes]
+    if scene.mover is not None:
+        hits.append(_mover_hits(scene.mover, origin, dirs_w, t))
+    depth = np.full(dirs_w.shape[:2], np.inf)
+    winner = np.full(dirs_w.shape[:2], -1, dtype=int)
+    for i, s in enumerate(hits):
         closer = s < depth
         depth = np.where(closer, s, depth)
         winner = np.where(closer, i, winner)
+    return depth, winner
 
-    if scene.mover is not None:
-        s, inside = _mover_hits(scene.mover, origin, dirs_w, t)
-        closer = inside & (s < depth)
-        depth = np.where(closer, s, depth)
-        winner = np.where(closer, len(scene.planes), winner)
 
+def render(scene: Scene, pose: Pose, K: Intrinsics, t: int = 0) -> Frame:
+    """Render one frame: nearest-intersection image and exact depth map."""
+    dirs_w = _pixel_rays(K) @ pose.rotation.T  # camera z component is 1: ray parameter == depth
+    origin = pose.translation
+    depth, winner = _nearest_hits(scene, origin, dirs_w, t)
     if np.any(np.isinf(depth)):
         raise DegenerateRay("some rays hit no scene element at positive depth")
 
+    # (texture, albedo, texture anchor, noise seed), indexed like winner
+    surfaces = [(p.texture, p.albedo, (0.0, 0.0), scene.seed) for p in scene.planes]
+    if scene.mover is not None:
+        m = scene.mover
+        surfaces.append((m.texture, m.albedo, m.position(t)[:2], scene.seed + 1))
     points = origin + dirs_w * depth[..., None]
     image = np.zeros((K.height, K.width, 3))
-    for i, plane in enumerate(scene.planes):
+    for i, (texture, albedo, anchor, seed) in enumerate(surfaces):
         sel = winner == i
-        if not sel.any():
-            continue
-        val = texture_value(plane.texture, points[sel, 0], points[sel, 1], scene.seed)
-        image[sel] = val[:, None] * np.asarray(plane.albedo)
-    if scene.mover is not None:
-        sel = winner == len(scene.planes)
         if sel.any():
-            pos = scene.mover.position(t)
             val = texture_value(
-                scene.mover.texture,
-                points[sel, 0] - pos[0],
-                points[sel, 1] - pos[1],
-                scene.seed + 1,
+                texture, points[sel, 0] - anchor[0], points[sel, 1] - anchor[1], seed
             )
-            image[sel] = val[:, None] * np.asarray(scene.mover.albedo)
-
+            image[sel] = val[:, None] * np.asarray(albedo)
     return Frame(image=image, depth_gt=depth, pose=pose, time=t)
 
 
-def _mover_hits(
-    mover: Mover, origin: np.ndarray, dirs: np.ndarray, t: float
-) -> tuple[np.ndarray, np.ndarray]:
+def _mover_hits(mover: Mover, origin: np.ndarray, dirs: np.ndarray, t: float) -> np.ndarray:
+    """Ray parameter of the hit on the box face at time t; inf outside the box."""
     pos = mover.position(t)
     s = _plane_hits((0.0, 0.0, 1.0), pos[2], origin, dirs)
     px = origin[0] + dirs[..., 0] * s
@@ -197,13 +194,13 @@ def _mover_hits(
         & (np.abs(px - pos[0]) <= hx)
         & (np.abs(py - pos[1]) <= hy)
     )
-    return s, inside
+    return np.where(inside, s, np.inf)
 
 
 def make_sequence(scene: Scene, camera_motion: list[Pose], K: Intrinsics) -> list[Frame]:
     """Render one frame per pose, advancing the mover by its per-frame velocity."""
     if len(camera_motion) < 2:
-        raise ValueError("a sequence needs at least 2 poses")
+        raise InvalidParameter(f"a sequence needs at least 2 poses, got {len(camera_motion)}")
     return [render(scene, pose, K, t) for t, pose in enumerate(camera_motion)]
 
 
@@ -217,33 +214,22 @@ def relative_pose(target: Pose, source: Pose) -> Pose:
 
 def mover_mask(scene: Scene, pose: Pose, K: Intrinsics, t: int) -> np.ndarray:
     """Boolean image mask of pixels where the mover is the nearest hit."""
-    if scene.mover is None:
-        return np.zeros((K.height, K.width), dtype=bool)
-    dirs_w = _pixel_rays(K) @ pose.rotation.T
-    origin = pose.translation
-    static_depth = np.full((K.height, K.width), np.inf)
-    for plane in scene.planes:
-        s = _plane_hits(plane.normal, plane.offset, origin, dirs_w)
-        static_depth = np.minimum(static_depth, s)
-    s, inside = _mover_hits(scene.mover, origin, dirs_w, t)
-    return inside & (s < static_depth)
+    _, winner = _nearest_hits(scene, pose.translation, _pixel_rays(K) @ pose.rotation.T, t)
+    return winner == len(scene.planes)
 
 
 def mover_rect(scene: Scene, pose: Pose, K: Intrinsics, t: int) -> tuple[float, float, float, float] | None:
-    """Projected (u0, v0, u1, v1) of the box; exact for identity-rotation poses."""
+    """Pixel bounds (u0, v0, u1, v1) of the box's four projected corners; None
+    without a mover or when a corner is at or behind the camera plane."""
     if scene.mover is None:
         return None
     pos = scene.mover.position(t)
     hx, hy = scene.mover.half_size
-    corners = np.array(
-        [
-            [pos[0] - hx, pos[1] - hy, pos[2]],
-            [pos[0] + hx, pos[1] + hy, pos[2]],
-        ]
-    )
-    cam = (corners - pose.translation) @ pose.rotation
-    u = K.fx * cam[:, 0] / cam[:, 2] + K.cx
-    v = K.fy * cam[:, 1] / cam[:, 2] + K.cy
+    corners = [[pos[0] + sx * hx, pos[1] + sy * hy, pos[2]] for sx in (-1, 1) for sy in (-1, 1)]
+    cam = (np.array(corners) - pose.translation) @ pose.rotation
+    if np.any(cam[:, 2] <= 0):
+        return None
+    u, v = np.array([project(c, K) for c in cam]).T
     return (float(u.min()), float(v.min()), float(u.max()), float(v.max()))
 
 
@@ -368,9 +354,12 @@ def load_scene_setup(path) -> SceneSetup:
     Expected keys: "planes" (list of {normal, offset, texture, albedo}),
     optional "mover" ({center, half_size, velocity, texture, albedo}),
     "camera_motion" (list of [tx, ty, tz] or {R, t}), optional "intrinsics",
-    "seed", and "target_index".
+    "seed", and "target_index". Malformed content raises a SweepDepthError.
     """
-    obj = json.loads(Path(path).read_text())
+    return read_json(path, _scene_setup_from_json)
+
+
+def _scene_setup_from_json(obj: dict) -> SceneSetup:
     planes = tuple(
         PlaneElement(
             normal=tuple(p["normal"]),

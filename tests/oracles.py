@@ -200,3 +200,17 @@ def cost_volume_ref(target_feat, sources, fx, fy, cx, cy, depths):
                     costs[i, j, pi] = total / count
                 counts[i, j, pi] = count
     return costs, counts
+
+
+def box_downsample_ref(img, scale):
+    """Mean of each scale x scale block, partial edge blocks over what exists."""
+    img = np.asarray(img, dtype=float)
+    h, w = img.shape[:2]
+    hp = -(-h // scale)
+    wp = -(-w // scale)
+    out = np.empty((hp, wp) + img.shape[2:])
+    for i in range(hp):
+        for j in range(wp):
+            block = img[i * scale : (i + 1) * scale, j * scale : (j + 1) * scale]
+            out[i, j] = block.mean(axis=(0, 1))
+    return out

@@ -261,6 +261,20 @@ class TestStaticCamera:
         assert np.isfinite(read_pfm(out)).all()
 
 
+def _copy_with(data, tmp, name, edit):
+    """Copy of the dataset whose JSON file ``name`` holds ``edit(parsed original)``."""
+    bad = tmp / "data"
+    shutil.copytree(data, bad)
+    (bad / name).write_text(edit(json.loads((bad / name).read_text())))
+    return bad
+
+
+_SCENE = {
+    "planes": [{"normal": [0, 0, 1], "offset": 4.0, "texture": {"kind": "checker"}}],
+    "camera_motion": [[0, 0, 0], [0.1, 0, 0]],
+}
+
+
 def _bad_input_argv(case, data, tmp):
     """argv for one malformed input; files it needs are written under ``tmp``."""
     volume = ["--data", str(data), "--d-min", "1", "--d-max", "10", "--planes", "4"]
@@ -272,12 +286,29 @@ def _bad_input_argv(case, data, tmp):
     if case == "aug_p_plus_q_above_one":
         return ["depth", *volume, "--out", str(tmp / "d.pfm"),
                 "--augment-sample", "0", "--aug-p", "0.9", "--aug-q", "0.9"]
-    if case == "negative_focal_length":
-        bad = tmp / "data"
-        shutil.copytree(data, bad)
-        k = json.loads((bad / "intrinsics.json").read_text())
-        (bad / "intrinsics.json").write_text(json.dumps({**k, "fx": -k["fx"]}))
+    dataset_edits = {
+        "negative_focal_length": ("intrinsics.json",
+                                  lambda k: json.dumps({**k, "fx": -k["fx"]})),
+        "intrinsics_without_fy": ("intrinsics.json",
+                                  lambda k: json.dumps({n: v for n, v in k.items() if n != "fy"})),
+        "pose_not_json": ("pose_0001.json", lambda _: "R = identity"),
+        "pose_with_8_rotation_entries": ("pose_0001.json",
+                                         lambda p: json.dumps({**p, "R": p["R"][:8]})),
+    }
+    if case in dataset_edits:
+        bad = _copy_with(data, tmp, *dataset_edits[case])
         return ["depth", *volume, "--data", str(bad), "--out", str(tmp / "d.pfm")]
+    plane = _SCENE["planes"][0]
+    scene_edits = {
+        "plane_without_normal": {"planes": [{"offset": 4.0}]},
+        "texture_unknown_key": {"planes": [{**plane, "texture": {"kind": "checker", "size": 2}}]},
+        "texture_unknown_kind": {"planes": [{**plane, "texture": {"kind": "marble"}}]},
+        "scene_with_one_pose": {"camera_motion": [[0, 0, 0]]},
+    }
+    if case in scene_edits:
+        scene = tmp / "scene.json"
+        scene.write_text(json.dumps({**_SCENE, **scene_edits[case]}))
+        return ["synth", "--scene", str(scene), "--out", str(tmp / "out")]
     assert case == "target_out_of_range"
     return ["dump-cv", *volume, "--out", str(tmp / "v.swpcv"), "--target", "9"]
 
@@ -288,6 +319,13 @@ def _bad_input_argv(case, data, tmp):
     "aug_p_plus_q_above_one",
     "negative_focal_length",
     "target_out_of_range",
+    "intrinsics_without_fy",
+    "pose_not_json",
+    "pose_with_8_rotation_entries",
+    "plane_without_normal",
+    "texture_unknown_key",
+    "texture_unknown_kind",
+    "scene_with_one_pose",
 ])
 def test_bad_input_is_a_typed_error(case, lateral_dataset, tmp_path):
     argv = _bad_input_argv(case, lateral_dataset, tmp_path)
@@ -301,3 +339,7 @@ def test_bad_input_is_a_typed_error(case, lateral_dataset, tmp_path):
     assert "Traceback" not in proc.stderr
     if case == "target_out_of_range":
         assert "target 9 out of range" in proc.stderr
+    if argv[0] == "synth":
+        assert not (tmp_path / "out").exists()
+    if case.startswith(("intrinsics", "pose", "plane", "texture_unknown_key")):
+        assert ".json" in proc.stderr

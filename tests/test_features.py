@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
+from oracles import box_downsample_ref
 
 from sweepdepth.errors import UnknownExtractor
-from sweepdepth.features import extract_features
+from sweepdepth.features import _box_downsample, extract_features
 
 
 def test_constant_image_has_zero_gradients():
@@ -64,3 +65,17 @@ def test_unknown_kind_and_scale_rejected():
         extract_features(img, "sift", 1)
     with pytest.raises(UnknownExtractor):
         extract_features(img, "rgb", 3)
+
+
+@pytest.mark.parametrize("scale", [2, 4])
+@pytest.mark.parametrize("channels", [(), (3,)])
+def test_box_downsample_matches_oracle(rng, scale, channels):
+    for _ in range(40):
+        h, w = rng.integers(1, 30, 2)
+        img = rng.random((h, w, *channels))
+        got, want = _box_downsample(img, scale), box_downsample_ref(img, scale)
+        assert got.shape == want.shape
+        if h % scale == 0 and w % scale == 0:
+            assert np.array_equal(got, want)
+        else:
+            assert np.abs(got - want).max() <= 1e-15

@@ -163,6 +163,44 @@ class TestMoverHelpers:
             assert 0 <= rect[1] < rect[3] <= setup.K.height - 1
 
 
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    @pytest.mark.parametrize("angle", [-0.15, 0.15])
+    def test_rect_bounds_mask_on_rotated_pose(self, axis, angle):
+        # tilt (x), yaw (y) and roll (z) leave the box edges off the pixel axes.
+        # The rect holds every mask pixel; where an edge is slanted, the pixel
+        # row or column nearest a corner can miss the box, so the mask may stop
+        # slightly more than 1 px short of the rect (at most 1.07 px over
+        # +-0.2 rad on this scene).
+        setup = preset_scene("moving_box")
+        angles = [0.0, 0.0, 0.0]
+        angles[axis] = angle
+        pose = Pose(_rotation(*angles), np.array([0.05, 0.0, 0.0]))
+        u0, v0, u1, v1 = mover_rect(setup.scene, pose, setup.K, 1)
+        vs, us = np.nonzero(mover_mask(setup.scene, pose, setup.K, 1))
+        assert 0 <= u0 and u1 <= setup.K.width - 1 and 0 <= v0 and v1 <= setup.K.height - 1
+        assert u0 <= us.min() <= u0 + 1.5 and u1 - 1.5 <= us.max() <= u1
+        assert v0 <= vs.min() <= v0 + 1.5 and v1 - 1.5 <= vs.max() <= v1
+
+    def test_rect_of_box_behind_camera_is_none(self):
+        mover = Mover(
+            center=(0.0, 0.0, -2.0),
+            half_size=(0.4, 0.3),
+            velocity=(0.0, 0.0, 0.0),
+            texture=Texture(kind="grating"),
+        )
+        scene = wall_scene(5.0, mover)
+        assert mover_rect(scene, Pose.identity(), K, 0) is None
+        assert not mover_mask(scene, Pose.identity(), K, 0).any()
+
+
+def _rotation(rx, ry, rz):
+    cx, sx, cy, sy, cz, sz = np.cos(rx), np.sin(rx), np.cos(ry), np.sin(ry), np.cos(rz), np.sin(rz)
+    Rx = np.array([[1, 0, 0], [0, cx, -sx], [0, sx, cx]])
+    Ry = np.array([[cy, 0, sy], [0, 1, 0], [-sy, 0, cy]])
+    Rz = np.array([[cz, -sz, 0], [sz, cz, 0], [0, 0, 1]])
+    return Rz @ Ry @ Rx
+
+
 class TestPresetsAndJson:
     def test_all_presets_render(self):
         for name in ("static_lateral", "static_forward", "moving_box", "static_camera", "textureless_band"):
