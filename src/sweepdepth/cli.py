@@ -260,7 +260,10 @@ def cmd_dump_cv(args) -> int:
     return 0
 
 
-def _add_volume_options(p: argparse.ArgumentParser) -> None:
+def _add_volume_options(
+    p: argparse.ArgumentParser,
+    sources_help: str = "source frame indices (default: the preceding frame)",
+) -> None:
     p.add_argument("--features", choices=EXTRACTOR_KINDS, default="gradient")
     p.add_argument("--feature-scale", type=int, choices=VALID_SCALES, default=4,
                    help="feature downsample factor (default quarter resolution)")
@@ -279,8 +282,7 @@ def _add_volume_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--augment-sample", type=int, default=None,
                    help="apply the seeded augmentation draw for this sample index")
     p.add_argument("--target", type=int, default=1)
-    p.add_argument("--sources", type=int, nargs="+", default=None,
-                   help="source frame indices (default: the preceding frame)")
+    p.add_argument("--sources", type=int, nargs="+", default=None, help=sources_help)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -309,10 +311,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--student", required=True, help="student depth PFM")
     p.add_argument("--teacher", required=True, help="teacher depth PFM")
     p.add_argument("--cv-sources", type=int, nargs="+", default=None,
-                   help="source indices for the cost volume (default: preceding frame)")
+                   help="source indices for the cost volume (default: the preceding frame)")
     p.add_argument("--smooth-weight", type=float, default=1e-3)
     p.add_argument("--out", default=None)
-    _add_volume_options(p)
+    _add_volume_options(p, "reprojection source indices for the photometric loss "
+                           "(default: both neighbours of --target)")
     p.set_defaults(func=cmd_loss)
 
     p = sub.add_parser("eval", help="depth metrics")

@@ -161,12 +161,12 @@ def write_pgm(path: str | Path, img: np.ndarray) -> None:
 
 def read_json(path: str | Path, parse):
     """``parse(content of path)``; malformed content raises a SweepDepthError naming
-    the file, and SweepDepthErrors raised by ``parse`` pass through unchanged."""
+    the file, of the same type when ``parse`` raised a SweepDepthError."""
     text = Path(path).read_text()
     try:
         return parse(json.loads(text))
-    except SweepDepthError:
-        raise
+    except SweepDepthError as exc:
+        raise type(exc)(f"malformed {path}: {exc}") from exc
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise SweepDepthError(f"malformed {path}: {exc!r}") from exc
 

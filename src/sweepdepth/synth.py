@@ -14,7 +14,8 @@ texture with it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -34,6 +35,8 @@ class Texture:
     checker: 0.25 / 0.75 cells of size ``cell``
     noise:   smoothstep-interpolated value noise on a ``cell`` lattice,
              keyed by the scene seed
+
+    Every number must be finite; periods and cells must be positive.
     """
 
     kind: str = "grating"
@@ -48,6 +51,26 @@ class Texture:
     def __post_init__(self):
         if self.kind not in TEXTURE_KINDS:
             raise InvalidParameter(f"texture kind {self.kind!r} is not one of {TEXTURE_KINDS}")
+        _coerce(self, "texture", **{f.name: None for f in fields(self) if f.name != "kind"})
+        for name in ("period_x", "period_y", "cell"):
+            if getattr(self, name) <= 0:
+                raise InvalidParameter(f"texture {name} must be positive, got {getattr(self, name)}")
+
+
+def _coerce(obj, label: str, **counts: int | None) -> None:
+    """Set each named field of a frozen dataclass to finite floats: a tuple of
+    ``count`` entries, or one float where the count is None. Anything else
+    raises InvalidParameter."""
+    for name, count in counts.items():
+        value = getattr(obj, name)
+        try:
+            out = tuple(float(v) for v in ([value] if count is None else value))
+        except (TypeError, ValueError):
+            out = ()
+        if len(out) != (count or 1) or not all(map(math.isfinite, out)):
+            expected = "a finite number" if count is None else f"{count} finite numbers"
+            raise InvalidParameter(f"{label} {name} must be {expected}, got {value!r}")
+        object.__setattr__(obj, name, out[0] if count is None else out)
 
 
 @dataclass(frozen=True)
@@ -58,6 +81,9 @@ class PlaneElement:
     offset: float
     texture: Texture
     albedo: tuple[float, float, float] = (1.0, 1.0, 1.0)
+
+    def __post_init__(self):
+        _coerce(self, "plane", normal=3, offset=None, albedo=3)
 
 
 @dataclass(frozen=True)
@@ -74,10 +100,11 @@ class Mover:
     texture: Texture
     albedo: tuple[float, float, float] = (1.0, 1.0, 1.0)
 
+    def __post_init__(self):
+        _coerce(self, "mover", center=3, half_size=2, velocity=3, albedo=3)
+
     def position(self, t: float) -> np.ndarray:
-        return np.asarray(self.center, dtype=float) + t * np.asarray(
-            self.velocity, dtype=float
-        )
+        return np.array(self.center) + t * np.array(self.velocity)
 
 
 @dataclass(frozen=True)
@@ -240,7 +267,7 @@ def texture_contrast_mask(gray: np.ndarray, threshold: float = 0.01) -> np.ndarr
 
 @dataclass(frozen=True)
 class SceneSetup:
-    """A bundled scene: geometry, camera trajectory, and intrinsics."""
+    """A scene with its camera trajectory, intrinsics and target frame."""
 
     scene: Scene
     poses: list[Pose]
@@ -248,141 +275,81 @@ class SceneSetup:
     target_index: int = 1
 
 
-def _desk_intrinsics(width: int = 64, height: int = 48) -> Intrinsics:
-    return Intrinsics(
-        fx=float(width),
-        fy=float(width),
-        cx=(width - 1) / 2.0,
-        cy=(height - 1) / 2.0,
-        width=width,
-        height=height,
-    )
+# The desk scene: a far wall, a slanted floor filling the lower half, and a
+# laterally drifting box, seen by the default 64x48 camera.
+_WALL = {
+    "normal": [0.0, 0.0, 1.0], "offset": 5.4, "albedo": [0.95, 0.8, 0.65],
+    "texture": {"kind": "grating", "period_x": 1.4, "period_y": 1.9, "amp_x": 0.24,
+                "amp_y": 0.18, "phase_x": 0.13, "phase_y": 0.41},
+}
+_FLOOR = {
+    "normal": [0.0, 1.0, 0.38], "offset": 2.1, "albedo": [0.65, 0.85, 0.95],
+    "texture": {"kind": "grating", "period_x": 1.0, "period_y": 1.3, "amp_x": 0.22,
+                "amp_y": 0.2, "phase_x": 0.71, "phase_y": 0.07},
+}
+_MOVER = {
+    "center": [0.1, 0.05, 2.5], "half_size": [0.45, 0.35], "velocity": [0.06, 0.0, 0.0],
+    "albedo": [0.9, 0.35, 0.3],
+    "texture": {"kind": "grating", "period_x": 0.35, "period_y": 0.3, "amp_x": 0.25,
+                "amp_y": 0.22, "phase_x": 0.52, "phase_y": 0.9},
+}
+_LATERAL = [[0.0, 0.0, 0.0], [0.1, 0.0, 0.0], [0.2, 0.0, 0.0]]
 
-
-def _default_planes(background_texture: Texture | None = None) -> tuple[PlaneElement, ...]:
-    """A slanted floor filling the lower half and a far wall behind it."""
-    if background_texture is None:
-        background_texture = Texture(
-            kind="grating", period_x=1.4, period_y=1.9, amp_x=0.24, amp_y=0.18,
-            phase_x=0.13, phase_y=0.41,
-        )
-    wall = PlaneElement(
-        normal=(0.0, 0.0, 1.0),
-        offset=5.4,
-        texture=background_texture,
-        albedo=(0.95, 0.8, 0.65),
-    )
-    floor = PlaneElement(
-        normal=(0.0, 1.0, 0.38),
-        offset=2.1,
-        texture=Texture(
-            kind="grating", period_x=1.0, period_y=1.3, amp_x=0.22, amp_y=0.2,
-            phase_x=0.71, phase_y=0.07,
-        ),
-        albedo=(0.65, 0.85, 0.95),
-    )
-    return (wall, floor)
-
-
-def _lateral_poses(baseline: float = 0.1, n: int = 3) -> list[Pose]:
-    return [Pose.from_translation(baseline * t, 0.0, 0.0) for t in range(n)]
-
-
-def _forward_poses(step: float = 0.1, n: int = 3) -> list[Pose]:
-    return [Pose.from_translation(0.0, 0.0, step * t) for t in range(n)]
-
-
-def _default_mover() -> Mover:
-    return Mover(
-        center=(0.1, 0.05, 2.5),
-        half_size=(0.45, 0.35),
-        velocity=(0.06, 0.0, 0.0),
-        texture=Texture(
-            kind="grating", period_x=0.35, period_y=0.3, amp_x=0.25, amp_y=0.22,
-            phase_x=0.52, phase_y=0.9,
-        ),
-        albedo=(0.9, 0.35, 0.3),
-    )
+# Bundled verification scenes, in the schema of ``load_scene_setup``.
+PRESETS = {
+    # rigid scene, camera translating along +x
+    "static_lateral": {"planes": [_WALL, _FLOOR], "camera_motion": _LATERAL},
+    # rigid scene, camera translating along +z
+    "static_forward": {
+        "planes": [_WALL, _FLOOR],
+        "camera_motion": [[0.0, 0.0, 0.0], [0.0, 0.0, 0.1], [0.0, 0.0, 0.2]],
+    },
+    # static_lateral plus the drifting box
+    "moving_box": {"planes": [_WALL, _FLOOR], "mover": _MOVER, "camera_motion": _LATERAL},
+    # rigid scene, three identical poses (zero baseline)
+    "static_camera": {"planes": [_WALL, _FLOOR], "camera_motion": [[0.0, 0.0, 0.0]] * 3},
+    # static_lateral with a contrast-free far wall
+    "textureless_band": {
+        "planes": [{**_WALL, "texture": {"kind": "grating", "amp_x": 0.0, "amp_y": 0.0}}, _FLOOR],
+        "camera_motion": _LATERAL,
+    },
+}
+PRESET_NAMES = tuple(PRESETS)
 
 
 def preset_scene(name: str, seed: int = 0) -> SceneSetup:
-    """Bundled verification scenes.
-
-    static_lateral   -- rigid scene, camera translating along +x
-    static_forward   -- rigid scene, camera translating along +z
-    moving_box       -- static_lateral plus a laterally drifting box
-    static_camera    -- rigid scene, three identical poses (zero baseline)
-    textureless_band -- static_lateral with a contrast-free far wall
-    """
-    K = _desk_intrinsics()
-    if name == "static_lateral":
-        return SceneSetup(Scene(_default_planes(), seed=seed), _lateral_poses(), K)
-    if name == "static_forward":
-        return SceneSetup(Scene(_default_planes(), seed=seed), _forward_poses(), K)
-    if name == "moving_box":
-        return SceneSetup(
-            Scene(_default_planes(), mover=_default_mover(), seed=seed),
-            _lateral_poses(),
-            K,
-        )
-    if name == "static_camera":
-        return SceneSetup(
-            Scene(_default_planes(), seed=seed), [Pose.identity()] * 3, K
-        )
-    if name == "textureless_band":
-        flat = Texture(kind="grating", amp_x=0.0, amp_y=0.0)
-        return SceneSetup(
-            Scene(_default_planes(background_texture=flat), seed=seed),
-            _lateral_poses(),
-            K,
-        )
-    raise ValueError(f"unknown scene preset {name!r}; see preset_scene.__doc__")
-
-
-PRESET_NAMES = (
-    "static_lateral",
-    "static_forward",
-    "moving_box",
-    "static_camera",
-    "textureless_band",
-)
+    """The bundled scene ``PRESETS[name]`` with noise seed ``seed``."""
+    if name not in PRESETS:
+        raise InvalidParameter(f"unknown scene preset {name!r}; presets are {PRESET_NAMES}")
+    return _scene_setup_from_json({**PRESETS[name], "seed": seed})
 
 
 def load_scene_setup(path) -> SceneSetup:
-    """Parse a scene description JSON file.
-
-    Expected keys: "planes" (list of {normal, offset, texture, albedo}),
-    optional "mover" ({center, half_size, velocity, texture, albedo}),
-    "camera_motion" (list of [tx, ty, tz] or {R, t}), optional "intrinsics",
-    "seed", and "target_index". Malformed content raises a SweepDepthError.
-    """
+    """Parse a scene description JSON file, in the schema of ``PRESETS`` (listed in
+    the README). Unknown keys, wrong vector lengths, non-finite numbers and
+    non-positive texture periods or cells raise a SweepDepthError naming the file."""
     return read_json(path, _scene_setup_from_json)
 
 
+_SCENE_KEYS = {"planes", "mover", "camera_motion", "intrinsics", "width", "height", "seed",
+               "target_index"}
+
+
 def _scene_setup_from_json(obj: dict) -> SceneSetup:
-    planes = tuple(
-        PlaneElement(
-            normal=tuple(p["normal"]),
-            offset=float(p["offset"]),
-            texture=Texture(**p.get("texture", {})),
-            albedo=tuple(p.get("albedo", (1.0, 1.0, 1.0))),
-        )
-        for p in obj["planes"]
-    )
-    mover = None
-    if obj.get("mover"):
-        m = obj["mover"]
-        mover = Mover(
-            center=tuple(m["center"]),
-            half_size=tuple(m["half_size"]),
-            velocity=tuple(m["velocity"]),
-            texture=Texture(**m.get("texture", {})),
-            albedo=tuple(m.get("albedo", (1.0, 1.0, 1.0))),
-        )
+    def element(cls, desc: dict):
+        return cls(**{**desc, "texture": Texture(**desc.get("texture", {}))})
+
+    unknown = set(obj) - _SCENE_KEYS
+    if unknown:
+        raise InvalidParameter(f"unknown scene keys {sorted(unknown)}")
+    planes = tuple(element(PlaneElement, p) for p in obj["planes"])
+    mover = element(Mover, obj["mover"]) if obj.get("mover") else None
     if "intrinsics" in obj:
         K = intrinsics_from_json(obj["intrinsics"])
     else:
-        K = _desk_intrinsics(int(obj.get("width", 64)), int(obj.get("height", 48)))
+        w, h = int(obj.get("width", 64)), int(obj.get("height", 48))
+        K = Intrinsics(fx=float(w), fy=float(w), cx=(w - 1) / 2.0, cy=(h - 1) / 2.0,
+                       width=w, height=h)
     poses = [
         pose_from_json(p) if isinstance(p, dict) else Pose.from_translation(*p)
         for p in obj["camera_motion"]

@@ -304,6 +304,11 @@ def _bad_input_argv(case, data, tmp):
         "texture_unknown_key": {"planes": [{**plane, "texture": {"kind": "checker", "size": 2}}]},
         "texture_unknown_kind": {"planes": [{**plane, "texture": {"kind": "marble"}}]},
         "scene_with_one_pose": {"camera_motion": [[0, 0, 0]]},
+        "plane_normal_with_2_entries": {"planes": [{**plane, "normal": [0, 1]}]},
+        "plane_albedo_with_2_entries": {"planes": [{**plane, "albedo": [1.0, 1.0]}]},
+        "mover_half_size_with_1_entry": {"mover": {"center": [0, 0, 2.0], "half_size": [0.3],
+                                                   "velocity": [0.05, 0, 0]}},
+        "texture_zero_period": {"planes": [{**plane, "texture": {"period_x": 0}}]},
     }
     if case in scene_edits:
         scene = tmp / "scene.json"
@@ -326,6 +331,10 @@ def _bad_input_argv(case, data, tmp):
     "texture_unknown_key",
     "texture_unknown_kind",
     "scene_with_one_pose",
+    "plane_normal_with_2_entries",
+    "plane_albedo_with_2_entries",
+    "mover_half_size_with_1_entry",
+    "texture_zero_period",
 ])
 def test_bad_input_is_a_typed_error(case, lateral_dataset, tmp_path):
     argv = _bad_input_argv(case, lateral_dataset, tmp_path)
@@ -341,5 +350,6 @@ def test_bad_input_is_a_typed_error(case, lateral_dataset, tmp_path):
         assert "target 9 out of range" in proc.stderr
     if argv[0] == "synth":
         assert not (tmp_path / "out").exists()
-    if case.startswith(("intrinsics", "pose", "plane", "texture_unknown_key")):
+    if case.startswith(("intrinsics", "pose", "plane", "texture_unknown_key", "mover",
+                        "texture_zero_period")):
         assert ".json" in proc.stderr

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from sweepdepth.errors import DegenerateRay
+from sweepdepth.errors import DegenerateRay, InvalidParameter
 from sweepdepth.geometry import Intrinsics, Pose, bilinear_sample, reproject_grid
 from sweepdepth.losses import photometric_error
 from sweepdepth.synth import (
@@ -216,6 +216,10 @@ class TestPresetsAndJson:
         with pytest.raises(ValueError):
             preset_scene("kitchen_sink")
 
+    def test_unknown_preset_is_typed(self):
+        with pytest.raises(InvalidParameter, match="kitchen_sink"):
+            preset_scene("kitchen_sink")
+
     def test_scene_json_round_trip(self, tmp_path):
         description = {
             "width": 32,
@@ -245,3 +249,57 @@ class TestPresetsAndJson:
         assert setup.scene.mover is not None
         frames = make_sequence(setup.scene, setup.poses, setup.K)
         assert frames[2].pose.translation[0] == 0.2
+
+
+class TestSceneElementChecks:
+    @pytest.mark.parametrize("field", ["period_x", "period_y", "cell"])
+    @pytest.mark.parametrize("value", [0, -1.0, float("inf"), float("nan")])
+    def test_texture_rejects_bad_period_or_cell(self, field, value):
+        with pytest.raises(InvalidParameter, match=field):
+            Texture(**{field: value})
+
+    def test_texture_coerces_numbers_to_float(self):
+        tex = Texture(kind="checker", cell=2, amp_x="0.5")
+        assert tex.cell == 2.0 and isinstance(tex.cell, float) and tex.amp_x == 0.5
+
+    @pytest.mark.parametrize("field, value", [
+        ("normal", (0.0, 1.0)),
+        ("normal", (0.0, 0.0, 1.0, 0.0)),
+        ("normal", (0.0, float("nan"), 1.0)),
+        ("albedo", (1.0, 1.0)),
+        ("albedo", "xyz"),
+        ("offset", None),
+        ("offset", float("inf")),
+    ])
+    def test_plane_checks_vectors(self, field, value):
+        desc = {"normal": (0, 0, 1), "offset": 4, "texture": Texture(), field: value}
+        with pytest.raises(InvalidParameter, match=f"plane {field}"):
+            PlaneElement(**desc)
+
+    @pytest.mark.parametrize("field, value", [
+        ("center", (0.0, 2.0)),
+        ("half_size", (0.3,)),
+        ("half_size", (0.3, 0.2, 0.1)),
+        ("velocity", 0.05),
+        ("albedo", (1.0, 1.0, 1.0, 1.0)),
+    ])
+    def test_mover_checks_vectors(self, field, value):
+        desc = {"center": (0, 0, 2), "half_size": (0.3, 0.2), "velocity": (0.05, 0, 0),
+                "texture": Texture(), field: value}
+        with pytest.raises(InvalidParameter, match=f"mover {field}"):
+            Mover(**desc)
+
+    def test_unknown_scene_key_names_the_file(self, tmp_path):
+        path = tmp_path / "scene.json"
+        path.write_text(json.dumps({
+            "planes": [{"normal": [0, 0, 1], "offset": 4.0}],
+            "camera_motion": [[0, 0, 0], [0.1, 0, 0]],
+            "seeds": 3,
+        }))
+        with pytest.raises(InvalidParameter, match=r"scene\.json.*seeds"):
+            load_scene_setup(path)
+
+    def test_elements_hold_float_tuples(self):
+        plane = PlaneElement(normal=[0, 0, 1], offset=4, texture=Texture())
+        assert plane.normal == (0.0, 0.0, 1.0) and plane.offset == 4.0
+        assert all(isinstance(v, float) for v in (*plane.normal, plane.offset, *plane.albedo))
