@@ -28,6 +28,7 @@ import numpy as np
 from . import io as sdio
 from .augment import Augmentation, AugmentConfig, apply_augmentation, draw_augmentation
 from .costvolume import (
+    AdaptiveRangeState,
     CostVolume,
     DepthPlaneSet,
     argmin_depth,
@@ -79,9 +80,11 @@ def _resolve_planes(args) -> DepthPlaneSet:
             "specify either --d-min/--d-max or --adaptive-state, not both or neither"
         )
     if args.adaptive_state:
-        d_min, d_max = sdio.read_json(
-            args.adaptive_state, lambda obj: (float(obj["d_min"]), float(obj["d_max"]))
+        state = sdio.read_json(
+            args.adaptive_state,
+            lambda obj: AdaptiveRangeState(float(obj["d_min"]), float(obj["d_max"])),
         )
+        d_min, d_max = state.d_min, state.d_max
     elif args.d_min is None or args.d_max is None:
         raise SweepDepthError("--d-min and --d-max must be given together")
     else:
@@ -147,10 +150,10 @@ def _depth_image(
 
 def _emit(report, out: str | None) -> None:
     """Print a report as indent-2 JSON, and also write it to ``out`` when given."""
-    payload = json.dumps(report.to_json_dict(), indent=2)
+    obj = report.to_json_dict()
     if out:
-        Path(out).write_text(payload + "\n")
-    print(payload)
+        sdio.write_json(out, obj)
+    print(json.dumps(obj, indent=2))
 
 
 def cmd_synth(args) -> int:
@@ -175,7 +178,7 @@ def cmd_synth(args) -> int:
             {"time": frame.time, "rect": mover_rect(setup.scene, frame.pose, setup.K, frame.time)}
             for frame in frames
         ]
-        (out / "mover.json").write_text(json.dumps({"frames": rects}, indent=2) + "\n")
+        sdio.write_json(out / "mover.json", {"frames": rects})
     print(json.dumps({"out": str(out), "frames": len(frames), "target_index": setup.target_index}))
     return 0
 

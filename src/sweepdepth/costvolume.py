@@ -9,6 +9,7 @@ cost and are excluded from the argmin.
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -23,10 +24,15 @@ from .errors import (
     ShapeMismatch,
 )
 from .features import FeatureMap
-from .geometry import Intrinsics, Pose, bilinear_sample, plane_warp_grid
+from .geometry import Intrinsics, Pose, bilinear_sample, plane_warp_grid, require_positive_depth
 
 DEFAULT_PLANE_COUNT = 96
 DEFAULT_MOMENTUM = 0.99
+
+
+def _check_range(d_min: float, d_max: float) -> None:
+    if not (0 < d_min < d_max < math.inf):
+        raise InvalidRange(f"need 0 < d_min < d_max < inf, got ({d_min}, {d_max})")
 
 
 @dataclass(frozen=True)
@@ -43,8 +49,7 @@ class DepthPlaneSet:
     def __post_init__(self):
         object.__setattr__(self, "d_min", float(self.d_min))
         object.__setattr__(self, "d_max", float(self.d_max))
-        if not (0 < self.d_min < self.d_max):
-            raise InvalidRange(f"need 0 < d_min < d_max, got ({self.d_min}, {self.d_max})")
+        _check_range(self.d_min, self.d_max)
         if self.count < 2:
             raise InvalidRange(f"need at least 2 planes, got {self.count}")
         if self.spacing == "linear":
@@ -87,8 +92,7 @@ class AdaptiveRangeState:
     frozen: bool = False
 
     def __post_init__(self):
-        if not (0 < self.d_min < self.d_max):
-            raise InvalidRange(f"need 0 < d_min < d_max, got ({self.d_min}, {self.d_max})")
+        _check_range(self.d_min, self.d_max)
         if not (0 <= self.momentum < 1):
             raise InvalidRange(f"momentum must be in [0, 1), got {self.momentum}")
 
@@ -214,8 +218,9 @@ def adaptive_range_update(
     mins, maxes = [], []
     for depth in batch:
         depth = np.asarray(depth, dtype=float)
-        if depth.size == 0 or np.any(depth <= 0):
-            raise InvalidRange("batch depth maps must be non-empty and positive")
+        if depth.size == 0:
+            raise InvalidRange("batch depth maps must be non-empty")
+        require_positive_depth(depth, "adaptive range update")
         mins.append(depth.min())
         maxes.append(depth.max())
     b_min = float(np.mean(mins))

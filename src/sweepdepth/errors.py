@@ -11,7 +11,7 @@ class SweepDepthError(Exception):
 
 
 class NonPositiveDepth(SweepDepthError):
-    """A depth value was zero or negative where positive depth is required."""
+    """A depth value was zero, negative, NaN or infinite where positive depth is required."""
 
 
 class DimensionMismatch(SweepDepthError):
@@ -23,7 +23,7 @@ class ShapeMismatch(SweepDepthError):
 
 
 class InvalidRange(SweepDepthError):
-    """A depth range or plane set is empty, inverted, non-positive, or of unknown spacing."""
+    """A depth range or plane set is empty, inverted, non-positive, infinite or of unknown spacing."""
 
 
 class InvalidParameter(SweepDepthError, ValueError):

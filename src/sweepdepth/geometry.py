@@ -120,6 +120,12 @@ class PixelGrid:
         return self.valid.shape
 
 
+def require_positive_depth(depth: np.ndarray, what: str) -> None:
+    """Raise NonPositiveDepth unless every entry is positive and finite (NaN and inf fail)."""
+    if not np.all((depth > 0) & (depth < np.inf)):
+        raise NonPositiveDepth(f"{what} needs finite positive depths")
+
+
 def backproject(u: float, v: float, d: float, K: Intrinsics) -> np.ndarray:
     """Lift pixel (u, v) at depth d to a camera-frame 3D point.
 
@@ -192,8 +198,7 @@ def reproject_grid(depth: np.ndarray, T: Pose, K: Intrinsics) -> PixelGrid:
             f"depth map {depth.shape} does not match camera "
             f"({K.height}, {K.width})"
         )
-    if np.any(depth <= 0):
-        raise NonPositiveDepth("depth map contains non-positive values")
+    require_positive_depth(depth, "reprojection")
     # K (R X + t), with K folded into the pose so the field takes one matmul.
     Km = K.matrix()
     points = _pixel_rays(K) * depth[..., None]
@@ -238,8 +243,9 @@ def bilinear_sample(img: np.ndarray, grid: PixelGrid) -> tuple[np.ndarray, np.nd
     v = grid.coords[..., 1]
     valid = grid.valid & (u >= 0) & (u <= w - 1) & (v >= 0) & (v <= h - 1)
 
-    uc = np.clip(u, 0, w - 1)
-    vc = np.clip(v, 0, h - 1)
+    # valid entries are already in range; invalid (possibly NaN) ones read pixel 0
+    uc = np.where(valid, u, 0.0)
+    vc = np.where(valid, v, 0.0)
     u0 = np.floor(uc).astype(int)
     v0 = np.floor(vc).astype(int)
     u1 = np.minimum(u0 + 1, w - 1)

@@ -3,12 +3,15 @@ pose JSON, and the raw cost-volume dump.
 
 These formats are the package's on-disk interface, so they are implemented
 here rather than pulled from an image library: the tests fuzz the parsers
-and require write -> read round trips to be bit-identical.
+and require write -> read round trips to be bit-identical. The binary formats
+share ``_fields``, ``_payload`` and ``_write``; JSON goes through ``read_json``/``write_json``.
 """
 
 from __future__ import annotations
 
 import json
+import math
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -23,19 +26,19 @@ from .errors import (
 )
 from .geometry import Intrinsics, Pose
 
-_PFM_GRAY = b"Pf"
-_PFM_COLOR = b"PF"
+_PFM_GRAY = "Pf"
+_PFM_COLOR = "PF"
 _CV_MAGIC_LINEAR = "SWPCV1"
 _CV_MAGIC_SPACED = "SWPCV2"
 
 
-def _split_header_tokens(buf: bytes, count: int) -> tuple[list[bytes], int]:
+def _split_header_tokens(buf: bytes, count: int) -> tuple[list[str], int]:
     """First ``count`` whitespace-separated tokens and the payload offset.
 
     Netpbm-style '#' comments are skipped. The payload starts after exactly
     one whitespace byte following the last token.
     """
-    tokens: list[bytes] = []
+    tokens: list[str] = []
     i = 0
     n = len(buf)
     while len(tokens) < count:
@@ -50,43 +53,49 @@ def _split_header_tokens(buf: bytes, count: int) -> tuple[list[bytes], int]:
             i += 1
         if i == start:
             raise MalformedHeader("header ended before all fields were read")
-        tokens.append(buf[start:i])
+        tokens.append(buf[start:i].decode("ascii", errors="replace"))
     if i >= n or not buf[i : i + 1].isspace():
         raise MalformedHeader("missing whitespace after header")
     return tokens, i + 1
+
+
+def _fields(tokens: list[str], kinds, what: str) -> list:
+    """``kind(token)`` for each pair; a token that does not convert is a MalformedHeader."""
+    try:
+        return [kind(token) for kind, token in zip(kinds, tokens)]
+    except ValueError as exc:
+        raise MalformedHeader(f"non-numeric {what} header field: {exc}") from exc
+
+
+def _payload(buf: bytes, offset: int, dtype, shape: tuple[int, ...], what: str) -> np.ndarray:
+    """The ``shape`` array of ``dtype`` stored at ``buf[offset:]``, as float64."""
+    if min(shape) <= 0:
+        raise MalformedHeader(f"bad {what} dimensions {'x'.join(map(str, shape))}")
+    dtype = np.dtype(dtype)
+    expected = math.prod(shape) * dtype.itemsize
+    payload = buf[offset : offset + expected]
+    if len(payload) < expected:
+        raise TruncatedPayload(f"{what} payload has {len(payload)} bytes, expected {expected}")
+    return np.frombuffer(payload, dtype=dtype).astype(np.float64).reshape(shape)
+
+
+def _write(path: str | Path, header: str, array: np.ndarray, dtype) -> None:
+    """An ASCII header, then ``array`` in C order as ``dtype``."""
+    Path(path).write_bytes(header.encode("ascii") + array.astype(dtype).tobytes())
 
 
 def read_pfm(path: str | Path) -> np.ndarray:
     """Read a PFM file into an (H, W) or (H, W, 3) float64 array."""
     buf = Path(path).read_bytes()
     tokens, offset = _split_header_tokens(buf, 4)
-    magic = tokens[0]
-    if magic == _PFM_GRAY:
-        bands = 1
-    elif magic == _PFM_COLOR:
-        bands = 3
-    else:
-        raise MalformedHeader(f"bad PFM magic {magic!r}")
-    try:
-        width = int(tokens[1])
-        height = int(tokens[2])
-        scale = float(tokens[3])
-    except ValueError as exc:
-        raise MalformedHeader(f"non-numeric PFM header field: {exc}") from exc
-    if width <= 0 or height <= 0:
-        raise MalformedHeader(f"bad PFM dimensions {width}x{height}")
+    bands = {_PFM_GRAY: 1, _PFM_COLOR: 3}.get(tokens[0])
+    if bands is None:
+        raise MalformedHeader(f"bad PFM magic {tokens[0]!r}")
+    width, height, scale = _fields(tokens[1:], (int, int, float), "PFM")
     if scale == 0:
         raise MalformedHeader("PFM scale must be nonzero")
-
-    expected = width * height * bands * 4
-    payload = buf[offset : offset + expected]
-    if len(payload) < expected:
-        raise TruncatedPayload(
-            f"PFM payload has {len(payload)} bytes, expected {expected}"
-        )
     dtype = "<f4" if scale < 0 else ">f4"
-    data = np.frombuffer(payload, dtype=dtype).astype(np.float64)
-    data = data.reshape(height, width, bands)[::-1]  # rows stored bottom-up
+    data = _payload(buf, offset, dtype, (height, width, bands), "PFM")[::-1]  # rows stored bottom-up
     return data[..., 0] if bands == 1 else data
 
 
@@ -100,87 +109,70 @@ def write_pfm(path: str | Path, data: np.ndarray) -> None:
     else:
         raise ShapeMismatch(f"PFM supports (H, W) or (H, W, 3), got {data.shape}")
     h, w = payload.shape[:2]
-    header = magic + f"\n{w} {h}\n-1.0\n".encode("ascii")
-    Path(path).write_bytes(header + payload[::-1].astype("<f4").tobytes())
+    _write(path, f"{magic}\n{w} {h}\n-1.0\n", payload[::-1], "<f4")
 
 
-def _read_netpbm(path: str | Path, magic: bytes, bands: int) -> np.ndarray:
+def _read_netpbm(path: str | Path, magic: str, bands: int) -> np.ndarray:
     buf = Path(path).read_bytes()
     tokens, offset = _split_header_tokens(buf, 4)
     if tokens[0] != magic:
         raise MalformedHeader(f"bad magic {tokens[0]!r}, expected {magic!r}")
-    try:
-        width = int(tokens[1])
-        height = int(tokens[2])
-        maxval = int(tokens[3])
-    except ValueError as exc:
-        raise MalformedHeader(f"non-numeric netpbm header field: {exc}") from exc
-    if width <= 0 or height <= 0:
-        raise MalformedHeader(f"bad dimensions {width}x{height}")
+    width, height, maxval = _fields(tokens[1:], (int, int, int), "netpbm")
     if maxval != 255:
         raise UnsupportedMaxval(f"only maxval 255 is supported, got {maxval}")
-    expected = width * height * bands
-    payload = buf[offset : offset + expected]
-    if len(payload) < expected:
-        raise TruncatedPayload(f"payload has {len(payload)} bytes, expected {expected}")
-    data = np.frombuffer(payload, dtype=np.uint8).reshape(height, width, bands)
-    data = data.astype(np.float64) / 255.0
+    data = _payload(buf, offset, np.uint8, (height, width, bands), "netpbm") / 255.0
     return data[..., 0] if bands == 1 else data
 
 
-def _write_netpbm(path: str | Path, magic: bytes, data: np.ndarray) -> None:
-    quantized = np.round(np.clip(data, 0.0, 1.0) * 255.0).astype(np.uint8)
-    h, w = quantized.shape[:2]
-    header = magic + f"\n{w} {h}\n255\n".encode("ascii")
-    Path(path).write_bytes(header + quantized.tobytes())
+def _write_netpbm(path: str | Path, magic: str, data: np.ndarray) -> None:
+    h, w = data.shape[:2]
+    _write(path, f"{magic}\n{w} {h}\n255\n", np.round(np.clip(data, 0.0, 1.0) * 255.0), np.uint8)
 
 
 def read_ppm(path: str | Path) -> np.ndarray:
     """Read a binary P6 image into (H, W, 3) floats in [0, 1]."""
-    return _read_netpbm(path, b"P6", 3)
+    return _read_netpbm(path, "P6", 3)
 
 
 def write_ppm(path: str | Path, img: np.ndarray) -> None:
     img = np.asarray(img, dtype=np.float64)
     if img.ndim != 3 or img.shape[2] != 3:
         raise ShapeMismatch(f"PPM needs (H, W, 3), got {img.shape}")
-    _write_netpbm(path, b"P6", img)
+    _write_netpbm(path, "P6", img)
 
 
 def read_pgm(path: str | Path) -> np.ndarray:
     """Read a binary P5 image into (H, W) floats in [0, 1]."""
-    return _read_netpbm(path, b"P5", 1)
+    return _read_netpbm(path, "P5", 1)
 
 
 def write_pgm(path: str | Path, img: np.ndarray) -> None:
     img = np.asarray(img, dtype=np.float64)
     if img.ndim != 2:
         raise ShapeMismatch(f"PGM needs (H, W), got {img.shape}")
-    _write_netpbm(path, b"P5", img[..., None])
+    _write_netpbm(path, "P5", img[..., None])
 
 
 def read_json(path: str | Path, parse):
-    """``parse(content of path)``; malformed content raises a SweepDepthError naming
-    the file, of the same type when ``parse`` raised a SweepDepthError."""
-    text = Path(path).read_text()
+    """``parse(content of path)``; content that does not decode, parse or pass ``parse`` raises
+    a SweepDepthError naming the file, of the same type when ``parse`` raised one."""
     try:
-        return parse(json.loads(text))
+        return parse(json.loads(Path(path).read_text(encoding="utf-8")))
     except SweepDepthError as exc:
         raise type(exc)(f"malformed {path}: {exc}") from exc
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise SweepDepthError(f"malformed {path}: {exc!r}") from exc
 
 
+def write_json(path: str | Path, obj) -> None:
+    """Write ``obj`` as indent-2 JSON with a trailing newline."""
+    Path(path).write_text(json.dumps(obj, indent=2) + "\n")
+
+
 def intrinsics_from_json(obj: dict) -> Intrinsics:
     """Intrinsics from a parsed ``{fx, fy, cx, cy, width, height}`` object."""
-    return Intrinsics(
-        fx=float(obj["fx"]),
-        fy=float(obj["fy"]),
-        cx=float(obj["cx"]),
-        cy=float(obj["cy"]),
-        width=int(obj["width"]),
-        height=int(obj["height"]),
-    )
+    floats = {name: float(obj[name]) for name in ("fx", "fy", "cx", "cy")}
+    return Intrinsics(**floats, width=int(obj["width"]), height=int(obj["height"]))
 
 
 def read_intrinsics(path: str | Path) -> Intrinsics:
@@ -188,20 +180,7 @@ def read_intrinsics(path: str | Path) -> Intrinsics:
 
 
 def write_intrinsics(path: str | Path, K: Intrinsics) -> None:
-    Path(path).write_text(
-        json.dumps(
-            {
-                "fx": K.fx,
-                "fy": K.fy,
-                "cx": K.cx,
-                "cy": K.cy,
-                "width": K.width,
-                "height": K.height,
-            },
-            indent=2,
-        )
-        + "\n"
-    )
+    write_json(path, asdict(K))
 
 
 def pose_from_json(obj: dict) -> Pose:
@@ -216,29 +195,17 @@ def read_pose(path: str | Path) -> Pose:
 
 
 def write_pose(path: str | Path, pose: Pose) -> None:
-    Path(path).write_text(
-        json.dumps(
-            {
-                "R": [float(x) for x in pose.rotation.reshape(-1)],
-                "t": [float(x) for x in pose.translation],
-            },
-            indent=2,
-        )
-        + "\n"
-    )
+    write_json(path, {"R": pose.rotation.reshape(-1).tolist(), "t": pose.translation.tolist()})
 
 
 def write_cost_volume(path: str | Path, cv: CostVolume, planes: DepthPlaneSet) -> None:
     """Dump a volume: 'SWPCV1 H W P d_min d_max' for linear planes, else
     'SWPCV2 H W P d_min d_max spacing', then plane-major float32."""
     h, w, p = cv.costs.shape
-    fields = f"{h} {w} {p} {planes.d_min!r} {planes.d_max!r}"
-    if planes.spacing == "linear":
-        header = f"{_CV_MAGIC_LINEAR} {fields}\n"
-    else:
-        header = f"{_CV_MAGIC_SPACED} {fields} {planes.spacing}\n"
-    payload = np.moveaxis(cv.costs, 2, 0).astype("<f4").tobytes()
-    Path(path).write_bytes(header.encode("ascii") + payload)
+    linear = planes.spacing == "linear"
+    magic, tail = (_CV_MAGIC_LINEAR, "") if linear else (_CV_MAGIC_SPACED, f" {planes.spacing}")
+    header = f"{magic} {h} {w} {p} {planes.d_min!r} {planes.d_max!r}{tail}\n"
+    _write(path, header, np.moveaxis(cv.costs, 2, 0), "<f4")
 
 
 def read_cost_volume(path: str | Path) -> tuple[CostVolume, DepthPlaneSet]:
@@ -254,19 +221,7 @@ def read_cost_volume(path: str | Path) -> tuple[CostVolume, DepthPlaneSet]:
         spacing = fields[6]
     else:
         raise MalformedHeader(f"bad cost volume header {fields!r}")
-    try:
-        h, w, p = (int(x) for x in fields[1:4])
-        d_min, d_max = (float(x) for x in fields[4:6])
-    except ValueError as exc:
-        raise MalformedHeader(f"non-numeric cost volume header field: {exc}") from exc
-    if h <= 0 or w <= 0 or p <= 0:
-        raise MalformedHeader(f"bad cost volume dimensions {h}x{w}x{p}")
-    expected = h * w * p * 4
-    payload = buf[newline + 1 : newline + 1 + expected]
-    if len(payload) < expected:
-        raise TruncatedPayload(f"payload has {len(payload)} bytes, expected {expected}")
-    costs = np.moveaxis(
-        np.frombuffer(payload, dtype="<f4").astype(np.float64).reshape(p, h, w), 0, 2
-    )
+    h, w, p, d_min, d_max = _fields(fields[1:6], (int, int, int, float, float), "cost volume")
+    costs = np.moveaxis(_payload(buf, newline + 1, "<f4", (p, h, w), "cost volume"), 0, 2)
     valid = np.isfinite(costs).astype(np.uint8)
     return CostVolume(costs=costs, valid_count=valid), DepthPlaneSet(d_min, d_max, p, spacing)

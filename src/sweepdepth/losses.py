@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptySources, NonPositiveDepth, ShapeMismatch
+from .errors import EmptySources, ShapeMismatch
+from .geometry import require_positive_depth
 
 SSIM_C1 = 0.01**2
 SSIM_C2 = 0.03**2
@@ -130,8 +131,8 @@ def consistency_mask(d_cv: np.ndarray, d_hat: np.ndarray) -> np.ndarray:
     d_hat = np.asarray(d_hat, dtype=float)
     if d_cv.shape != d_hat.shape:
         raise ShapeMismatch(f"depth shapes differ: {d_cv.shape} vs {d_hat.shape}")
-    if np.any(d_cv <= 0) or np.any(d_hat <= 0):
-        raise NonPositiveDepth("consistency mask needs positive depths")
+    require_positive_depth(d_cv, "consistency mask")
+    require_positive_depth(d_hat, "consistency mask")
     ratio = np.maximum((d_cv - d_hat) / d_hat, (d_hat - d_cv) / d_cv)
     return ratio > 1.0
 
@@ -154,8 +155,7 @@ def smoothness_loss(depth: np.ndarray, img: np.ndarray) -> float:
     channels. Invariant to scaling the depth map by any positive constant.
     """
     depth = np.asarray(depth, dtype=float)
-    if np.any(depth <= 0):
-        raise NonPositiveDepth("smoothness loss needs positive depths")
+    require_positive_depth(depth, "smoothness loss")
     img = _as_hwc(img)
     if img.shape[:2] != depth.shape:
         raise ShapeMismatch(f"image {img.shape[:2]} does not match depth {depth.shape}")

@@ -102,6 +102,8 @@ class Mover:
 
     def __post_init__(self):
         _coerce(self, "mover", center=3, half_size=2, velocity=3, albedo=3)
+        if min(self.half_size) <= 0:
+            raise InvalidParameter(f"mover half_size must be positive, got {self.half_size}")
 
     def position(self, t: float) -> np.ndarray:
         return np.array(self.center) + t * np.array(self.velocity)
@@ -354,9 +356,12 @@ def _scene_setup_from_json(obj: dict) -> SceneSetup:
         pose_from_json(p) if isinstance(p, dict) else Pose.from_translation(*p)
         for p in obj["camera_motion"]
     ]
+    target_index = int(obj.get("target_index", 1))
+    if not 0 <= target_index < len(poses):
+        raise InvalidParameter(f"target_index {target_index} out of range for {len(poses)} poses")
     return SceneSetup(
         scene=Scene(planes=planes, mover=mover, seed=int(obj.get("seed", 0))),
         poses=poses,
         K=K,
-        target_index=int(obj.get("target_index", 1)),
+        target_index=target_index,
     )

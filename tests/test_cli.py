@@ -13,7 +13,7 @@ import pytest
 import sweepdepth
 from sweepdepth.cli import main
 from sweepdepth.costvolume import inverse_depth_planes
-from sweepdepth.io import read_cost_volume, read_pfm
+from sweepdepth.io import read_cost_volume, read_pfm, write_pfm
 
 
 def run(capsys, *argv):
@@ -262,11 +262,16 @@ class TestStaticCamera:
 
 
 def _copy_with(data, tmp, name, edit):
-    """Copy of the dataset whose JSON file ``name`` holds ``edit(parsed original)``."""
+    """Copy of the dataset whose JSON file ``name`` holds ``edit(parsed original)``
+    (text, or raw bytes)."""
     bad = tmp / "data"
     shutil.copytree(data, bad)
-    (bad / name).write_text(edit(json.loads((bad / name).read_text())))
+    content = edit(json.loads((bad / name).read_text()))
+    (bad / name).write_bytes(content if isinstance(content, bytes) else content.encode())
     return bad
+
+
+_NOT_UTF8 = b"\xff\xfe\x00"
 
 
 _SCENE = {
@@ -278,19 +283,33 @@ _SCENE = {
 def _bad_input_argv(case, data, tmp):
     """argv for one malformed input; files it needs are written under ``tmp``."""
     volume = ["--data", str(data), "--d-min", "1", "--d-max", "10", "--planes", "4"]
-    if case in ("state_without_d_max", "state_not_json"):
+    states = {
+        "state_without_d_max": '{"d_min": 1.0}',
+        "state_not_json": "d_min = 1",
+        "state_d_max_infinity": '{"d_min": 1, "d_max": Infinity}',
+    }
+    if case in states:
         state = tmp / "state.json"
-        state.write_text('{"d_min": 1.0}' if case == "state_without_d_max" else "d_min = 1")
+        state.write_text(states[case])
         return ["depth", "--data", str(data), "--out", str(tmp / "d.pfm"),
                 "--adaptive-state", str(state)]
     if case == "aug_p_plus_q_above_one":
         return ["depth", *volume, "--out", str(tmp / "d.pfm"),
                 "--augment-sample", "0", "--aug-p", "0.9", "--aug-q", "0.9"]
+    if case == "d_max_inf":  # the last --d-max wins
+        return ["depth", *volume, "--d-max", "inf", "--out", str(tmp / "d.pfm")]
+    if case == "student_with_nan_pixel":
+        student = read_pfm(data / "depth_0001.pfm")
+        student[5, 7] = np.nan
+        write_pfm(tmp / "student.pfm", student)
+        return ["loss", *volume, "--student", str(tmp / "student.pfm"),
+                "--teacher", str(data / "depth_0001.pfm")]
     dataset_edits = {
         "negative_focal_length": ("intrinsics.json",
                                   lambda k: json.dumps({**k, "fx": -k["fx"]})),
         "intrinsics_without_fy": ("intrinsics.json",
                                   lambda k: json.dumps({n: v for n, v in k.items() if n != "fy"})),
+        "intrinsics_not_utf8": ("intrinsics.json", lambda _: _NOT_UTF8),
         "pose_not_json": ("pose_0001.json", lambda _: "R = identity"),
         "pose_with_8_rotation_entries": ("pose_0001.json",
                                          lambda p: json.dumps({**p, "R": p["R"][:8]})),
@@ -309,10 +328,15 @@ def _bad_input_argv(case, data, tmp):
         "mover_half_size_with_1_entry": {"mover": {"center": [0, 0, 2.0], "half_size": [0.3],
                                                    "velocity": [0.05, 0, 0]}},
         "texture_zero_period": {"planes": [{**plane, "texture": {"period_x": 0}}]},
+        "target_index_out_of_range": {"target_index": 9},
+        "mover_half_size_not_positive": {"mover": {"center": [0, 0, 2.0],
+                                                   "half_size": [-0.3, -0.2],
+                                                   "velocity": [0.05, 0, 0]}},
     }
-    if case in scene_edits:
+    if case in scene_edits or case == "scene_not_utf8":
         scene = tmp / "scene.json"
-        scene.write_text(json.dumps({**_SCENE, **scene_edits[case]}))
+        scene.write_bytes(_NOT_UTF8 if case == "scene_not_utf8"
+                          else json.dumps({**_SCENE, **scene_edits[case]}).encode())
         return ["synth", "--scene", str(scene), "--out", str(tmp / "out")]
     assert case == "target_out_of_range"
     return ["dump-cv", *volume, "--out", str(tmp / "v.swpcv"), "--target", "9"]
@@ -335,6 +359,13 @@ def _bad_input_argv(case, data, tmp):
     "plane_albedo_with_2_entries",
     "mover_half_size_with_1_entry",
     "texture_zero_period",
+    "target_index_out_of_range",
+    "mover_half_size_not_positive",
+    "intrinsics_not_utf8",
+    "scene_not_utf8",
+    "d_max_inf",
+    "state_d_max_infinity",
+    "student_with_nan_pixel",
 ])
 def test_bad_input_is_a_typed_error(case, lateral_dataset, tmp_path):
     argv = _bad_input_argv(case, lateral_dataset, tmp_path)
@@ -351,5 +382,6 @@ def test_bad_input_is_a_typed_error(case, lateral_dataset, tmp_path):
     if argv[0] == "synth":
         assert not (tmp_path / "out").exists()
     if case.startswith(("intrinsics", "pose", "plane", "texture_unknown_key", "mover",
-                        "texture_zero_period")):
+                        "texture_zero_period", "target_index", "scene_not_utf8",
+                        "state_d_max_infinity")):
         assert ".json" in proc.stderr

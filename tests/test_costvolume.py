@@ -21,6 +21,7 @@ from sweepdepth.errors import (
     EmptySourceList,
     FrozenState,
     InvalidRange,
+    NonPositiveDepth,
     ShapeMismatch,
 )
 from sweepdepth.features import FeatureMap, extract_features
@@ -45,6 +46,13 @@ class TestLinearPlanes:
         for args in [(2, 1, 4), (0, 1, 4), (-1, 1, 4), (1, 2, 1)]:
             with pytest.raises(InvalidRange):
                 linear_planes(*args)
+
+    @pytest.mark.parametrize("d_min, d_max", [(1, np.inf), (np.nan, 2), (1, np.nan)])
+    def test_non_finite_ranges(self, d_min, d_max):
+        with pytest.raises(InvalidRange):
+            linear_planes(d_min, d_max, 4)
+        with pytest.raises(InvalidRange):
+            AdaptiveRangeState(d_min, d_max)
 
 
 def small_K(w=8, h=6):
@@ -219,6 +227,12 @@ class TestAdaptiveRange:
         state = AdaptiveRangeState(d_min=1.0, d_max=10.0)
         with pytest.raises(EmptyBatch):
             adaptive_range_update(state, [])
+
+    @pytest.mark.parametrize("bad", [0.0, np.nan, np.inf])
+    def test_non_finite_or_nonpositive_batch_rejected(self, bad):
+        state = AdaptiveRangeState(d_min=1.0, d_max=10.0)
+        with pytest.raises(NonPositiveDepth):
+            adaptive_range_update(state, [np.array([[2.0, bad]])])
 
     @given(
         d_min=st.floats(0.1, 5.0),

@@ -107,6 +107,13 @@ class TestReprojectGrid:
         with pytest.raises(NonPositiveDepth):
             reproject_grid(depth, Pose.identity(), K)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_depth_rejected(self, bad):
+        depth = np.full((K.height, K.width), 1.0)
+        depth[3, 3] = bad
+        with pytest.raises(NonPositiveDepth):
+            reproject_grid(depth, Pose.identity(), K)
+
     def test_composition_matches_chained_warp(self):
         # Warping with T2 o T1 must equal backprojecting, applying T1, then
         # treating the intermediate point as the input to the T2 leg.
@@ -185,6 +192,16 @@ class TestBilinearSample:
         out, valid = bilinear_sample(img, PixelGrid(coords=coords, valid=valid_in))
         assert (valid == valid_in).all()
         assert out[0, 1] == 0.0 and out[1, 1] == 1.0
+
+    def test_nan_coords_at_invalid_entries_sample_zero(self):
+        img = np.ones((4, 4, 2))
+        coords = np.full((2, 2, 2), 1.5)
+        coords[0, 1] = (np.nan, 1.0)
+        coords[1, 0] = (2.0, np.nan)
+        valid_in = np.array([[True, False], [True, True]])  # NaN at an entry flagged valid too
+        out, valid = bilinear_sample(img, PixelGrid(coords=coords, valid=valid_in))
+        assert (valid == np.array([[True, False], [False, True]])).all()
+        assert (out[~valid] == 0.0).all() and (out[valid] == 1.0).all()
 
     @given(
         a=st.floats(-2, 2),

@@ -115,30 +115,45 @@ class TestNetpbm:
         assert np.array_equal(read_ppm(path) * 255, [[[128, 0, 255]]])
 
 
+# (reader, header, payload size, hand-made variants after b"" and b"\n")
+_FUZZ_SEEDS = {
+    "pfm": (read_pfm, b"Pf\n5 7\n-1.0\n", 140,
+            [b"Pf", b"Pf\n", b"Pf\n5", b"Pf\n5 x\n-1.0\n" + bytes(140)]),
+    "swpcv1": (read_cost_volume, b"SWPCV1 2 3 4 1.0 2.0\n", 96,
+               [b"SWPCV1", b"SWPCV1 2 3 4 1.0\n", b"SWPCV1 2 x 4 1.0 2.0\n" + bytes(96),
+                b"SWPCV1 2 3 4 2.0 1.0\n" + bytes(96), b"SWPCV1 2 3 4 1.0 inf\n" + bytes(96)]),
+    "swpcv2": (read_cost_volume, b"SWPCV2 2 3 4 1.0 2.0 inverse\n", 96,
+               [b"SWPCV2 2 3 4 1.0 2.0\n" + bytes(96), b"SWPCV2 2 3 4 1.0 2.0 cubic\n" + bytes(96),
+                b"SWPCV2 0 3 4 1.0 2.0 inverse\n"]),
+}
+
+
 class TestFuzz:
-    def test_malformed_headers_raise_typed_errors(self, rng):
+    @pytest.mark.parametrize("reader, header, size, extra", _FUZZ_SEEDS.values(),
+                             ids=_FUZZ_SEEDS.keys())
+    def test_malformed_headers_raise_typed_errors(self, rng, reader, header, size, extra):
         import tempfile
         from pathlib import Path
 
-        base = b"Pf\n5 7\n-1.0\n" + bytes(140)
-        variants = [b"", b"\n", b"Pf", b"Pf\n", b"Pf\n5", b"Pf\n5 x\n-1.0\n" + bytes(140)]
+        base = header + bytes(size)
+        variants = [b"", b"\n", *extra]
         for _ in range(100):
             kind = rng.integers(0, 3)
             buf = bytearray(base)
             if kind == 0:  # flip random header bytes
                 for _ in range(rng.integers(1, 4)):
-                    buf[rng.integers(0, 12)] = rng.integers(0, 256)
+                    buf[rng.integers(0, len(header))] = rng.integers(0, 256)
             elif kind == 1:  # truncate anywhere
                 buf = buf[: rng.integers(0, len(buf))]
             else:  # random prefix garbage
                 buf = bytearray(rng.integers(0, 256, rng.integers(1, 40), dtype=np.uint8).tobytes())
             variants.append(bytes(buf))
         with tempfile.TemporaryDirectory() as d:
-            path = Path(d) / "fuzz.pfm"
+            path = Path(d) / "fuzz"
             for i, blob in enumerate(variants):
                 path.write_bytes(blob)
                 try:
-                    read_pfm(path)
+                    reader(path)
                 except SweepDepthError:
                     pass  # typed failure is the contract
                 except ValueError as exc:  # pragma: no cover

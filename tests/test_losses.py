@@ -144,6 +144,11 @@ class TestConsistencyMask:
         with pytest.raises(NonPositiveDepth):
             consistency_mask(np.zeros((2, 2)), np.ones((2, 2)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(NonPositiveDepth):
+            consistency_mask(np.ones((2, 2)), np.array([[1.0, bad], [1.0, 1.0]]))
+
     @given(st.integers(0, 10_000))
     @settings(max_examples=50)
     def test_matches_scalar_loop(self, seed):
@@ -202,6 +207,11 @@ class TestSmoothness:
     def test_nonpositive_rejected(self):
         with pytest.raises(NonPositiveDepth):
             smoothness_loss(np.zeros((3, 3)), np.zeros((3, 3)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(NonPositiveDepth):
+            smoothness_loss(np.array([[1.0, bad], [1.0, 1.0]]), np.zeros((2, 2)))
 
 
 class TestTotalLoss:
