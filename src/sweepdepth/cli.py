@@ -33,6 +33,7 @@ from .costvolume import (
     DepthPlaneSet,
     argmin_depth,
     build_cost_volume,
+    check_volume_size,
     upsample_nearest,
     zero_volume,
 )
@@ -109,9 +110,10 @@ def _volume_for(
     target = args.target
     source_idxs = source_idxs or [target - 1]
     _check_frames(target, source_idxs, len(data.images))
-    planes = _resolve_planes(args)
     K_f = data.K.scaled(args.feature_scale)
-    shape = (K_f.height, K_f.width, len(planes))
+    shape = (K_f.height, K_f.width, args.planes)
+    check_volume_size(*shape)  # before the plane set allocates its depths
+    planes = _resolve_planes(args)
 
     if args.zero_cv:
         return zero_volume(*shape), planes

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import os
+import queue
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -22,12 +23,43 @@ from .errors import (
     FrozenState,
     InvalidRange,
     ShapeMismatch,
+    VolumeTooLarge,
 )
 from .features import FeatureMap
-from .geometry import Intrinsics, Pose, bilinear_sample, plane_warp_grid, require_positive_depth
+from .geometry import (
+    Intrinsics,
+    Pose,
+    _bilinear_gather,
+    _channel_major,
+    _PlaneProjection,
+    _WorkArrays,
+    _to_pixels,
+    require_positive_depth,
+)
 
 DEFAULT_PLANE_COUNT = 96
 DEFAULT_MOMENTUM = 0.99
+
+# The most cells (H' * W' * P) one volume may hold: 2**26 cells are 604 MB of
+# float64 costs and uint8 counts, 5.7 times the 640x192, 96-plane volume. A
+# plane set may not have more planes than this either.
+MAX_VOLUME_CELLS = 2**26
+
+# Pixels per tile of the sweep kernel; each pool thread gets work arrays for
+# one tile, about 6 MB with 3 channels. Smaller tiles spend more of the sweep
+# holding the GIL between numpy calls (at 4096 a pool of two is no faster
+# than one thread); larger ones cost memory and gain nothing.
+_TILE = 32768
+
+
+def check_volume_size(height: int, width: int, plane_count: int) -> None:
+    """Raise VolumeTooLarge if an (height, width, plane_count) volume exceeds MAX_VOLUME_CELLS."""
+    cells = int(height) * int(width) * int(plane_count)
+    if cells > MAX_VOLUME_CELLS:
+        raise VolumeTooLarge(
+            f"a {height}x{width}x{plane_count} cost volume has {cells} cells, "
+            f"over the budget of {MAX_VOLUME_CELLS}"
+        )
 
 
 def _check_range(d_min: float, d_max: float) -> None:
@@ -52,6 +84,7 @@ class DepthPlaneSet:
         _check_range(self.d_min, self.d_max)
         if self.count < 2:
             raise InvalidRange(f"need at least 2 planes, got {self.count}")
+        check_volume_size(1, 1, self.count)
         if self.spacing == "linear":
             depths = np.linspace(self.d_min, self.d_max, self.count)
         elif self.spacing == "inverse":
@@ -134,12 +167,16 @@ def build_cost_volume(
     was in bounds. Cells with no valid source get cost +inf.
 
     The plane loop runs on a thread pool whose width SWEEPDEPTH_THREADS sets
-    (0 or unset: min(cores, 4)); every plane writes a disjoint slice, so the
-    result does not depend on the width or the execution order.
+    (0 or unset: min(cores, 4)). A plane is scored in tiles of at most _TILE
+    pixels, in work arrays allocated once per sweep for each pool thread.
+    Every plane writes a disjoint slice and every cell takes the same
+    arithmetic in any tile, so the result is bit-identical whatever the
+    width, the tile size or the execution order. A volume over
+    MAX_VOLUME_CELLS raises VolumeTooLarge before anything is allocated.
     """
     if not sources:
         raise EmptySourceList("cost volume needs at least one source view")
-    h, w, _ = target.shape
+    h, w, channels = target.shape
     if (K.height, K.width) != (h, w):
         raise ShapeMismatch(
             f"intrinsics {K.height}x{K.width} do not match features {h}x{w}; "
@@ -150,23 +187,59 @@ def build_cost_volume(
             raise ShapeMismatch("all feature maps must share the target's shape and scale")
 
     n_planes = len(planes)
+    check_volume_size(h, w, n_planes)
+    n = h * w
+    target_cm = _channel_major(target.data)
+    views = [(_channel_major(fmap.data), _PlaneProjection.of(pose, K)) for fmap, pose in sources]
     costs = np.empty((h, w, n_planes))
     counts = np.empty((h, w, n_planes), dtype=np.min_scalar_type(len(sources)))
+    costs_px = costs.reshape(n, n_planes)
+    counts_px = counts.reshape(n, n_planes)
+    tile = min(_TILE, n)
+    workers = _thread_count(n_planes)
+    # One set of work arrays per pool thread, lent to one plane at a time.
+    # They are allocated here: allocated in the pool threads, they would sit
+    # in per-thread malloc arenas and raise the peak RSS of small sweeps.
+    idle = queue.SimpleQueue()
+    for _ in range(workers):
+        idle.put((_WorkArrays(channels, tile), np.empty((2, tile)),
+                  np.empty((2, tile), counts.dtype)))
 
     def sweep_plane(p: int) -> None:
-        total = np.zeros((h, w))
-        count = np.zeros((h, w), dtype=counts.dtype)
-        for fmap, pose in sources:
-            grid = plane_warp_grid(float(planes.depths[p]), pose, K)
-            warped, valid = bilinear_sample(fmap.data, grid)
-            diff = np.abs(warped - target.data).mean(axis=2)
-            total += np.where(valid, diff, 0.0)
-            count += valid
-        with np.errstate(invalid="ignore"):
-            costs[:, :, p] = np.where(count > 0, total / np.maximum(count, 1), np.inf)
-        counts[:, :, p] = count
+        arrays = idle.get()
+        try:
+            score_plane(p, *arrays)
+        finally:
+            idle.put(arrays)
 
-    with ThreadPoolExecutor(max_workers=_thread_count(n_planes)) as pool:
+    def score_plane(p: int, full: _WorkArrays, sums: np.ndarray, tallies: np.ndarray) -> None:
+        d = float(planes.depths[p])
+        columns = [proj.column(d) for _src, proj in views]
+        for start in range(0, n, tile):
+            px = slice(start, min(start + tile, n))
+            m = px.stop - start
+            work = full if m == tile else full.head(m)
+            total, diff = sums[:, :m]
+            count, denom = tallies[:, :m]
+            total.fill(0.0)
+            count.fill(0)
+            for (src, proj), column in zip(views, columns):
+                np.add(proj.uv[:, px], column, out=work.q)
+                _to_pixels(work.q, K, work.valid, work.tmp, work.mask)
+                warped = _bilinear_gather(src, h, w, work.q[:2], work)
+                warped -= target_cm[:, px]
+                np.abs(warped, out=warped)
+                np.add.reduce(warped, axis=0, out=diff)  # the channel mean, as np.mean sums it
+                diff /= channels
+                np.add(total, diff, out=total, where=work.valid)
+                count += work.valid
+            np.maximum(count, 1, out=denom)
+            cost = costs_px[px, p]
+            np.divide(total, denom, out=cost)
+            np.copyto(cost, np.inf, where=count == 0)
+            counts_px[px, p] = count
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         list(pool.map(sweep_plane, range(n_planes)))
 
     return CostVolume(costs=costs, valid_count=counts)
@@ -197,6 +270,7 @@ def zero_volume(height: int, width: int, plane_count: int) -> CostVolume:
     """
     if height <= 0 or width <= 0 or plane_count <= 0:
         raise InvalidRange("zero volume dimensions must be positive")
+    check_volume_size(height, width, plane_count)
     return CostVolume(
         costs=np.zeros((height, width, plane_count)),
         valid_count=np.ones((height, width, plane_count), dtype=np.uint8),

@@ -14,6 +14,10 @@ class NonPositiveDepth(SweepDepthError):
     """A depth value was zero, negative, NaN or infinite where positive depth is required."""
 
 
+class NonFiniteDepth(SweepDepthError):
+    """A depth map holds NaN or infinity where finite values are required."""
+
+
 class DimensionMismatch(SweepDepthError):
     """A depth map or grid does not match the camera dimensions."""
 
@@ -28,6 +32,10 @@ class InvalidRange(SweepDepthError):
 
 class InvalidParameter(SweepDepthError, ValueError):
     """A camera, pose, or augmentation parameter is outside its valid domain."""
+
+
+class VolumeTooLarge(SweepDepthError):
+    """A cost volume or plane set would exceed the cell budget (costvolume.MAX_VOLUME_CELLS)."""
 
 
 class EmptySourceList(SweepDepthError):

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyValidSet, ShapeMismatch, TooSmall
+from .geometry import require_finite_depth
 
 DEPTH_CAP = 80.0
 PRED_FLOOR = 1e-3
@@ -54,11 +55,16 @@ def median_scale(pred: np.ndarray, gt: np.ndarray, valid: np.ndarray) -> np.ndar
 
 
 def depth_metrics(pred: np.ndarray, gt: np.ndarray, cap: float = DEPTH_CAP) -> MetricsReport:
-    """Score a prediction against ground truth over the (0, cap) valid set."""
+    """Score a prediction against ground truth over the (0, cap) valid set.
+
+    The prediction must be finite (NonFiniteDepth otherwise); zero and
+    negative values are legal and clamp to [PRED_FLOOR, cap].
+    """
     pred = np.asarray(pred, dtype=float)
     gt = np.asarray(gt, dtype=float)
     if pred.shape != gt.shape:
         raise ShapeMismatch(f"pred {pred.shape} does not match gt {gt.shape}")
+    require_finite_depth(pred, "a scored prediction")
     valid = (gt > 0) & (gt < cap)
     if not valid.any():
         raise EmptyValidSet(f"no ground truth in (0, {cap})")
@@ -82,11 +88,13 @@ def abs_rel_error_map(pred: np.ndarray, gt: np.ndarray) -> tuple[np.ndarray, np.
     """Per-pixel |pred - gt| / gt, with a mask of pixels where gt is positive.
 
     The map is 0 where gt is not positive; such pixels are flagged false.
+    A non-finite prediction raises NonFiniteDepth.
     """
     pred = np.asarray(pred, dtype=float)
     gt = np.asarray(gt, dtype=float)
     if pred.shape != gt.shape:
         raise ShapeMismatch(f"pred {pred.shape} does not match gt {gt.shape}")
+    require_finite_depth(pred, "a scored prediction")
     valid = gt > 0
     err = np.zeros_like(gt)
     err[valid] = np.abs(pred[valid] - gt[valid]) / gt[valid]

@@ -18,7 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidParameter, NonPositiveDepth, ShapeMismatch
+from .errors import (
+    DimensionMismatch,
+    InvalidParameter,
+    NonFiniteDepth,
+    NonPositiveDepth,
+    ShapeMismatch,
+)
 
 _ORTHONORMAL_TOL = 1e-9
 
@@ -126,6 +132,12 @@ def require_positive_depth(depth: np.ndarray, what: str) -> None:
         raise NonPositiveDepth(f"{what} needs finite positive depths")
 
 
+def require_finite_depth(depth: np.ndarray, what: str) -> None:
+    """Raise NonFiniteDepth if any entry is NaN or infinite (zero and negative pass)."""
+    if not np.isfinite(depth).all():
+        raise NonFiniteDepth(f"{what} needs finite depths")
+
+
 def backproject(u: float, v: float, d: float, K: Intrinsics) -> np.ndarray:
     """Lift pixel (u, v) at depth d to a camera-frame 3D point.
 
@@ -161,27 +173,146 @@ def _pixel_rays(K: Intrinsics) -> np.ndarray:
 _BOUNDARY_SNAP = 1e-9
 
 
-def _snap_to_range(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    """Pull values within a hair of the inclusive bounds exactly onto them.
+def _to_pixels(
+    q: np.ndarray, K: Intrinsics, valid: np.ndarray, tmp: np.ndarray, mask: np.ndarray
+) -> None:
+    """Dehomogenize q = (x, y, w), shape (3, ...), in place into (u, v, .) and fill ``valid``.
 
-    Boundary pixels are valid by contract; without this, ~1e-16 rounding in
-    the projection arithmetic would flip them invalid at random.
+    w <= 0 (behind the camera) divides by 1 and is invalid. Coordinates
+    within _BOUNDARY_SNAP of an image edge are pulled exactly onto it:
+    boundary pixels are valid by contract, and without the snap ~1e-16
+    rounding in the projection would flip them invalid at random. Anything
+    off [0, W-1] x [0, H-1] is invalid. ``tmp`` (float) and ``mask`` (bool)
+    are work arrays of q[:2]'s shape.
     """
-    x = np.where(np.abs(x - lo) < _BOUNDARY_SNAP, lo, x)
-    return np.where(np.abs(x - hi) < _BOUNDARY_SNAP, hi, x)
+    uv, w = q[:2], q[2]
+    far = np.array([K.width - 1, K.height - 1], dtype=float).reshape((2,) + (1,) * (uv.ndim - 1))
+    np.greater(w, 0, out=valid)
+    np.logical_not(valid, out=mask[0])
+    np.copyto(w, 1.0, where=mask[0])
+    np.divide(uv, w, out=uv)
+    for edge in (0.0, far):
+        np.subtract(uv, edge, out=tmp)
+        np.abs(tmp, out=tmp)
+        np.less(tmp, _BOUNDARY_SNAP, out=mask)
+        np.copyto(uv, edge, where=mask)
+    for in_bounds, edge in ((np.greater_equal, 0.0), (np.less_equal, far)):
+        in_bounds(uv, edge, out=mask)
+        valid &= mask[0]
+        valid &= mask[1]
 
 
 def _grid_from_homogeneous(q: np.ndarray, K: Intrinsics) -> PixelGrid:
-    """Dehomogenize an (H, W, 3) field; w <= 0 (behind the camera) or off-image is invalid."""
-    w = q[..., 2]
-    in_front = w > 0
-    safe_w = np.where(in_front, w, 1.0)
-    u = _snap_to_range(q[..., 0] / safe_w, 0, K.width - 1)
-    v = _snap_to_range(q[..., 1] / safe_w, 0, K.height - 1)
-    valid = (
-        in_front & (u >= 0) & (u <= K.width - 1) & (v >= 0) & (v <= K.height - 1)
-    )
-    return PixelGrid(coords=np.stack([u, v], axis=-1), valid=valid)
+    """Dehomogenize a (3, H, W) field, consuming it, into a grid."""
+    valid = np.empty(q.shape[1:], dtype=bool)
+    _to_pixels(q, K, valid, np.empty(q[:2].shape), np.empty(q[:2].shape, dtype=bool))
+    return PixelGrid(coords=np.stack([q[0], q[1]], axis=-1), valid=valid)
+
+
+@dataclass(frozen=True)
+class _PlaneProjection:
+    """The plane homography H(d) = K R K^-1 + (K t) e3^T / d of one pose, split
+    so that a sweep forms the pixel terms once and each plane adds a column.
+
+    ``uv`` (3, H*W) holds (K R K^-1)[:, :2] @ (u, v) per pixel, and
+    ``column(d)`` is H(d)'s last column, so H(d) @ (u, v, 1) is
+    ``uv + column(d)``: the 3x3 product's own sum, with the constant term
+    added last. (Adding (K t) / d to a precomputed K R K^-1 @ (u, v, 1)
+    instead rounds differently once the pose rotates.)
+    """
+
+    uv: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+
+    @classmethod
+    def of(cls, T: Pose, K: Intrinsics) -> "_PlaneProjection":
+        Km = K.matrix()
+        A = Km @ T.rotation @ np.linalg.inv(Km)
+        coords = _pixel_coords(K)
+        coords[..., 2] = 0.0
+        uv = np.ascontiguousarray((coords @ A.T).reshape(-1, 3).T)
+        return cls(uv=uv, a=A[:, 2].copy(), b=Km @ T.translation)
+
+    def column(self, d: float) -> np.ndarray:
+        """H(d)'s last column as a (3, 1) array."""
+        return (self.a + self.b / d)[:, None]
+
+
+def _channel_major(img: np.ndarray) -> np.ndarray:
+    """An (H, W) or (H, W, C) image as a contiguous (C, H*W) float64 array."""
+    img = np.asarray(img, dtype=float)
+    if img.ndim == 2:
+        img = img[..., None]
+    return np.ascontiguousarray(np.moveaxis(img, 2, 0)).reshape(img.shape[2], -1)
+
+
+class _WorkArrays:
+    """Work arrays for warping and sampling ``n`` pixels of a C-channel image.
+
+    ``head(k)`` views the first part of the same memory for a shorter run of
+    pixels; every array it hands out is contiguous.
+    """
+
+    def __init__(self, channels: int, n: int, store: tuple | None = None):
+        if store is None:
+            store = (
+                np.empty((5 + 4 * channels) * n),
+                np.empty(4 * n, dtype=np.intp),
+                np.empty(3 * n, dtype=bool),
+            )
+        self._store = store
+        self.channels = channels
+        floats, ints, flags = store
+        self.q = floats[: 3 * n].reshape(3, n)
+        self.tmp = floats[3 * n : 5 * n].reshape(2, n)
+        self.corners = floats[5 * n : (5 + 4 * channels) * n].reshape(channels, 2, 2, n)
+        self.index = ints[: 4 * n].reshape(2, 2, n)
+        self.valid = flags[:n]
+        self.mask = flags[n : 3 * n].reshape(2, n)
+
+    def head(self, n: int) -> "_WorkArrays":
+        return _WorkArrays(self.channels, n, self._store)
+
+
+def _bilinear_gather(
+    src: np.ndarray, height: int, width: int, uv: np.ndarray, work: _WorkArrays
+) -> np.ndarray:
+    """Bilinear samples of the channel-major image ``src`` (C, height*width) at uv (2, n).
+
+    Returns a (C, n) view into ``work``. Entries where ``work.valid`` is
+    false are moved to (0, 0) first, so they read pixel 0 (even a NaN
+    coordinate never becomes an index) and the caller masks them. The four
+    neighbours are gathered by flat index in one ``take``, and the weights
+    are computed once for all channels. Consumes uv.
+    """
+    np.logical_not(work.valid, out=work.mask[0])
+    np.copyto(uv, 0.0, where=work.mask[0])
+    base = work.tmp
+    np.floor(uv, out=base)
+    uv -= base  # uv now holds the fractional weights (fu, fv)
+    np.less(base, [[width - 1], [height - 1]], out=work.mask)  # right, lower neighbour exists
+    base[1] *= width
+    base[1] += base[0]
+    index = work.index  # [row][column] of the 2x2 neighbourhood
+    np.copyto(index[0, 0], base[1], casting="unsafe")  # floor(v) * width + floor(u), exact
+    np.add(index[0, 0], work.mask[0], out=index[0, 1])
+    np.multiply(work.mask[1], width, out=index[1, 1])
+    np.add(index[0, 0], index[1, 1], out=index[1, 0])
+    index[1, 1] += index[0, 1]
+    corners = work.corners
+    np.take(src, index, axis=1, out=corners, mode="clip")
+    one_minus = work.tmp
+    np.subtract(1.0, uv, out=one_minus)
+    corners[:, :, 0] *= one_minus[0]
+    corners[:, :, 1] *= uv[0]
+    rows = corners[:, :, 0]
+    rows += corners[:, :, 1]  # the top and bottom rows, interpolated along u
+    rows[:, 0] *= one_minus[1]
+    rows[:, 1] *= uv[1]
+    out = rows[:, 0]
+    out += rows[:, 1]
+    return out
 
 
 def reproject_grid(depth: np.ndarray, T: Pose, K: Intrinsics) -> PixelGrid:
@@ -202,24 +333,21 @@ def reproject_grid(depth: np.ndarray, T: Pose, K: Intrinsics) -> PixelGrid:
     # K (R X + t), with K folded into the pose so the field takes one matmul.
     Km = K.matrix()
     points = _pixel_rays(K) * depth[..., None]
-    return _grid_from_homogeneous(points @ (Km @ T.rotation).T + Km @ T.translation, K)
+    q = points @ (Km @ T.rotation).T + Km @ T.translation
+    return _grid_from_homogeneous(np.moveaxis(q, 2, 0), K)
 
 
 def plane_warp_grid(d: float, T: Pose, K: Intrinsics) -> PixelGrid:
     """Sampling grid for the fronto-parallel plane hypothesis at depth d.
 
-    Equivalent to ``reproject_grid`` on a constant depth map but computed as
-    a single 3x3 homography H = K R K^-1 + (K t) e3^T / d. The third
+    Equivalent to ``reproject_grid`` on a constant depth map but computed
+    from the homography H = K R K^-1 + (K t) e3^T / d. The third
     homogeneous coordinate of H @ (u, v, 1) is z'/d.
     """
     if d <= 0:
         raise NonPositiveDepth(f"plane depth must be positive, got {d}")
-    Km = K.matrix()
-    Kinv = np.linalg.inv(Km)
-    H = Km @ T.rotation @ Kinv
-    H[:, 2] += Km @ T.translation / d
-
-    return _grid_from_homogeneous(_pixel_coords(K) @ H.T, K)
+    proj = _PlaneProjection.of(T, K)
+    return _grid_from_homogeneous((proj.uv + proj.column(d)).reshape(3, K.height, K.width), K)
 
 
 def bilinear_sample(img: np.ndarray, grid: PixelGrid) -> tuple[np.ndarray, np.ndarray]:
@@ -230,34 +358,19 @@ def bilinear_sample(img: np.ndarray, grid: PixelGrid) -> tuple[np.ndarray, np.nd
     0 and valid=False. ``img`` may be (H, W) or (H, W, C); the output keeps
     that layout at the grid's shape.
     """
-    img = np.asarray(img, dtype=float)
-    squeeze = img.ndim == 2
-    if squeeze:
-        img = img[..., None]
-    h, w = img.shape[:2]
+    src = _channel_major(img)
+    h, w = np.shape(img)[:2]
     gh, gw = grid.shape
     if grid.coords.shape[:2] != (gh, gw):
         raise ShapeMismatch("grid coords and valid mask disagree")
 
-    u = grid.coords[..., 0]
-    v = grid.coords[..., 1]
-    valid = grid.valid & (u >= 0) & (u <= w - 1) & (v >= 0) & (v <= h - 1)
+    work = _WorkArrays(len(src), gh * gw)
+    u, v = uv = work.q[:2]
+    uv[:] = grid.coords.reshape(-1, 2).T
+    valid = grid.valid.reshape(-1) & (u >= 0) & (u <= w - 1) & (v >= 0) & (v <= h - 1)
+    work.valid[:] = valid
 
-    # valid entries are already in range; invalid (possibly NaN) ones read pixel 0
-    uc = np.where(valid, u, 0.0)
-    vc = np.where(valid, v, 0.0)
-    u0 = np.floor(uc).astype(int)
-    v0 = np.floor(vc).astype(int)
-    u1 = np.minimum(u0 + 1, w - 1)
-    v1 = np.minimum(v0 + 1, h - 1)
-    fu = (uc - u0)[..., None]
-    fv = (vc - v0)[..., None]
-
-    top = img[v0, u0] * (1 - fu) + img[v0, u1] * fu
-    bottom = img[v1, u0] * (1 - fu) + img[v1, u1] * fu
-    out = top * (1 - fv) + bottom * fv
-    out[~valid] = 0.0
-
-    if squeeze:
-        out = out[..., 0]
-    return out, valid
+    out = _bilinear_gather(src, h, w, uv, work)
+    np.copyto(out, 0.0, where=~valid)
+    out = np.ascontiguousarray(out.T).reshape(gh, gw, len(src))
+    return (out[..., 0] if np.ndim(img) == 2 else out), valid.reshape(gh, gw)

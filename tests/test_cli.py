@@ -304,6 +304,15 @@ def _bad_input_argv(case, data, tmp):
         write_pfm(tmp / "student.pfm", student)
         return ["loss", *volume, "--student", str(tmp / "student.pfm"),
                 "--teacher", str(data / "depth_0001.pfm")]
+    if case == "too_many_planes":  # 16x12 features x 1e8 planes: refused before any allocation
+        return ["depth", "--data", str(data), "--d-min", "1", "--d-max", "10",
+                "--planes", "100000000", "--out", str(tmp / "d.pfm")]
+    if case == "pred_with_nan_pixel":
+        pred = read_pfm(data / "depth_0001.pfm")
+        pred[5, 7] = np.nan
+        write_pfm(tmp / "pred.pfm", pred)
+        return ["eval", "--pred", str(tmp / "pred.pfm"), "--gt", str(data / "depth_0001.pfm"),
+                "--error-map", str(tmp / "err.ppm")]
     dataset_edits = {
         "negative_focal_length": ("intrinsics.json",
                                   lambda k: json.dumps({**k, "fx": -k["fx"]})),
@@ -366,6 +375,8 @@ def _bad_input_argv(case, data, tmp):
     "d_max_inf",
     "state_d_max_infinity",
     "student_with_nan_pixel",
+    "too_many_planes",
+    "pred_with_nan_pixel",
 ])
 def test_bad_input_is_a_typed_error(case, lateral_dataset, tmp_path):
     argv = _bad_input_argv(case, lateral_dataset, tmp_path)
@@ -379,6 +390,10 @@ def test_bad_input_is_a_typed_error(case, lateral_dataset, tmp_path):
     assert "Traceback" not in proc.stderr
     if case == "target_out_of_range":
         assert "target 9 out of range" in proc.stderr
+    if case == "too_many_planes":
+        assert "budget" in proc.stderr
+    if case == "pred_with_nan_pixel":
+        assert proc.stdout == "" and not (tmp_path / "err.ppm").exists()
     if argv[0] == "synth":
         assert not (tmp_path / "out").exists()
     if case.startswith(("intrinsics", "pose", "plane", "texture_unknown_key", "mover",

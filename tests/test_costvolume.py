@@ -1,14 +1,19 @@
 """Plane sets, cost volume construction, argmin extraction, adaptive range."""
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import cost_volume_ref
+from sweepdepth import costvolume
 from sweepdepth.costvolume import (
+    MAX_VOLUME_CELLS,
     AdaptiveRangeState,
     CostVolume,
+    DepthPlaneSet,
     adaptive_range_update,
     argmin_depth,
     build_cost_volume,
@@ -23,9 +28,10 @@ from sweepdepth.errors import (
     InvalidRange,
     NonPositiveDepth,
     ShapeMismatch,
+    VolumeTooLarge,
 )
 from sweepdepth.features import FeatureMap, extract_features
-from sweepdepth.geometry import Intrinsics, Pose
+from sweepdepth.geometry import Intrinsics, Pose, bilinear_sample, plane_warp_grid
 
 
 class TestLinearPlanes:
@@ -105,9 +111,11 @@ class TestBuildCostVolume:
         with pytest.raises(ShapeMismatch):
             build_cost_volume(fmap, [(other, Pose.identity())], K, linear_planes(1, 2, 2))
 
-    def test_matches_per_pixel_loop_oracle(self, rng):
+    def test_matches_per_pixel_loop_oracle(self, rng, monkeypatch):
         # Vectorized homography path against the scalar reference, pose with
-        # rotation and translation, two sources, 12x10 image, 6 planes.
+        # rotation and translation, two sources, 12x10 image, 6 planes. Tiles
+        # of 32 pixels: three full ones and a partial one of 24.
+        monkeypatch.setattr(costvolume, "_TILE", 32)
         w, h = 12, 10
         K = Intrinsics(fx=15.0, fy=14.0, cx=5.5, cy=4.5, width=w, height=h)
         target = FeatureMap(data=rng.random((h, w, 2)), scale=1)
@@ -135,6 +143,76 @@ class TestBuildCostVolume:
         assert (np.isfinite(cv.costs) == finite).all()
         assert np.allclose(cv.costs[finite], ref_costs[finite], atol=1e-6)
         assert (cv.valid_count == ref_counts).all()
+
+    @pytest.mark.parametrize("tile", [16384, 1000])
+    @pytest.mark.parametrize("kind", ["intensity", "gradient"])
+    def test_equals_per_plane_warp_and_sample(self, rendered_presets, monkeypatch, kind, tile):
+        # The tiled kernel returns the same bits as composing the public
+        # plane_warp_grid and bilinear_sample plane by plane, for 1 and 3
+        # channels, in one tile or in tiles of 1000 (the last one partial).
+        # The second source's pose is yawed by 0.02 rad so the homography
+        # has rotation terms.
+        from sweepdepth.synth import relative_pose
+
+        monkeypatch.setattr(costvolume, "_TILE", tile)
+        setup, frames = rendered_presets["moving_box"]
+        f_t = extract_features(frames[1].image, kind, 1)
+        c, s = np.cos(0.02), np.sin(0.02)
+        yaw = np.array([[c, 0, s], [0, 1, 0], [-s, 0, c]])
+        sources = []
+        for i, rot in ((0, np.eye(3)), (2, yaw)):
+            pose = relative_pose(frames[1].pose, frames[i].pose)
+            sources.append((extract_features(frames[i].image, kind, 1),
+                            Pose(rot @ pose.rotation, pose.translation)))
+        planes = linear_planes(1.0, 10.0, 12)
+        cv = build_cost_volume(f_t, sources, setup.K, planes)
+
+        h, w, _ = f_t.shape
+        for p, d in enumerate(planes.depths):
+            total = np.zeros((h, w))
+            count = np.zeros((h, w), dtype=np.uint8)
+            for fmap, pose in sources:
+                warped, valid = bilinear_sample(fmap.data, plane_warp_grid(float(d), pose, setup.K))
+                total += np.where(valid, np.abs(warped - f_t.data).mean(axis=2), 0.0)
+                count += valid
+            want = np.where(count > 0, total / np.maximum(count, 1), np.inf)
+            assert np.array_equal(cv.costs[:, :, p], want)
+            assert np.array_equal(cv.valid_count[:, :, p], count)
+
+
+class TestVolumeBudget:
+    """Oversized volumes are refused before anything of their size is allocated."""
+
+    @staticmethod
+    def _forbid(monkeypatch, *names):
+        def refuse(*args, **kwargs):
+            raise AssertionError("allocated before the budget check")
+
+        for name in names:
+            monkeypatch.setattr(np, name, refuse)
+
+    def test_plane_set_over_budget(self, monkeypatch):
+        self._forbid(monkeypatch, "linspace")
+        with pytest.raises(VolumeTooLarge):
+            DepthPlaneSet(1.0, 10.0, MAX_VOLUME_CELLS + 1)
+
+    def test_zero_volume_over_budget(self, monkeypatch):
+        self._forbid(monkeypatch, "zeros", "ones")
+        with pytest.raises(VolumeTooLarge):
+            zero_volume(2**13, 2**13, 2)
+
+    def test_sweep_over_budget(self, rng, monkeypatch):
+        class HugePlaneSet:
+            def __len__(self):
+                return MAX_VOLUME_CELLS
+
+        fmap = FeatureMap(data=rng.random((6, 8, 1)), scale=1)
+        self._forbid(monkeypatch, "empty")
+        with pytest.raises(VolumeTooLarge):
+            build_cost_volume(fmap, [(fmap, Pose.identity())], small_K(), HugePlaneSet())
+
+    def test_budget_admits_the_kitti_volume(self):
+        costvolume.check_volume_size(192, 640, 96)
 
 
 class TestArgminDepth:
@@ -344,11 +422,18 @@ class TestEndToEndRecovery:
         assert np.median(err[~box]) < floor
 
     def test_thread_count_does_not_change_result(self, rendered_presets, monkeypatch):
+        # 64x48 pixels in tiles of 1000: three full ones and a partial one of 72.
+        monkeypatch.setattr(costvolume, "_TILE", 1000)
         setup, frames = rendered_presets["static_lateral"]
         planes = linear_planes(1.0, 10.0, 16)
         monkeypatch.setenv("SWEEPDEPTH_THREADS", "1")
         serial, _, _ = _sweep_pipeline(setup, frames, planes)
         monkeypatch.setenv("SWEEPDEPTH_THREADS", "4")
-        threaded, _, _ = _sweep_pipeline(setup, frames, planes)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often: shared work arrays would show
+        try:
+            threaded, _, _ = _sweep_pipeline(setup, frames, planes)
+        finally:
+            sys.setswitchinterval(interval)
         assert np.array_equal(serial.costs, threaded.costs)
         assert np.array_equal(serial.valid_count, threaded.valid_count)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import depth_metrics_ref
-from sweepdepth.errors import EmptyValidSet, TooSmall
+from sweepdepth.errors import EmptyValidSet, NonFiniteDepth, TooSmall
 from sweepdepth.evaluation import (
     abs_rel_error_map,
     crop,
@@ -124,6 +124,25 @@ class TestAbsRelErrorMap:
         err, valid = abs_rel_error_map(np.ones((1, 2)), gt)
         assert valid[0, 0] and not valid[0, 1]
         assert err[0, 1] == 0.0
+
+
+class TestNonFinitePrediction:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("score", [depth_metrics, abs_rel_error_map])
+    def test_rejected(self, rng, score, bad):
+        gt = rng.uniform(1, 50, (4, 5))
+        pred = gt.copy()
+        pred[2, 3] = bad
+        with pytest.raises(NonFiniteDepth):
+            score(pred, gt)
+
+    def test_zero_and_negative_stay_legal(self, rng):
+        # The protocol clamps predictions to [1e-3, cap]; only finiteness is required.
+        gt = rng.uniform(1, 50, (4, 5))
+        pred = gt.copy()
+        pred[0, 0], pred[1, 1] = 0.0, -3.0
+        assert np.isfinite(depth_metrics(pred, gt).abs_rel)
+        assert np.isfinite(abs_rel_error_map(pred, gt)[0]).all()
 
 
 class TestCrop:
