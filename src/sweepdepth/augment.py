@@ -58,6 +58,8 @@ class AugmentConfig:
             raise InvalidParameter(
                 f"need p, q in [0, 1] with p + q <= 1, got p={self.p} q={self.q}"
             )
+        if not 0 <= self.rng_seed < 2**128:  # the range of a Philox key
+            raise InvalidParameter(f"augmentation seed must be in [0, 2**128), got {self.rng_seed}")
 
 
 def sample_rng(seed: int, index: int, lane: int = 0) -> np.random.Generator:

@@ -167,12 +167,14 @@ def build_cost_volume(
     was in bounds. Cells with no valid source get cost +inf.
 
     The plane loop runs on a thread pool whose width SWEEPDEPTH_THREADS sets
-    (0 or unset: min(cores, 4)). A plane is scored in tiles of at most _TILE
-    pixels, in work arrays allocated once per sweep for each pool thread.
-    Every plane writes a disjoint slice and every cell takes the same
-    arithmetic in any tile, so the result is bit-identical whatever the
-    width, the tile size or the execution order. A volume over
-    MAX_VOLUME_CELLS raises VolumeTooLarge before anything is allocated.
+    (0 or unset: min(cores, 4)). A plane is scored in equal tiles of at most
+    _TILE pixels, in work arrays allocated once per sweep for each pool
+    thread; the last tile ends at the last pixel, so it overlaps the one
+    before by fewer pixels than there are tiles. Every plane writes a
+    disjoint slice and every cell takes the same arithmetic in any tile, so
+    the result is bit-identical whatever the width, the tile size or the
+    execution order. A volume over MAX_VOLUME_CELLS raises VolumeTooLarge
+    before anything is allocated.
     """
     if not sources:
         raise EmptySourceList("cost volume needs at least one source view")
@@ -195,7 +197,9 @@ def build_cost_volume(
     counts = np.empty((h, w, n_planes), dtype=np.min_scalar_type(len(sources)))
     costs_px = costs.reshape(n, n_planes)
     counts_px = counts.reshape(n, n_planes)
-    tile = min(_TILE, n)
+    tiles = -(-n // _TILE)
+    tile = -(-n // tiles)
+    starts = [min(start, n - tile) for start in range(0, n, tile)]
     workers = _thread_count(n_planes)
     # One set of work arrays per pool thread, lent to one plane at a time.
     # They are allocated here: allocated in the pool threads, they would sit
@@ -212,15 +216,13 @@ def build_cost_volume(
         finally:
             idle.put(arrays)
 
-    def score_plane(p: int, full: _WorkArrays, sums: np.ndarray, tallies: np.ndarray) -> None:
+    def score_plane(p: int, work: _WorkArrays, sums: np.ndarray, tallies: np.ndarray) -> None:
         d = float(planes.depths[p])
         columns = [proj.column(d) for _src, proj in views]
-        for start in range(0, n, tile):
-            px = slice(start, min(start + tile, n))
-            m = px.stop - start
-            work = full if m == tile else full.head(m)
-            total, diff = sums[:, :m]
-            count, denom = tallies[:, :m]
+        total, diff = sums
+        count, denom = tallies
+        for start in starts:
+            px = slice(start, start + tile)
             total.fill(0.0)
             count.fill(0)
             for (src, proj), column in zip(views, columns):

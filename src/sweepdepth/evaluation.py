@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyValidSet, ShapeMismatch, TooSmall
+from .errors import EmptyValidSet, InvalidParameter, ShapeMismatch, TooSmall
 from .geometry import require_finite_depth
 
 DEPTH_CAP = 80.0
@@ -123,7 +123,7 @@ def crop(data: np.ndarray, scheme: str = "none") -> np.ndarray:
         if bottom < 1:
             raise TooSmall(f"{h}x{w} input too small for cityscapes_B")
         return data[:bottom]
-    raise ValueError(f"unknown crop scheme {scheme!r}; expected one of {CROP_SCHEMES}")
+    raise InvalidParameter(f"unknown crop scheme {scheme!r}; expected one of {CROP_SCHEMES}")
 
 
 def error_heatmap(err: np.ndarray, saturate: float = 0.2) -> np.ndarray:

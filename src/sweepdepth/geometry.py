@@ -202,13 +202,6 @@ def _to_pixels(
         valid &= mask[1]
 
 
-def _grid_from_homogeneous(q: np.ndarray, K: Intrinsics) -> PixelGrid:
-    """Dehomogenize a (3, H, W) field, consuming it, into a grid."""
-    valid = np.empty(q.shape[1:], dtype=bool)
-    _to_pixels(q, K, valid, np.empty(q[:2].shape), np.empty(q[:2].shape, dtype=bool))
-    return PixelGrid(coords=np.stack([q[0], q[1]], axis=-1), valid=valid)
-
-
 @dataclass(frozen=True)
 class _PlaneProjection:
     """The plane homography H(d) = K R K^-1 + (K t) e3^T / d of one pose, split
@@ -218,7 +211,9 @@ class _PlaneProjection:
     ``column(d)`` is H(d)'s last column, so H(d) @ (u, v, 1) is
     ``uv + column(d)``: the 3x3 product's own sum, with the constant term
     added last. (Adding (K t) / d to a precomputed K R K^-1 @ (u, v, 1)
-    instead rounds differently once the pose rotates.)
+    instead rounds differently once the pose rotates.) Taken at a pixel's
+    own depth D, H(D) @ (u, v, 1) is K (R X + t) / D for the backprojected
+    point X, so the same split reprojects a depth map.
     """
 
     uv: np.ndarray
@@ -234,9 +229,17 @@ class _PlaneProjection:
         uv = np.ascontiguousarray((coords @ A.T).reshape(-1, 3).T)
         return cls(uv=uv, a=A[:, 2].copy(), b=Km @ T.translation)
 
-    def column(self, d: float) -> np.ndarray:
-        """H(d)'s last column as a (3, 1) array."""
-        return (self.a + self.b / d)[:, None]
+    def column(self, d: float | np.ndarray) -> np.ndarray:
+        """H(d)'s last column: (3, 1) for a plane depth, (3, H*W) for a flat depth map."""
+        return self.a[:, None] + self.b[:, None] / d
+
+
+def _homography_grid(proj: _PlaneProjection, d: float | np.ndarray, K: Intrinsics) -> PixelGrid:
+    """The grid of H(d) @ (u, v, 1) for a plane depth or a flat depth map."""
+    q = (proj.uv + proj.column(d)).reshape(3, K.height, K.width)
+    valid = np.empty(q.shape[1:], dtype=bool)
+    _to_pixels(q, K, valid, np.empty(q[:2].shape), np.empty(q[:2].shape, dtype=bool))
+    return PixelGrid(coords=np.stack([q[0], q[1]], axis=-1), valid=valid)
 
 
 def _channel_major(img: np.ndarray) -> np.ndarray:
@@ -248,31 +251,15 @@ def _channel_major(img: np.ndarray) -> np.ndarray:
 
 
 class _WorkArrays:
-    """Work arrays for warping and sampling ``n`` pixels of a C-channel image.
+    """Work arrays for warping and sampling ``n`` pixels of a C-channel image."""
 
-    ``head(k)`` views the first part of the same memory for a shorter run of
-    pixels; every array it hands out is contiguous.
-    """
-
-    def __init__(self, channels: int, n: int, store: tuple | None = None):
-        if store is None:
-            store = (
-                np.empty((5 + 4 * channels) * n),
-                np.empty(4 * n, dtype=np.intp),
-                np.empty(3 * n, dtype=bool),
-            )
-        self._store = store
-        self.channels = channels
-        floats, ints, flags = store
-        self.q = floats[: 3 * n].reshape(3, n)
-        self.tmp = floats[3 * n : 5 * n].reshape(2, n)
-        self.corners = floats[5 * n : (5 + 4 * channels) * n].reshape(channels, 2, 2, n)
-        self.index = ints[: 4 * n].reshape(2, 2, n)
-        self.valid = flags[:n]
-        self.mask = flags[n : 3 * n].reshape(2, n)
-
-    def head(self, n: int) -> "_WorkArrays":
-        return _WorkArrays(self.channels, n, self._store)
+    def __init__(self, channels: int, n: int):
+        self.q = np.empty((3, n))
+        self.tmp = np.empty((2, n))
+        self.corners = np.empty((channels, 2, 2, n))
+        self.index = np.empty((2, 2, n), dtype=np.intp)
+        self.valid = np.empty(n, dtype=bool)
+        self.mask = np.empty((2, n), dtype=bool)
 
 
 def _bilinear_gather(
@@ -319,9 +306,10 @@ def reproject_grid(depth: np.ndarray, T: Pose, K: Intrinsics) -> PixelGrid:
     """Per-pixel reprojection coordinates of a depth map into another camera.
 
     Each pixel of ``depth`` is backprojected, moved by ``T`` (target camera
-    to source camera), and projected with ``K``. This is the coordinate
-    generator behind view synthesis: sampling the source image at the
-    returned grid renders it from the target viewpoint.
+    to source camera), and projected with ``K``: the plane homography of
+    ``plane_warp_grid`` taken at the pixel's own depth. This is the
+    coordinate generator behind view synthesis: sampling the source image
+    at the returned grid renders it from the target viewpoint.
     """
     depth = np.asarray(depth, dtype=float)
     if depth.shape != (K.height, K.width):
@@ -330,24 +318,19 @@ def reproject_grid(depth: np.ndarray, T: Pose, K: Intrinsics) -> PixelGrid:
             f"({K.height}, {K.width})"
         )
     require_positive_depth(depth, "reprojection")
-    # K (R X + t), with K folded into the pose so the field takes one matmul.
-    Km = K.matrix()
-    points = _pixel_rays(K) * depth[..., None]
-    q = points @ (Km @ T.rotation).T + Km @ T.translation
-    return _grid_from_homogeneous(np.moveaxis(q, 2, 0), K)
+    return _homography_grid(_PlaneProjection.of(T, K), depth.reshape(-1), K)
 
 
 def plane_warp_grid(d: float, T: Pose, K: Intrinsics) -> PixelGrid:
     """Sampling grid for the fronto-parallel plane hypothesis at depth d.
 
-    Equivalent to ``reproject_grid`` on a constant depth map but computed
-    from the homography H = K R K^-1 + (K t) e3^T / d. The third
-    homogeneous coordinate of H @ (u, v, 1) is z'/d.
+    Computed from the homography H = K R K^-1 + (K t) e3^T / d, whose third
+    homogeneous coordinate of H @ (u, v, 1) is z'/d; ``reproject_grid`` on
+    a constant depth map returns the same bits.
     """
     if d <= 0:
         raise NonPositiveDepth(f"plane depth must be positive, got {d}")
-    proj = _PlaneProjection.of(T, K)
-    return _grid_from_homogeneous((proj.uv + proj.column(d)).reshape(3, K.height, K.width), K)
+    return _homography_grid(_PlaneProjection.of(T, K), d, K)
 
 
 def bilinear_sample(img: np.ndarray, grid: PixelGrid) -> tuple[np.ndarray, np.ndarray]:

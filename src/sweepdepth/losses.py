@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptySources, ShapeMismatch
+from .errors import EmptySources, InvalidParameter, ShapeMismatch
 from .geometry import require_positive_depth
 
 SSIM_C1 = 0.01**2
@@ -55,13 +55,10 @@ def _as_hwc(img: np.ndarray) -> np.ndarray:
 
 
 def _window_mean(img: np.ndarray) -> np.ndarray:
-    """3x3 box mean per channel with replicate padding."""
+    """3x3 box mean per channel with replicate padding, summed as rows of 3 then columns of 3."""
     padded = np.pad(img, ((1, 1), (1, 1), (0, 0)), mode="edge")
-    out = np.zeros_like(img)
-    for dy in range(3):
-        for dx in range(3):
-            out += padded[dy : dy + img.shape[0], dx : dx + img.shape[1]]
-    return out / 9.0
+    rows = padded[:-2] + padded[1:-1] + padded[2:]
+    return (rows[:, :-2] + rows[:, 1:-1] + rows[:, 2:]) / 9.0
 
 
 def ssim(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -183,8 +180,11 @@ def total_loss(
     The mask comes from (d_cv, d_hat); the reprojection term is suppressed
     where it is set, the consistency term pulls the student toward the
     teacher there, and the smoothness term regularizes the student against
-    ``img``. All depth maps must be at image resolution.
+    ``img``. All depth maps must be at image resolution, and
+    ``smoothness_weight`` must be finite and non-negative.
     """
+    if not 0 <= smoothness_weight < np.inf:
+        raise InvalidParameter(f"smoothness weight must be finite and >= 0, got {smoothness_weight}")
     mask = consistency_mask(d_cv, d_hat)
     lp, per_pixel = min_reprojection_loss(target, synthesized, alpha=alpha)
     lc = consistency_loss(d_t, d_hat, mask)

@@ -13,6 +13,7 @@ from sweepdepth.augment import (
     sample_rng,
 )
 from sweepdepth.costvolume import CostVolume
+from sweepdepth.errors import InvalidParameter
 
 
 class TestDraw:
@@ -45,6 +46,11 @@ class TestDraw:
             AugmentConfig(p=0.7, q=0.5)
         with pytest.raises(ValueError):
             AugmentConfig(p=-0.1, q=0.0)
+
+    @pytest.mark.parametrize("seed", [-1, 2**128])
+    def test_seed_outside_philox_keys_rejected(self, seed):
+        with pytest.raises(InvalidParameter):
+            AugmentConfig(rng_seed=seed)
 
 
 class TestColorJitter:

@@ -113,9 +113,9 @@ class TestBuildCostVolume:
 
     def test_matches_per_pixel_loop_oracle(self, rng, monkeypatch):
         # Vectorized homography path against the scalar reference, pose with
-        # rotation and translation, two sources, 12x10 image, 6 planes. Tiles
-        # of 32 pixels: three full ones and a partial one of 24.
-        monkeypatch.setattr(costvolume, "_TILE", 32)
+        # rotation and translation, two sources, 12x10 image, 6 planes. A
+        # _TILE of 32 gives four equal tiles of 30 pixels; 7 gives 18 tiles
+        # of 7, the last overlapping the one before by 6.
         w, h = 12, 10
         K = Intrinsics(fx=15.0, fy=14.0, cx=5.5, cy=4.5, width=w, height=h)
         target = FeatureMap(data=rng.random((h, w, 2)), scale=1)
@@ -132,7 +132,6 @@ class TestBuildCostVolume:
         sources = [(FeatureMap(data=rng.random((h, w, 2)), scale=1), p) for p in poses]
         planes = linear_planes(1.5, 6.0, 6)
 
-        cv = build_cost_volume(target, sources, K, planes)
         ref_costs, ref_counts = cost_volume_ref(
             target.data,
             [(f.data, p.rotation, p.translation) for f, p in sources],
@@ -140,16 +139,21 @@ class TestBuildCostVolume:
             list(planes.depths),
         )
         finite = np.isfinite(ref_costs)
-        assert (np.isfinite(cv.costs) == finite).all()
-        assert np.allclose(cv.costs[finite], ref_costs[finite], atol=1e-6)
-        assert (cv.valid_count == ref_counts).all()
+        for tile in (32, 7):
+            monkeypatch.setattr(costvolume, "_TILE", tile)
+            cv = build_cost_volume(target, sources, K, planes)
+            assert (np.isfinite(cv.costs) == finite).all()
+            assert np.allclose(cv.costs[finite], ref_costs[finite], atol=1e-6)
+            assert (cv.valid_count == ref_counts).all()
 
-    @pytest.mark.parametrize("tile", [16384, 1000])
+    @pytest.mark.parametrize("tile", [16384, 1000, 700])
     @pytest.mark.parametrize("kind", ["intensity", "gradient"])
     def test_equals_per_plane_warp_and_sample(self, rendered_presets, monkeypatch, kind, tile):
         # The tiled kernel returns the same bits as composing the public
         # plane_warp_grid and bilinear_sample plane by plane, for 1 and 3
-        # channels, in one tile or in tiles of 1000 (the last one partial).
+        # channels, in one tile of the 64x48 pixels, in four tiles of 768
+        # (_TILE 1000) or in five of 615 (_TILE 700, the last overlapping
+        # the fourth by 3).
         # The second source's pose is yawed by 0.02 rad so the homography
         # has rotation terms.
         from sweepdepth.synth import relative_pose
@@ -422,18 +426,20 @@ class TestEndToEndRecovery:
         assert np.median(err[~box]) < floor
 
     def test_thread_count_does_not_change_result(self, rendered_presets, monkeypatch):
-        # 64x48 pixels in tiles of 1000: three full ones and a partial one of 72.
-        monkeypatch.setattr(costvolume, "_TILE", 1000)
+        # 64x48 pixels in four tiles of 768 (_TILE 1000) or five of 615
+        # (_TILE 700, the last overlapping the fourth by 3).
         setup, frames = rendered_presets["static_lateral"]
         planes = linear_planes(1.0, 10.0, 16)
-        monkeypatch.setenv("SWEEPDEPTH_THREADS", "1")
-        serial, _, _ = _sweep_pipeline(setup, frames, planes)
-        monkeypatch.setenv("SWEEPDEPTH_THREADS", "4")
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # switch threads often: shared work arrays would show
-        try:
-            threaded, _, _ = _sweep_pipeline(setup, frames, planes)
-        finally:
-            sys.setswitchinterval(interval)
-        assert np.array_equal(serial.costs, threaded.costs)
-        assert np.array_equal(serial.valid_count, threaded.valid_count)
+        for tile in (1000, 700):
+            monkeypatch.setattr(costvolume, "_TILE", tile)
+            monkeypatch.setenv("SWEEPDEPTH_THREADS", "1")
+            serial, _, _ = _sweep_pipeline(setup, frames, planes)
+            monkeypatch.setenv("SWEEPDEPTH_THREADS", "4")
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)  # switch threads often: shared work arrays would show
+            try:
+                threaded, _, _ = _sweep_pipeline(setup, frames, planes)
+            finally:
+                sys.setswitchinterval(interval)
+            assert np.array_equal(serial.costs, threaded.costs)
+            assert np.array_equal(serial.valid_count, threaded.valid_count)

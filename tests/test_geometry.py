@@ -147,6 +147,20 @@ class TestPlaneWarpGrid:
             assert np.allclose(homog.coords, perpix.coords, atol=1e-6)
             assert (homog.valid == perpix.valid).all()
 
+    @pytest.mark.parametrize("d", [0.5, 2.0, 7.3])
+    @pytest.mark.parametrize("pose", [
+        Pose(rotation_about([0.3, 0.8, 0.1], 0.08), np.zeros(3)),
+        Pose.from_translation(0.2, -0.1, 0.15),
+        Pose(rotation_about([1.0, -0.2, 0.4], -0.05), np.array([-0.3, 0.05, -0.2])),
+    ], ids=["rotated", "translated", "rotated_and_translated"])
+    def test_reprojecting_constant_depth_is_bit_identical(self, pose, d):
+        # One homography serves both: a constant depth map reprojects to the
+        # plane's grid exactly, not just within rounding.
+        homog = plane_warp_grid(d, pose, K)
+        perpix = reproject_grid(np.full((K.height, K.width), d), pose, K)
+        assert np.array_equal(homog.coords, perpix.coords)
+        assert np.array_equal(homog.valid, perpix.valid)
+
     def test_lateral_shift_is_stereo_disparity(self):
         tx, d = 0.3, 2.0
         grid = plane_warp_grid(d, Pose.from_translation(tx, 0, 0), K)

@@ -13,7 +13,7 @@ from oracles import (
     smoothness_ref,
     ssim_ref,
 )
-from sweepdepth.errors import EmptySources, NonPositiveDepth, ShapeMismatch
+from sweepdepth.errors import EmptySources, InvalidParameter, NonPositiveDepth, ShapeMismatch
 from sweepdepth.losses import (
     consistency_loss,
     consistency_mask,
@@ -215,6 +215,14 @@ class TestSmoothness:
 
 
 class TestTotalLoss:
+    @pytest.mark.parametrize("weight", [np.nan, np.inf, -1.0])
+    def test_rejects_bad_smoothness_weight(self, weight):
+        img = np.zeros((4, 4))
+        depth = np.full((4, 4), 2.0)
+        ones = np.ones((4, 4), dtype=bool)
+        with pytest.raises(InvalidParameter):
+            total_loss(img, [(img, ones)], depth, depth, depth, img, smoothness_weight=weight)
+
     def test_all_zero_composition(self, rng):
         img = rng.random((5, 5, 3))
         depth = np.full((5, 5), 2.0)
