@@ -28,6 +28,7 @@ import numpy as np
 from . import io as sdio
 from .augment import Augmentation, AugmentConfig, apply_augmentation, draw_augmentation
 from .costvolume import (
+    DEFAULT_PLANE_COUNT,
     AdaptiveRangeState,
     CostVolume,
     DepthPlaneSet,
@@ -38,10 +39,19 @@ from .costvolume import (
     zero_volume,
 )
 from .errors import SweepDepthError
-from .evaluation import CROP_SCHEMES, crop, depth_metrics, abs_rel_error_map, error_heatmap, median_scale
+from .evaluation import (
+    CROP_SCHEMES,
+    DEPTH_CAP,
+    PRED_FLOOR,
+    abs_rel_error_map,
+    crop,
+    depth_metrics,
+    error_heatmap,
+    median_scale,
+)
 from .features import EXTRACTOR_KINDS, VALID_SCALES, extract_features
 from .geometry import Intrinsics, Pose, bilinear_sample, reproject_grid
-from .losses import consistency_mask, total_loss
+from .losses import DEFAULT_SMOOTHNESS_WEIGHT, consistency_mask, total_loss
 from .synth import (
     PRESET_NAMES,
     SceneSetup,
@@ -75,21 +85,15 @@ def load_dataset(root: str | Path) -> Dataset:
 
 
 def _resolve_planes(args) -> DepthPlaneSet:
-    explicit = args.d_min is not None or args.d_max is not None
-    if explicit == bool(args.adaptive_state):
-        raise SweepDepthError(
-            "specify either --d-min/--d-max or --adaptive-state, not both or neither"
-        )
-    if args.adaptive_state:
-        state = sdio.read_json(
-            args.adaptive_state,
-            lambda obj: AdaptiveRangeState(float(obj["d_min"]), float(obj["d_max"])),
-        )
-        d_min, d_max = state.d_min, state.d_max
-    elif args.d_min is None or args.d_max is None:
-        raise SweepDepthError("--d-min and --d-max must be given together")
-    else:
+    """Planes over --d-min to --d-max, or over the range of the --adaptive-state record."""
+    from_flags = not args.adaptive_state
+    if (args.d_min is not None, args.d_max is not None) != (from_flags, from_flags):
+        raise SweepDepthError("give --d-min with --d-max, or --adaptive-state alone")
+    if from_flags:
         d_min, d_max = args.d_min, args.d_max
+    else:
+        state = sdio.read_json(args.adaptive_state, lambda obj: AdaptiveRangeState(**obj))
+        d_min, d_max = state.d_min, state.d_max
     spacing = "inverse" if args.inverse_depth_planes else "linear"
     return DepthPlaneSet(d_min, d_max, args.planes, spacing)
 
@@ -247,7 +251,7 @@ def cmd_eval(args) -> int:
         pred = median_scale(pred, gt, valid)
     report = depth_metrics(pred, gt, cap=args.cap)
     if args.error_map:
-        err, _valid = abs_rel_error_map(np.clip(pred, 1e-3, args.cap), gt)
+        err, _valid = abs_rel_error_map(np.clip(pred, PRED_FLOOR, args.cap), gt)
         path = Path(args.error_map)
         if path.suffix.lower() == ".ppm":
             sdio.write_ppm(path, error_heatmap(err))
@@ -272,7 +276,7 @@ def _add_volume_options(
     p.add_argument("--features", choices=EXTRACTOR_KINDS, default="gradient")
     p.add_argument("--feature-scale", type=int, choices=VALID_SCALES, default=4,
                    help="feature downsample factor (default quarter resolution)")
-    p.add_argument("--planes", type=int, default=96, help="number of depth planes")
+    p.add_argument("--planes", type=int, default=DEFAULT_PLANE_COUNT, help="number of depth planes")
     p.add_argument("--d-min", type=float, default=None)
     p.add_argument("--d-max", type=float, default=None)
     p.add_argument("--adaptive-state", default=None,
@@ -281,9 +285,9 @@ def _add_volume_options(
                    help="substitute the all-zeros cost volume (no-source path)")
     p.add_argument("--inverse-depth-planes", action="store_true",
                    help="experimental: space planes uniformly in 1/depth")
-    p.add_argument("--aug-p", type=float, default=0.25)
-    p.add_argument("--aug-q", type=float, default=0.25)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--aug-p", type=float, default=AugmentConfig.p)
+    p.add_argument("--aug-q", type=float, default=AugmentConfig.q)
+    p.add_argument("--seed", type=int, default=AugmentConfig.rng_seed)
     p.add_argument("--augment-sample", type=int, default=None,
                    help="apply the seeded augmentation draw for this sample index")
     p.add_argument("--target", type=int, default=1)
@@ -317,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--teacher", required=True, help="teacher depth PFM")
     p.add_argument("--cv-sources", type=int, nargs="+", default=None,
                    help="source indices for the cost volume (default: the preceding frame)")
-    p.add_argument("--smooth-weight", type=float, default=1e-3)
+    p.add_argument("--smooth-weight", type=float, default=DEFAULT_SMOOTHNESS_WEIGHT)
     p.add_argument("--out", default=None)
     _add_volume_options(p, "reprojection source indices for the photometric loss "
                            "(default: both neighbours of --target)")
@@ -326,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="depth metrics")
     p.add_argument("--pred", required=True)
     p.add_argument("--gt", required=True)
-    p.add_argument("--cap", type=float, default=80.0)
+    p.add_argument("--cap", type=float, default=DEPTH_CAP)
     p.add_argument("--crop", choices=CROP_SCHEMES, default="none")
     p.add_argument("--median-scale", action="store_true")
     p.add_argument("--error-map", default=None,

@@ -9,7 +9,7 @@ predictions before scoring.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -32,15 +32,7 @@ class MetricsReport:
     delta3: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "abs_rel": self.abs_rel,
-            "sq_rel": self.sq_rel,
-            "rmse": self.rmse,
-            "rmse_log": self.rmse_log,
-            "delta1": self.delta1,
-            "delta2": self.delta2,
-            "delta3": self.delta3,
-        }
+        return asdict(self)
 
 
 def median_scale(pred: np.ndarray, gt: np.ndarray, valid: np.ndarray) -> np.ndarray:

@@ -41,8 +41,8 @@ class Intrinsics:
     height: int
 
     def __post_init__(self):
-        if self.fx <= 0 or self.fy <= 0:
-            raise InvalidParameter(f"focal lengths must be positive, got ({self.fx}, {self.fy})")
+        if not (0 < self.fx < np.inf and 0 < self.fy < np.inf):
+            raise InvalidParameter(f"focal lengths must be finite and positive, got ({self.fx}, {self.fy})")
         if not (0 <= self.cx < self.width) or not (0 <= self.cy < self.height):
             raise InvalidParameter(
                 f"principal point ({self.cx}, {self.cy}) outside "
@@ -79,6 +79,8 @@ class Pose:
         t = np.asarray(self.translation, dtype=float).reshape(3)
         if R.shape != (3, 3):
             raise InvalidParameter(f"rotation must be 3x3, got {R.shape}")
+        if not np.isfinite(t).all():
+            raise InvalidParameter(f"translation must be finite, got {t}")
         if not np.allclose(R.T @ R, np.eye(3), atol=_ORTHONORMAL_TOL, rtol=0):
             raise InvalidParameter("rotation is not orthonormal")
         if abs(np.linalg.det(R) - 1.0) > _ORTHONORMAL_TOL:
@@ -143,16 +145,14 @@ def backproject(u: float, v: float, d: float, K: Intrinsics) -> np.ndarray:
 
     Returns ((u-cx)*d/fx, (v-cy)*d/fy, d).
     """
-    if d <= 0:
-        raise NonPositiveDepth(f"depth must be positive, got {d}")
+    require_positive_depth(d, "backproject")
     return np.array([(u - K.cx) * d / K.fx, (v - K.cy) * d / K.fy, d])
 
 
 def project(point: np.ndarray, K: Intrinsics) -> tuple[float, float]:
     """Project a camera-frame point with positive z to pixel coordinates."""
     x, y, z = point
-    if z <= 0:
-        raise NonPositiveDepth(f"cannot project point at z={z}")
+    require_positive_depth(z, "project")
     return (K.fx * x / z + K.cx, K.fy * y / z + K.cy)
 
 
@@ -328,8 +328,7 @@ def plane_warp_grid(d: float, T: Pose, K: Intrinsics) -> PixelGrid:
     homogeneous coordinate of H @ (u, v, 1) is z'/d; ``reproject_grid`` on
     a constant depth map returns the same bits.
     """
-    if d <= 0:
-        raise NonPositiveDepth(f"plane depth must be positive, got {d}")
+    require_positive_depth(d, "a plane hypothesis")
     return _homography_grid(_PlaneProjection.of(T, K), d, K)
 
 

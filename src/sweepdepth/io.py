@@ -92,8 +92,8 @@ def read_pfm(path: str | Path) -> np.ndarray:
     if bands is None:
         raise MalformedHeader(f"bad PFM magic {tokens[0]!r}")
     width, height, scale = _fields(tokens[1:], (int, int, float), "PFM")
-    if scale == 0:
-        raise MalformedHeader("PFM scale must be nonzero")
+    if not 0 < abs(scale) < math.inf:
+        raise MalformedHeader(f"PFM scale must be finite and nonzero, got {scale}")
     dtype = "<f4" if scale < 0 else ">f4"
     data = _payload(buf, offset, dtype, (height, width, bands), "PFM")[::-1]  # rows stored bottom-up
     return data[..., 0] if bands == 1 else data

@@ -9,7 +9,7 @@ of an L1 pull toward the teacher.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -40,13 +40,9 @@ class LossReport:
     mask_fraction: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "lp": self.lp,
-            "lc": self.lc,
-            "ls": self.ls,
-            "total": self.total,
-            "mask_fraction": self.mask_fraction,
-        }
+        """The scalar fields in declaration order; the per-pixel image stays out of JSON."""
+        pairs = ((f.name, getattr(self, f.name)) for f in fields(self))
+        return {name: value for name, value in pairs if not isinstance(value, np.ndarray)}
 
 
 def _as_hwc(img: np.ndarray) -> np.ndarray:

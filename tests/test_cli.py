@@ -1,6 +1,7 @@
 """End-to-end CLI behavior on the bundled scenes."""
 
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -287,6 +288,8 @@ def _bad_input_argv(case, data, tmp):
         "state_without_d_max": '{"d_min": 1.0}',
         "state_not_json": "d_min = 1",
         "state_d_max_infinity": '{"d_min": 1, "d_max": Infinity}',
+        "state_with_unknown_key": '{"d_min": 1, "d_max": 10, "d_mid": 5}',
+        "state_momentum_one": '{"d_min": 1, "d_max": 10, "momentum": 1.0}',
     }
     if case in states:
         state = tmp / "state.json"
@@ -322,6 +325,10 @@ def _bad_input_argv(case, data, tmp):
         "intrinsics_without_fy": ("intrinsics.json",
                                   lambda k: json.dumps({n: v for n, v in k.items() if n != "fy"})),
         "intrinsics_not_utf8": ("intrinsics.json", lambda _: _NOT_UTF8),
+        "intrinsics_fx_nan": ("intrinsics.json", lambda k: json.dumps({**k, "fx": math.nan})),
+        "intrinsics_fx_infinity": ("intrinsics.json", lambda k: json.dumps({**k, "fx": math.inf})),
+        "pose_translation_nan": ("pose_0000.json",
+                                 lambda p: json.dumps({**p, "t": [math.nan, 0, 0]})),
         "pose_not_json": ("pose_0001.json", lambda _: "R = identity"),
         "pose_with_8_rotation_entries": ("pose_0001.json",
                                          lambda p: json.dumps({**p, "R": p["R"][:8]})),
@@ -381,6 +388,11 @@ def _bad_input_argv(case, data, tmp):
     "too_many_planes",
     "pred_with_nan_pixel",
     "smooth_weight_nan",
+    "intrinsics_fx_nan",
+    "intrinsics_fx_infinity",
+    "pose_translation_nan",
+    "state_with_unknown_key",
+    "state_momentum_one",
 ])
 def test_bad_input_is_a_typed_error(case, lateral_dataset, tmp_path):
     argv = _bad_input_argv(case, lateral_dataset, tmp_path)
@@ -402,5 +414,5 @@ def test_bad_input_is_a_typed_error(case, lateral_dataset, tmp_path):
         assert not (tmp_path / "out").exists()
     if case.startswith(("intrinsics", "pose", "plane", "texture_unknown_key", "mover",
                         "texture_zero_period", "target_index", "scene_not_utf8",
-                        "state_d_max_infinity")):
+                        "state_d_max_infinity", "state_with_unknown_key", "state_momentum_one")):
         assert ".json" in proc.stderr

@@ -1,11 +1,13 @@
 """Camera model, warping grids, and bilinear sampling."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sweepdepth.errors import DimensionMismatch, NonPositiveDepth
+from sweepdepth.errors import DimensionMismatch, InvalidParameter, NonPositiveDepth
 from sweepdepth.geometry import (
     Intrinsics,
     PixelGrid,
@@ -45,6 +47,16 @@ class TestBackproject:
         with pytest.raises(NonPositiveDepth):
             backproject(10.0, 10.0, -1.0, K)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_depth(self, bad):
+        with pytest.raises(NonPositiveDepth):
+            backproject(10.0, 10.0, bad, K)
+
+    @pytest.mark.parametrize("z", [np.nan, np.inf])
+    def test_project_rejects_non_finite_depth(self, z):
+        with pytest.raises(NonPositiveDepth):
+            project(np.array([0.0, 0.0, z]), K)
+
     @given(
         u=st.floats(0, 199),
         v=st.floats(0, 99),
@@ -56,7 +68,20 @@ class TestBackproject:
         assert abs(vv - v) < 1e-9
 
 
+class TestIntrinsics:
+    @pytest.mark.parametrize("name", ["fx", "fy"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_focal_length(self, name, bad):
+        with pytest.raises(InvalidParameter):
+            dataclasses.replace(K, **{name: bad})
+
+
 class TestPose:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_translation(self, bad):
+        with pytest.raises(InvalidParameter):
+            Pose(np.eye(3), np.array([bad, 0.0, 0.0]))
+
     def test_rejects_non_orthonormal(self):
         with pytest.raises(ValueError):
             Pose(np.eye(3) * 2.0, np.zeros(3))
@@ -170,6 +195,11 @@ class TestPlaneWarpGrid:
     def test_rejects_nonpositive_plane(self):
         with pytest.raises(NonPositiveDepth):
             plane_warp_grid(0.0, Pose.identity(), K)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_plane(self, bad):
+        with pytest.raises(NonPositiveDepth):
+            plane_warp_grid(bad, Pose.identity(), K)
 
 
 def full_grid(h, w, coords):

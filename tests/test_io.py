@@ -76,6 +76,13 @@ class TestPfm:
         with pytest.raises(MalformedHeader):
             read_pfm(path)
 
+    @pytest.mark.parametrize("scale", [b"nan", b"inf", b"-inf"])
+    def test_non_finite_scale(self, tmp_path, scale):
+        path = tmp_path / "n.pfm"
+        path.write_bytes(b"Pf\n2 1\n" + scale + b"\n" + b"\x00" * 8)
+        with pytest.raises(MalformedHeader):
+            read_pfm(path)
+
 
 class TestNetpbm:
     def test_ppm_round_trip_8bit_values(self, tmp_path, rng):

@@ -232,6 +232,13 @@ class TestTotalLoss:
         assert report.lp == 0.0 and report.lc == 0.0 and report.ls == 0.0
         assert report.mask_fraction == 0.0
 
+    def test_json_dict_holds_the_scalar_terms_in_order(self, rng):
+        img = rng.random((5, 5, 3))
+        depth = np.full((5, 5), 2.0)
+        ones = np.ones((5, 5), dtype=bool)
+        report = total_loss(img, [(img.copy(), ones)], depth, depth, depth, img)
+        assert list(report.to_json_dict()) == ["lp", "lc", "ls", "total", "mask_fraction"]
+
     def test_full_mask_suppresses_reprojection(self, rng):
         img = rng.random((5, 5, 3))
         garbage = rng.random((5, 5, 3))
