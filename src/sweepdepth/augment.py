@@ -67,8 +67,12 @@ def sample_rng(seed: int, index: int, lane: int = 0) -> np.random.Generator:
 
     Philox counters make the stream a pure function of its coordinates;
     lane 0 is used for the augmentation decision, lane 1 for jitter factors.
+    The index must fit one 64-bit counter word.
     """
-    return np.random.Generator(np.random.Philox(key=seed, counter=[index, lane, 0, 0]))
+    if not 0 <= index < 2**64:
+        raise InvalidParameter(f"augmentation sample index must be in [0, 2**64), got {index}")
+    counter = np.array([index, lane, 0, 0], dtype=np.uint64)  # a list would pass through float64
+    return np.random.Generator(np.random.Philox(key=seed, counter=counter))
 
 
 def draw_augmentation(cfg: AugmentConfig, index: int) -> Augmentation:

@@ -18,6 +18,7 @@ message on stderr and exit code 1.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -294,6 +295,7 @@ def _add_volume_options(
     p.add_argument("--sources", type=int, nargs="+", default=None, help=sources_help)
 
 
+@functools.cache  # built once per process; parse_args leaves the parser as it was
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="sweepdepth", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)

@@ -45,10 +45,10 @@ DEFAULT_MOMENTUM = 0.99
 # plane set may not have more planes than this either.
 MAX_VOLUME_CELLS = 2**26
 
-# Pixels per tile of the sweep kernel; each pool thread gets work arrays for
-# one tile, about 6 MB with 3 channels. Smaller tiles spend more of the sweep
-# holding the GIL between numpy calls (at 4096 a pool of two is no faster
-# than one thread); larger ones cost memory and gain nothing.
+# Cells (pixels x planes) per tile of the sweep kernel; each pool thread gets
+# work arrays for one tile, about 6 MB with 3 channels. Smaller tiles spend
+# more of the sweep holding the GIL between numpy calls (at 4096 a pool of two
+# is no faster than one thread); larger ones cost memory and gain nothing.
 _TILE = 32768
 
 
@@ -166,15 +166,17 @@ def build_cost_volume(
     features; contributions average over the sources whose warped sample
     was in bounds. Cells with no valid source get cost +inf.
 
-    The plane loop runs on a thread pool whose width SWEEPDEPTH_THREADS sets
-    (0 or unset: min(cores, 4)). A plane is scored in equal tiles of at most
-    _TILE pixels, in work arrays allocated once per sweep for each pool
-    thread; the last tile ends at the last pixel, so it overlaps the one
-    before by fewer pixels than there are tiles. Every plane writes a
-    disjoint slice and every cell takes the same arithmetic in any tile, so
-    the result is bit-identical whatever the width, the tile size or the
-    execution order. A volume over MAX_VOLUME_CELLS raises VolumeTooLarge
-    before anything is allocated.
+    The volume is filled in runs of whole pixels with all their planes, each
+    one contiguous block of ``costs`` and ``valid_count``, on a thread pool
+    whose width SWEEPDEPTH_THREADS sets (0 or unset: min(cores, 4)). A run
+    holds min(_TILE, max(H'W', _TILE // 4)) cells, and at least one pixel
+    with all its planes, in work arrays allocated once per sweep for each
+    pool thread. The runs are equal; the last is scored over the last
+    pixels, overlapping the one before, and writes only the pixels no other
+    run owns. Every cell takes the same arithmetic in any run, so the result
+    is bit-identical whatever the pool width, the tile size or the execution
+    order. A volume over MAX_VOLUME_CELLS raises VolumeTooLarge before
+    anything is allocated.
     """
     if not sources:
         raise EmptySourceList("cost volume needs at least one source view")
@@ -192,59 +194,63 @@ def build_cost_volume(
     check_volume_size(h, w, n_planes)
     n = h * w
     target_cm = _channel_major(target.data)
-    views = [(_channel_major(fmap.data), _PlaneProjection.of(pose, K)) for fmap, pose in sources]
-    costs = np.empty((h, w, n_planes))
-    counts = np.empty((h, w, n_planes), dtype=np.min_scalar_type(len(sources)))
-    costs_px = costs.reshape(n, n_planes)
-    counts_px = counts.reshape(n, n_planes)
-    tiles = -(-n // _TILE)
-    tile = -(-n // tiles)
-    starts = [min(start, n - tile) for start in range(0, n, tile)]
-    workers = _thread_count(n_planes)
-    # One set of work arrays per pool thread, lent to one plane at a time.
+    views = []
+    for fmap, pose in sources:
+        proj = _PlaneProjection.of(pose, K)
+        views.append((_channel_major(fmap.data), proj.uv, proj.column(planes.depths)[:, None, :]))
+    costs = np.empty(n * n_planes)
+    counts = np.empty(n * n_planes, dtype=np.min_scalar_type(len(sources)))
+    per_run = max(1, min(_TILE, max(n, _TILE // 4)) // n_planes)
+    runs = -(-n // per_run)
+    per_run = -(-n // runs)
+    cells = per_run * n_planes
+    workers = _thread_count(runs)
+    # One set of work arrays per pool thread, lent to one run at a time.
     # They are allocated here: allocated in the pool threads, they would sit
     # in per-thread malloc arenas and raise the peak RSS of small sweeps.
     idle = queue.SimpleQueue()
     for _ in range(workers):
-        idle.put((_WorkArrays(channels, tile), np.empty((2, tile)),
-                  np.empty((2, tile), counts.dtype)))
+        idle.put((_WorkArrays(channels, cells), np.empty((2, cells)),
+                  np.empty((2, cells), counts.dtype)))
 
-    def sweep_plane(p: int) -> None:
+    def sweep_run(start: int) -> None:
         arrays = idle.get()
         try:
-            score_plane(p, *arrays)
+            score_run(start, *arrays)
         finally:
             idle.put(arrays)
 
-    def score_plane(p: int, work: _WorkArrays, sums: np.ndarray, tallies: np.ndarray) -> None:
-        d = float(planes.depths[p])
-        columns = [proj.column(d) for _src, proj in views]
+    def score_run(start: int, work: _WorkArrays, sums: np.ndarray, tallies: np.ndarray) -> None:
+        first = min(start, n - per_run)  # the last run ends at the last pixel
+        run = slice(first, first + per_run)
         total, diff = sums
         count, denom = tallies
-        for start in starts:
-            px = slice(start, start + tile)
-            total.fill(0.0)
-            count.fill(0)
-            for (src, proj), column in zip(views, columns):
-                np.add(proj.uv[:, px], column, out=work.q)
-                _to_pixels(work.q, K, work.valid, work.tmp, work.mask)
-                warped = _bilinear_gather(src, h, w, work.q[:2], work)
-                warped -= target_cm[:, px]
-                np.abs(warped, out=warped)
-                np.add.reduce(warped, axis=0, out=diff)  # the channel mean, as np.mean sums it
-                diff /= channels
-                np.add(total, diff, out=total, where=work.valid)
-                count += work.valid
-            np.maximum(count, 1, out=denom)
-            cost = costs_px[px, p]
-            np.divide(total, denom, out=cost)
-            np.copyto(cost, np.inf, where=count == 0)
-            counts_px[px, p] = count
+        total.fill(0.0)
+        count.fill(0)
+        for src, uv, column in views:
+            np.add(uv[:, run, None], column, out=work.q.reshape(3, per_run, n_planes))
+            _to_pixels(work.q, K, work.valid, work.tmp, work.mask)
+            warped = _bilinear_gather(src, h, w, work.q[:2], work)
+            cube = warped.reshape(channels, per_run, n_planes)  # a view: the cell axis is contiguous
+            cube -= target_cm[:, run, None]
+            np.abs(warped, out=warped)
+            np.add.reduce(warped, axis=0, out=diff)  # the channel mean, as np.mean sums it
+            diff /= channels
+            np.add(total, diff, out=total, where=work.valid)
+            count += work.valid
+        np.maximum(count, 1, out=denom)
+        np.divide(total, denom, out=diff)
+        np.copyto(diff, np.inf, where=count == 0)
+        owned = slice((start - first) * n_planes, None)  # pixels an earlier run wrote are skipped
+        block = slice(start * n_planes, (first + per_run) * n_planes)
+        costs[block] = diff[owned]
+        counts[block] = count[owned]
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(sweep_plane, range(n_planes)))
+        list(pool.map(sweep_run, range(0, n, per_run)))
 
-    return CostVolume(costs=costs, valid_count=counts)
+    shape = (h, w, n_planes)
+    return CostVolume(costs=costs.reshape(shape), valid_count=counts.reshape(shape))
 
 
 def argmin_depth(cv: CostVolume, planes: DepthPlaneSet) -> tuple[np.ndarray, np.ndarray]:
@@ -260,7 +266,7 @@ def argmin_depth(cv: CostVolume, planes: DepthPlaneSet) -> tuple[np.ndarray, np.
         )
     idx = np.argmin(cv.costs, axis=2)
     depth = planes.depths[idx]
-    valid = np.isfinite(np.min(cv.costs, axis=2))
+    valid = np.isfinite(np.take_along_axis(cv.costs, idx[..., None], 2)[..., 0])
     depth = np.where(valid, depth, (planes.d_min + planes.d_max) / 2.0)
     return depth, valid
 

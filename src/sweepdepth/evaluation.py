@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import EmptyValidSet, InvalidParameter, ShapeMismatch, TooSmall
+from .errors import EmptyValidSet, InvalidParameter, NonPositiveDepth, ShapeMismatch, TooSmall
 from .geometry import require_finite_depth
 
 DEPTH_CAP = 80.0
@@ -36,14 +36,24 @@ class MetricsReport:
 
 
 def median_scale(pred: np.ndarray, gt: np.ndarray, valid: np.ndarray) -> np.ndarray:
-    """Rescale pred by median(gt[valid]) / median(pred[valid])."""
+    """Rescale pred by median(gt[valid]) / median(pred[valid]).
+
+    The prediction's median over the valid pixels must be finite and
+    positive (NonPositiveDepth otherwise).
+    """
     pred = np.asarray(pred, dtype=float)
     gt = np.asarray(gt, dtype=float)
     if pred.shape != gt.shape or valid.shape != gt.shape:
         raise ShapeMismatch("median scaling inputs must share a shape")
     if not valid.any():
         raise EmptyValidSet("median scaling needs at least one valid pixel")
-    return pred * (np.median(gt[valid]) / np.median(pred[valid]))
+    pred_median = np.median(pred[valid])
+    if not 0 < pred_median < np.inf:
+        raise NonPositiveDepth(
+            f"median scaling needs a finite, positive prediction median over the "
+            f"valid pixels, got {pred_median}"
+        )
+    return pred * (np.median(gt[valid]) / pred_median)
 
 
 def depth_metrics(pred: np.ndarray, gt: np.ndarray, cap: float = DEPTH_CAP) -> MetricsReport:

@@ -47,6 +47,18 @@ class TestDraw:
         with pytest.raises(ValueError):
             AugmentConfig(p=-0.1, q=0.0)
 
+    @pytest.mark.parametrize("index", [-1, 2**64])
+    def test_index_outside_philox_counter_rejected(self, index):
+        with pytest.raises(InvalidParameter):
+            sample_rng(0, index)
+        with pytest.raises(InvalidParameter):
+            draw_augmentation(AugmentConfig(), index)
+
+    def test_indices_past_float_precision_draw_apart(self):
+        # Neighbouring indices above 2**53 are distinct counters, not one rounded value.
+        draws = {sample_rng(0, 2**64 - k).random() for k in (1, 2)}
+        assert len(draws) == 2
+
     @pytest.mark.parametrize("seed", [-1, 2**128])
     def test_seed_outside_philox_keys_rejected(self, seed):
         with pytest.raises(InvalidParameter):

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import sweepdepth
+from sweepdepth import cli
 from sweepdepth.cli import main
 from sweepdepth.costvolume import inverse_depth_planes
 from sweepdepth.io import read_cost_volume, read_pfm, write_pfm
@@ -150,6 +151,20 @@ class TestDepth:
         run(capsys, *args, "--out", str(tmp_path / "a.pfm"))
         run(capsys, *args, "--out", str(tmp_path / "b.pfm"))
         assert (tmp_path / "a.pfm").read_bytes() == (tmp_path / "b.pfm").read_bytes()
+
+    def test_options_do_not_leak_into_the_next_call(self, lateral_dataset, tmp_path, capsys,
+                                                     monkeypatch):
+        # The parser is built once per process; each call still parses from the defaults.
+        seen = []
+        volume_for = cli._volume_for
+        monkeypatch.setattr(cli, "_volume_for",
+                            lambda args, data, idxs: seen.append(idxs) or volume_for(args, data, idxs))
+        args = ["depth", "--data", str(lateral_dataset), "--out", str(tmp_path / "d.pfm"),
+                "--d-min", "1", "--d-max", "10", "--planes", "4"]
+        assert run(capsys, *args, "--sources", "0", "2")[0] == 0
+        assert run(capsys, *args)[0] == 0
+        assert seen == [[0, 2], None]
+        assert cli.build_parser() is cli.build_parser()
 
 
 class TestLoss:
@@ -299,6 +314,9 @@ def _bad_input_argv(case, data, tmp):
     if case == "aug_p_plus_q_above_one":
         return ["depth", *volume, "--out", str(tmp / "d.pfm"),
                 "--augment-sample", "0", "--aug-p", "0.9", "--aug-q", "0.9"]
+    if case in ("augment_sample_negative", "augment_sample_over_64_bits"):
+        index = "-5" if case == "augment_sample_negative" else "99999999999999999999999"
+        return ["depth", *volume, "--out", str(tmp / "d.pfm"), "--augment-sample", index]
     if case == "d_max_inf":  # the last --d-max wins
         return ["depth", *volume, "--d-max", "inf", "--out", str(tmp / "d.pfm")]
     if case == "student_with_nan_pixel":
@@ -319,6 +337,10 @@ def _bad_input_argv(case, data, tmp):
         write_pfm(tmp / "pred.pfm", pred)
         return ["eval", "--pred", str(tmp / "pred.pfm"), "--gt", str(data / "depth_0001.pfm"),
                 "--error-map", str(tmp / "err.ppm")]
+    if case == "pred_all_zero_median_scale":  # stderr holds the error alone, no RuntimeWarning
+        write_pfm(tmp / "pred.pfm", np.zeros_like(read_pfm(data / "depth_0001.pfm")))
+        return ["eval", "--pred", str(tmp / "pred.pfm"), "--gt", str(data / "depth_0001.pfm"),
+                "--median-scale"]
     dataset_edits = {
         "negative_focal_length": ("intrinsics.json",
                                   lambda k: json.dumps({**k, "fx": -k["fx"]})),
@@ -393,6 +415,9 @@ def _bad_input_argv(case, data, tmp):
     "pose_translation_nan",
     "state_with_unknown_key",
     "state_momentum_one",
+    "augment_sample_negative",
+    "augment_sample_over_64_bits",
+    "pred_all_zero_median_scale",
 ])
 def test_bad_input_is_a_typed_error(case, lateral_dataset, tmp_path):
     argv = _bad_input_argv(case, lateral_dataset, tmp_path)
@@ -408,6 +433,8 @@ def test_bad_input_is_a_typed_error(case, lateral_dataset, tmp_path):
         assert "target 9 out of range" in proc.stderr
     if case == "too_many_planes":
         assert "budget" in proc.stderr
+    if case == "pred_all_zero_median_scale":
+        assert "median" in proc.stderr and "Warning" not in proc.stderr
     if case == "pred_with_nan_pixel":
         assert proc.stdout == "" and not (tmp_path / "err.ppm").exists()
     if argv[0] == "synth":

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import cost_volume_ref
-from sweepdepth import costvolume
+from sweepdepth import costvolume, geometry
 from sweepdepth.costvolume import (
     MAX_VOLUME_CELLS,
     AdaptiveRangeState,
@@ -32,6 +32,7 @@ from sweepdepth.errors import (
 )
 from sweepdepth.features import FeatureMap, extract_features
 from sweepdepth.geometry import Intrinsics, Pose, bilinear_sample, plane_warp_grid
+from sweepdepth.synth import relative_pose
 
 
 class TestLinearPlanes:
@@ -114,8 +115,8 @@ class TestBuildCostVolume:
     def test_matches_per_pixel_loop_oracle(self, rng, monkeypatch):
         # Vectorized homography path against the scalar reference, pose with
         # rotation and translation, two sources, 12x10 image, 6 planes. A
-        # _TILE of 32 gives four equal tiles of 30 pixels; 7 gives 18 tiles
-        # of 7, the last overlapping the one before by 6.
+        # _TILE of 32 gives 24 runs of 5 pixels with their 6 planes; 7 gives
+        # 120 runs of one pixel.
         w, h = 12, 10
         K = Intrinsics(fx=15.0, fy=14.0, cx=5.5, cy=4.5, width=w, height=h)
         target = FeatureMap(data=rng.random((h, w, 2)), scale=1)
@@ -151,13 +152,12 @@ class TestBuildCostVolume:
     def test_equals_per_plane_warp_and_sample(self, rendered_presets, monkeypatch, kind, tile):
         # The tiled kernel returns the same bits as composing the public
         # plane_warp_grid and bilinear_sample plane by plane, for 1 and 3
-        # channels, in one tile of the 64x48 pixels, in four tiles of 768
-        # (_TILE 1000) or in five of 615 (_TILE 700, the last overlapping
-        # the fourth by 3).
+        # channels. The 64x48 pixels with their 12 planes go in 10 runs of
+        # 308 pixels (_TILE 16384, a tile of _TILE // 4 cells), 38 of 81
+        # (_TILE 1000) or 53 of 58 (_TILE 700); the last run overlaps the
+        # one before by 8, 6 or 2 pixels.
         # The second source's pose is yawed by 0.02 rad so the homography
         # has rotation terms.
-        from sweepdepth.synth import relative_pose
-
         monkeypatch.setattr(costvolume, "_TILE", tile)
         setup, frames = rendered_presets["moving_box"]
         f_t = extract_features(frames[1].image, kind, 1)
@@ -170,18 +170,82 @@ class TestBuildCostVolume:
                             Pose(rot @ pose.rotation, pose.translation)))
         planes = linear_planes(1.0, 10.0, 12)
         cv = build_cost_volume(f_t, sources, setup.K, planes)
+        want_costs, want_counts = _per_plane_composition(f_t, sources, setup.K, planes)
+        assert np.array_equal(cv.costs, want_costs)
+        assert np.array_equal(cv.valid_count, want_counts)
 
+    @pytest.mark.parametrize("threads", ["1", "4"])
+    def test_more_planes_than_tile_cells(self, rendered_presets, monkeypatch, threads):
+        # 12 planes and a _TILE of 8 cells: every run is one pixel with all
+        # its planes, 3072 runs over the 64x48 pixels.
+        monkeypatch.setattr(costvolume, "_TILE", 8)
+        monkeypatch.setenv("SWEEPDEPTH_THREADS", threads)
+        setup, frames = rendered_presets["moving_box"]
+        f_t = extract_features(frames[1].image, "gradient", 1)
+        sources = [(extract_features(frames[i].image, "gradient", 1),
+                    relative_pose(frames[1].pose, frames[i].pose)) for i in (0, 2)]
+        planes = linear_planes(1.0, 10.0, 12)
+        cv = build_cost_volume(f_t, sources, setup.K, planes)
+        want_costs, want_counts = _per_plane_composition(f_t, sources, setup.K, planes)
+        assert np.array_equal(cv.costs, want_costs)
+        assert np.array_equal(cv.valid_count, want_counts)
+
+    @pytest.mark.parametrize("threads", ["1", "4"])
+    def test_prime_pixel_count(self, rng, monkeypatch, threads):
+        # A 1x127 strip with 8 planes and a _TILE of 64: 16 runs of 8
+        # pixels, the last scored over pixels 119-126 and writing 120-126.
+        monkeypatch.setattr(costvolume, "_TILE", 64)
+        monkeypatch.setenv("SWEEPDEPTH_THREADS", threads)
+        K = Intrinsics(fx=60.0, fy=60.0, cx=63.0, cy=0.0, width=127, height=1)
+        target = FeatureMap(data=rng.random((1, 127, 2)), scale=1)
+        sources = [(FeatureMap(data=rng.random((1, 127, 2)), scale=1), pose)
+                   for pose in (Pose.from_translation(0.2, 0, 0.05),
+                                Pose.from_translation(-0.3, 0, 0))]
+        planes = linear_planes(1.0, 10.0, 8)
+        cv = build_cost_volume(target, sources, K, planes)
+        want_costs, want_counts = _per_plane_composition(target, sources, K, planes)
+        assert np.array_equal(cv.costs, want_costs)
+        assert np.array_equal(cv.valid_count, want_counts)
+        assert (want_counts > 0).mean() > 0.5
+
+    @pytest.mark.parametrize("tile, planes", [(32768, 32), (32768, 96), (1000, 12), (8, 12)])
+    def test_work_arrays_hold_one_tile(self, rendered_presets, monkeypatch, tile, planes):
+        # Peak memory: each pool thread's work arrays hold at most one tile
+        # of cells, and at least one pixel with all its planes.
+        made = []
+
+        class Recorded(geometry._WorkArrays):
+            def __init__(self, channels, n):
+                super().__init__(channels, n)
+                made.append(n)
+
+        monkeypatch.setattr(costvolume, "_TILE", tile)
+        monkeypatch.setattr(costvolume, "_WorkArrays", Recorded)
+        setup, frames = rendered_presets["static_lateral"]
+        f_t = extract_features(frames[1].image, "gradient", 1)
+        source = (extract_features(frames[0].image, "gradient", 1),
+                  relative_pose(frames[1].pose, frames[0].pose))
+        build_cost_volume(f_t, [source], setup.K, linear_planes(1.0, 10.0, planes))
         h, w, _ = f_t.shape
-        for p, d in enumerate(planes.depths):
-            total = np.zeros((h, w))
-            count = np.zeros((h, w), dtype=np.uint8)
-            for fmap, pose in sources:
-                warped, valid = bilinear_sample(fmap.data, plane_warp_grid(float(d), pose, setup.K))
-                total += np.where(valid, np.abs(warped - f_t.data).mean(axis=2), 0.0)
-                count += valid
-            want = np.where(count > 0, total / np.maximum(count, 1), np.inf)
-            assert np.array_equal(cv.costs[:, :, p], want)
-            assert np.array_equal(cv.valid_count[:, :, p], count)
+        assert made
+        assert max(made) <= max(planes, min(tile, max(h * w, tile // 4)))
+
+
+def _per_plane_composition(target, sources, K, planes):
+    """The cost volume composed plane by plane from plane_warp_grid and bilinear_sample."""
+    h, w, _ = target.shape
+    costs = np.empty((h, w, len(planes)))
+    counts = np.empty((h, w, len(planes)), dtype=np.uint8)
+    for p, d in enumerate(planes.depths):
+        total = np.zeros((h, w))
+        count = np.zeros((h, w), dtype=np.uint8)
+        for fmap, pose in sources:
+            warped, valid = bilinear_sample(fmap.data, plane_warp_grid(float(d), pose, K))
+            total += np.where(valid, np.abs(warped - target.data).mean(axis=2), 0.0)
+            count += valid
+        costs[:, :, p] = np.where(count > 0, total / np.maximum(count, 1), np.inf)
+        counts[:, :, p] = count
+    return costs, counts
 
 
 class TestVolumeBudget:
@@ -426,8 +490,8 @@ class TestEndToEndRecovery:
         assert np.median(err[~box]) < floor
 
     def test_thread_count_does_not_change_result(self, rendered_presets, monkeypatch):
-        # 64x48 pixels in four tiles of 768 (_TILE 1000) or five of 615
-        # (_TILE 700, the last overlapping the fourth by 3).
+        # 64x48 pixels with their 16 planes in 50 runs of 62 (_TILE 1000) or
+        # 72 of 43 (_TILE 700), the last overlapping the one before by 28 or 24.
         setup, frames = rendered_presets["static_lateral"]
         planes = linear_planes(1.0, 10.0, 16)
         for tile in (1000, 700):

@@ -1,12 +1,14 @@
 """Depth metrics, median scaling, crops, and the error heatmap."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import depth_metrics_ref
-from sweepdepth.errors import EmptyValidSet, NonFiniteDepth, TooSmall
+from sweepdepth.errors import EmptyValidSet, NonFiniteDepth, NonPositiveDepth, TooSmall
 from sweepdepth.evaluation import (
     abs_rel_error_map,
     crop,
@@ -40,6 +42,14 @@ class TestMedianScale:
         gt = rng.uniform(1, 50, (3, 3))
         with pytest.raises(EmptyValidSet):
             median_scale(gt, gt, np.zeros((3, 3), dtype=bool))
+
+    @pytest.mark.parametrize("median", [0.0, -2.0, np.nan])
+    def test_prediction_median_must_be_positive(self, rng, median):
+        gt = rng.uniform(1, 50, (3, 3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonPositiveDepth, match="median"):
+                median_scale(np.full((3, 3), median), gt, np.ones((3, 3), dtype=bool))
 
 
 class TestDepthMetrics:
