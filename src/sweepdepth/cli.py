@@ -39,7 +39,7 @@ from .costvolume import (
     upsample_nearest,
     zero_volume,
 )
-from .errors import SweepDepthError
+from .errors import ShapeMismatch, SweepDepthError
 from .evaluation import (
     CROP_SCHEMES,
     DEPTH_CAP,
@@ -76,8 +76,10 @@ def load_dataset(root: str | Path) -> Dataset:
     K = sdio.read_intrinsics(root / "intrinsics.json")
     images, poses = [], []
     t = 0
-    while (root / f"frame_{t:04d}.ppm").exists():
-        images.append(sdio.read_ppm(root / f"frame_{t:04d}.ppm"))
+    while (frame := root / f"frame_{t:04d}.ppm").exists():
+        images.append(sdio.read_ppm(frame))
+        if images[-1].shape[:2] != (K.height, K.width):
+            raise ShapeMismatch(f"{frame} is not the {K.width}x{K.height} of intrinsics.json")
         poses.append(sdio.read_pose(root / f"pose_{t:04d}.json"))
         t += 1
     if not images:
@@ -103,8 +105,8 @@ def _check_frames(target: int, source_idxs: list[int], count: int) -> None:
     if not (0 <= target < count):
         raise SweepDepthError(f"target {target} out of range for {count}-frame dataset")
     for i in source_idxs:
-        if not (0 <= i < count) or i == target:
-            raise SweepDepthError(f"bad source index {i} for {count}-frame dataset")
+        if not (0 <= i < count) or i == target or source_idxs.count(i) > 1:
+            raise SweepDepthError(f"bad or repeated source index {i} for {count}-frame dataset")
 
 
 def _volume_for(

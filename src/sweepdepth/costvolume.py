@@ -9,7 +9,6 @@ cost and are excluded from the argmin.
 
 from __future__ import annotations
 
-import math
 import os
 import queue
 from concurrent.futures import ThreadPoolExecutor
@@ -63,8 +62,9 @@ def check_volume_size(height: int, width: int, plane_count: int) -> None:
 
 
 def _check_range(d_min: float, d_max: float) -> None:
-    if not (0 < d_min < d_max < math.inf):
-        raise InvalidRange(f"need 0 < d_min < d_max < inf, got ({d_min}, {d_max})")
+    f32 = np.finfo(np.float32)  # depth maps and dumps store float32; compare uncast, as floats
+    if not (float(f32.tiny) <= d_min < d_max <= float(f32.max)):
+        raise InvalidRange(f"need {f32.tiny:.8g} <= d_min < d_max <= {f32.max:.8g}, got ({d_min}, {d_max})")
 
 
 @dataclass(frozen=True)
@@ -166,17 +166,17 @@ def build_cost_volume(
     features; contributions average over the sources whose warped sample
     was in bounds. Cells with no valid source get cost +inf.
 
-    The volume is filled in runs of whole pixels with all their planes, each
-    one contiguous block of ``costs`` and ``valid_count``, on a thread pool
-    whose width SWEEPDEPTH_THREADS sets (0 or unset: min(cores, 4)). A run
-    holds min(_TILE, max(H'W', _TILE // 4)) cells, and at least one pixel
-    with all its planes, in work arrays allocated once per sweep for each
-    pool thread. The runs are equal; the last is scored over the last
-    pixels, overlapping the one before, and writes only the pixels no other
-    run owns. Every cell takes the same arithmetic in any run, so the result
-    is bit-identical whatever the pool width, the tile size or the execution
-    order. A volume over MAX_VOLUME_CELLS raises VolumeTooLarge before
-    anything is allocated.
+    The volume is filled in runs of whole pixels with all their planes, on a
+    thread pool whose width SWEEPDEPTH_THREADS sets (0 or unset: min(cores,
+    4)). A run holds up to min(_TILE, max(H'W', _TILE // 4)) cells, and at
+    least one pixel with all its planes. It scores straight into its own
+    contiguous block of ``costs`` and ``valid_count``, with work arrays
+    allocated once per sweep for each pool thread. The last run ends at the
+    last pixel and may overlap the run before it, so it is scored after all
+    the others. Every cell takes the same arithmetic in any run, so the
+    result is bit-identical whatever the pool width, the tile size or the
+    execution order. A volume over MAX_VOLUME_CELLS raises VolumeTooLarge
+    before anything is allocated.
     """
     if not sources:
         raise EmptySourceList("cost volume needs at least one source view")
@@ -198,33 +198,30 @@ def build_cost_volume(
     for fmap, pose in sources:
         proj = _PlaneProjection.of(pose, K)
         views.append((_channel_major(fmap.data), proj.uv, proj.column(planes.depths)[:, None, :]))
-    costs = np.empty(n * n_planes)
-    counts = np.empty(n * n_planes, dtype=np.min_scalar_type(len(sources)))
-    per_run = max(1, min(_TILE, max(n, _TILE // 4)) // n_planes)
-    runs = -(-n // per_run)
-    per_run = -(-n // runs)
+    costs = np.empty((n, n_planes))
+    counts = np.empty((n, n_planes), dtype=np.min_scalar_type(len(sources)))
+    per_run = min(n, max(1, min(_TILE, max(n, _TILE // 4)) // n_planes))
     cells = per_run * n_planes
-    workers = _thread_count(runs)
+    starts = range(0, n, per_run)
+    workers = _thread_count(len(starts))
     # One set of work arrays per pool thread, lent to one run at a time.
     # They are allocated here: allocated in the pool threads, they would sit
     # in per-thread malloc arenas and raise the peak RSS of small sweeps.
     idle = queue.SimpleQueue()
     for _ in range(workers):
-        idle.put((_WorkArrays(channels, cells), np.empty((2, cells)),
-                  np.empty((2, cells), counts.dtype)))
+        idle.put((_WorkArrays(channels, cells), np.empty(cells), np.empty(cells, counts.dtype)))
 
     def sweep_run(start: int) -> None:
+        first = min(start, n - per_run)  # the last run ends at the last pixel
+        run = slice(first, first + per_run)
         arrays = idle.get()
         try:
-            score_run(start, *arrays)
+            score_run(run, costs[run].reshape(-1), counts[run].reshape(-1), *arrays)
         finally:
             idle.put(arrays)
 
-    def score_run(start: int, work: _WorkArrays, sums: np.ndarray, tallies: np.ndarray) -> None:
-        first = min(start, n - per_run)  # the last run ends at the last pixel
-        run = slice(first, first + per_run)
-        total, diff = sums
-        count, denom = tallies
+    def score_run(run: slice, total: np.ndarray, count: np.ndarray,
+                  work: _WorkArrays, diff: np.ndarray, denom: np.ndarray) -> None:
         total.fill(0.0)
         count.fill(0)
         for src, uv, column in views:
@@ -239,15 +236,12 @@ def build_cost_volume(
             np.add(total, diff, out=total, where=work.valid)
             count += work.valid
         np.maximum(count, 1, out=denom)
-        np.divide(total, denom, out=diff)
-        np.copyto(diff, np.inf, where=count == 0)
-        owned = slice((start - first) * n_planes, None)  # pixels an earlier run wrote are skipped
-        block = slice(start * n_planes, (first + per_run) * n_planes)
-        costs[block] = diff[owned]
-        counts[block] = count[owned]
+        np.divide(total, denom, out=total)
+        np.copyto(total, np.inf, where=count == 0)
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(sweep_run, range(0, n, per_run)))
+        list(pool.map(sweep_run, starts[:-1]))
+        pool.submit(sweep_run, starts[-1]).result()  # it may overlap the run before it
 
     shape = (h, w, n_planes)
     return CostVolume(costs=costs.reshape(shape), valid_count=counts.reshape(shape))

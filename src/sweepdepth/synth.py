@@ -19,6 +19,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .costvolume import MAX_VOLUME_CELLS
 from .errors import DegenerateRay, InvalidParameter
 from .features import _central_diff_x, _central_diff_y
 from .geometry import Intrinsics, Pose, _pixel_rays, project
@@ -352,6 +353,8 @@ def _scene_setup_from_json(obj: dict) -> SceneSetup:
         w, h = int(obj.get("width", 64)), int(obj.get("height", 48))
         K = Intrinsics(fx=float(w), fy=float(w), cx=(w - 1) / 2.0, cy=(h - 1) / 2.0,
                        width=w, height=h)
+    if K.width * K.height > MAX_VOLUME_CELLS:
+        raise InvalidParameter(f"{K.width}x{K.height} pixels exceed the budget of {MAX_VOLUME_CELLS}")
     poses = [
         pose_from_json(p) if isinstance(p, dict) else Pose.from_translation(*p)
         for p in obj["camera_motion"]

@@ -15,7 +15,7 @@ import sweepdepth
 from sweepdepth import cli
 from sweepdepth.cli import main
 from sweepdepth.costvolume import inverse_depth_planes
-from sweepdepth.io import read_cost_volume, read_pfm, write_pfm
+from sweepdepth.io import read_cost_volume, read_pfm, write_pfm, write_ppm
 
 
 def run(capsys, *argv):
@@ -319,6 +319,23 @@ def _bad_input_argv(case, data, tmp):
         return ["depth", *volume, "--out", str(tmp / "d.pfm"), "--augment-sample", index]
     if case == "d_max_inf":  # the last --d-max wins
         return ["depth", *volume, "--d-max", "inf", "--out", str(tmp / "d.pfm")]
+    if case == "d_min_float32_zero":  # 1e-300 is 0 in a float32 depth map
+        return ["depth", *volume, "--d-min", "1e-300", "--out", str(tmp / "d.pfm"), "--zero-cv"]
+    if case == "d_max_float32_inf":  # 1e300 is inf in a float32 depth map
+        return ["depth", *volume, "--d-max", "1e300", "--out", str(tmp / "d.pfm"),
+                "--feature-scale", "1", "--teacher", str(data / "depth_0001.pfm")]
+    if case == "repeated_source":
+        return ["depth", *volume, "--out", str(tmp / "d.pfm"), "--sources", "0", "0"]
+    if case.startswith("frame_size_mismatch"):  # a 640x192 frame in a 64x48 dataset
+        bad = tmp / "data"
+        shutil.copytree(data, bad)
+        write_ppm(bad / "frame_0002.ppm", np.zeros((192, 640, 3)))
+        if case == "frame_size_mismatch_loss":
+            return ["loss", *volume, "--data", str(bad), "--feature-scale", "1",
+                    "--student", str(bad / "depth_0001.pfm"),
+                    "--teacher", str(bad / "depth_0001.pfm")]
+        return ["depth", *volume, "--data", str(bad), "--out", str(tmp / "d.pfm"),
+                "--sources", "0", "2"]
     if case == "student_with_nan_pixel":
         student = read_pfm(data / "depth_0001.pfm")
         student[5, 7] = np.nan
@@ -370,6 +387,11 @@ def _bad_input_argv(case, data, tmp):
                                                    "velocity": [0.05, 0, 0]}},
         "texture_zero_period": {"planes": [{**plane, "texture": {"period_x": 0}}]},
         "target_index_out_of_range": {"target_index": 9},
+        # 10^7 x 10^7 pixels, past any machine's memory: without the check it fails at once
+        # in numpy rather than rendering for minutes
+        "scene_too_large": {"width": 10**7, "height": 10**7},
+        "scene_too_large_intrinsics": {"intrinsics": {"fx": 1e7, "fy": 1e7, "cx": 5e6, "cy": 5e6,
+                                                      "width": 10**7, "height": 10**7}},
         "mover_half_size_not_positive": {"mover": {"center": [0, 0, 2.0],
                                                    "half_size": [-0.3, -0.2],
                                                    "velocity": [0.05, 0, 0]}},
@@ -418,6 +440,13 @@ def _bad_input_argv(case, data, tmp):
     "augment_sample_negative",
     "augment_sample_over_64_bits",
     "pred_all_zero_median_scale",
+    "frame_size_mismatch_loss",
+    "frame_size_mismatch_depth",
+    "repeated_source",
+    "d_min_float32_zero",
+    "d_max_float32_inf",
+    "scene_too_large",
+    "scene_too_large_intrinsics",
 ])
 def test_bad_input_is_a_typed_error(case, lateral_dataset, tmp_path):
     argv = _bad_input_argv(case, lateral_dataset, tmp_path)
@@ -431,8 +460,14 @@ def test_bad_input_is_a_typed_error(case, lateral_dataset, tmp_path):
     assert "Traceback" not in proc.stderr
     if case == "target_out_of_range":
         assert "target 9 out of range" in proc.stderr
-    if case == "too_many_planes":
+    if case.startswith(("too_many_planes", "scene_too_large")):
         assert "budget" in proc.stderr
+    if case.startswith("frame_size_mismatch"):
+        assert "frame_0002.ppm" in proc.stderr
+    if case == "repeated_source":
+        assert "repeated source index 0" in proc.stderr
+    if case.startswith(("d_min_float32", "d_max_float32")):
+        assert "<= 3.4028235e+38" in proc.stderr and "Warning" not in proc.stderr
     if case == "pred_all_zero_median_scale":
         assert "median" in proc.stderr and "Warning" not in proc.stderr
     if case == "pred_with_nan_pixel":
@@ -440,6 +475,6 @@ def test_bad_input_is_a_typed_error(case, lateral_dataset, tmp_path):
     if argv[0] == "synth":
         assert not (tmp_path / "out").exists()
     if case.startswith(("intrinsics", "pose", "plane", "texture_unknown_key", "mover",
-                        "texture_zero_period", "target_index", "scene_not_utf8",
+                        "texture_zero_period", "target_index", "scene_not_utf8", "scene_too_large",
                         "state_d_max_infinity", "state_with_unknown_key", "state_momentum_one")):
         assert ".json" in proc.stderr

@@ -1,6 +1,7 @@
 """Plane sets, cost volume construction, argmin extraction, adaptive range."""
 
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -61,6 +62,22 @@ class TestLinearPlanes:
         with pytest.raises(InvalidRange):
             AdaptiveRangeState(d_min, d_max)
 
+    @pytest.mark.parametrize("d_min, d_max", [(1e-300, 10.0), (1.0, 1e300)])
+    def test_ranges_float32_cannot_hold(self, d_min, d_max):
+        # Depth maps and dumps are float32, where these bounds become 0 or inf.
+        # They are refused without being cast, so no overflow warning either.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidRange):
+                linear_planes(d_min, d_max, 4)
+            with pytest.raises(InvalidRange):
+                inverse_depth_planes(d_min, d_max, 4)
+            with pytest.raises(InvalidRange):
+                AdaptiveRangeState(d_min, d_max)
+        f32 = np.finfo(np.float32)
+        assert linear_planes(float(f32.tiny), float(f32.max), 4).depths[-1] == f32.max
+        AdaptiveRangeState(float(f32.tiny), float(f32.max))
+
 
 def small_K(w=8, h=6):
     return Intrinsics(fx=10.0, fy=10.0, cx=(w - 1) / 2, cy=(h - 1) / 2, width=w, height=h)
@@ -111,6 +128,9 @@ class TestBuildCostVolume:
         other = FeatureMap(data=rng.random((6, 9, 1)), scale=1)
         with pytest.raises(ShapeMismatch):
             build_cost_volume(fmap, [(other, Pose.identity())], K, linear_planes(1, 2, 2))
+        with pytest.raises(ShapeMismatch, match="rescale K"):  # K at image, not feature, size
+            build_cost_volume(fmap, [(fmap, Pose.identity())], small_K(16, 12),
+                              linear_planes(1, 2, 2))
 
     def test_matches_per_pixel_loop_oracle(self, rng, monkeypatch):
         # Vectorized homography path against the scalar reference, pose with
@@ -153,9 +173,9 @@ class TestBuildCostVolume:
         # The tiled kernel returns the same bits as composing the public
         # plane_warp_grid and bilinear_sample plane by plane, for 1 and 3
         # channels. The 64x48 pixels with their 12 planes go in 10 runs of
-        # 308 pixels (_TILE 16384, a tile of _TILE // 4 cells), 38 of 81
+        # 341 pixels (_TILE 16384, a tile of _TILE // 4 cells), 38 of 83
         # (_TILE 1000) or 53 of 58 (_TILE 700); the last run overlaps the
-        # one before by 8, 6 or 2 pixels.
+        # one before by 338, 82 or 2 pixels.
         # The second source's pose is yawed by 0.02 rad so the homography
         # has rotation terms.
         monkeypatch.setattr(costvolume, "_TILE", tile)
@@ -193,7 +213,8 @@ class TestBuildCostVolume:
     @pytest.mark.parametrize("threads", ["1", "4"])
     def test_prime_pixel_count(self, rng, monkeypatch, threads):
         # A 1x127 strip with 8 planes and a _TILE of 64: 16 runs of 8
-        # pixels, the last scored over pixels 119-126 and writing 120-126.
+        # pixels, the last scored over pixels 119-126. It shares pixel 119
+        # with the run before, so it must not run alongside it.
         monkeypatch.setattr(costvolume, "_TILE", 64)
         monkeypatch.setenv("SWEEPDEPTH_THREADS", threads)
         K = Intrinsics(fx=60.0, fy=60.0, cx=63.0, cy=0.0, width=127, height=1)
@@ -202,10 +223,16 @@ class TestBuildCostVolume:
                    for pose in (Pose.from_translation(0.2, 0, 0.05),
                                 Pose.from_translation(-0.3, 0, 0))]
         planes = linear_planes(1.0, 10.0, 8)
-        cv = build_cost_volume(target, sources, K, planes)
         want_costs, want_counts = _per_plane_composition(target, sources, K, planes)
-        assert np.array_equal(cv.costs, want_costs)
-        assert np.array_equal(cv.valid_count, want_counts)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often: overlapping runs would show
+        try:
+            for _ in range(5):  # a race need not show in every sweep
+                cv = build_cost_volume(target, sources, K, planes)
+                assert np.array_equal(cv.costs, want_costs)
+                assert np.array_equal(cv.valid_count, want_counts)
+        finally:
+            sys.setswitchinterval(interval)
         assert (want_counts > 0).mean() > 0.5
 
     @pytest.mark.parametrize("tile, planes", [(32768, 32), (32768, 96), (1000, 12), (8, 12)])
@@ -292,6 +319,8 @@ class TestArgminDepth:
         depth, valid = argmin_depth(cv, planes)
         assert np.allclose(depth, planes.depths[2])
         assert valid.all()
+        with pytest.raises(ShapeMismatch):
+            argmin_depth(cv, linear_planes(1.0, 4.0, 5))
 
     def test_tie_breaks_to_first_plane(self):
         planes = linear_planes(1.0, 4.0, 4)
@@ -328,6 +357,9 @@ class TestZeroVolume:
         assert cv.costs.shape == (2, 2, 4)
         assert (cv.costs == 0).all()
         assert (cv.valid_count == 1).all()
+        for dims in ((0, 2, 4), (2, -1, 4), (2, 2, 0)):
+            with pytest.raises(InvalidRange):
+                zero_volume(*dims)
 
     def test_argmin_is_tie_rule_constant(self):
         planes = linear_planes(1.0, 9.0, 4)
@@ -373,6 +405,8 @@ class TestAdaptiveRange:
         state = AdaptiveRangeState(d_min=1.0, d_max=10.0)
         with pytest.raises(EmptyBatch):
             adaptive_range_update(state, [])
+        with pytest.raises(InvalidRange):
+            adaptive_range_update(state, [np.ones((2, 2)), np.ones((0, 3))])
 
     @pytest.mark.parametrize("bad", [0.0, np.nan, np.inf])
     def test_non_finite_or_nonpositive_batch_rejected(self, bad):

@@ -8,7 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import depth_metrics_ref
-from sweepdepth.errors import EmptyValidSet, NonFiniteDepth, NonPositiveDepth, TooSmall
+from sweepdepth.errors import (
+    EmptyValidSet,
+    NonFiniteDepth,
+    NonPositiveDepth,
+    ShapeMismatch,
+    TooSmall,
+)
 from sweepdepth.evaluation import (
     abs_rel_error_map,
     crop,
@@ -42,6 +48,8 @@ class TestMedianScale:
         gt = rng.uniform(1, 50, (3, 3))
         with pytest.raises(EmptyValidSet):
             median_scale(gt, gt, np.zeros((3, 3), dtype=bool))
+        with pytest.raises(ShapeMismatch):
+            median_scale(gt, gt, np.ones((3, 4), dtype=bool))
 
     @pytest.mark.parametrize("median", [0.0, -2.0, np.nan])
     def test_prediction_median_must_be_positive(self, rng, median):
@@ -90,6 +98,8 @@ class TestDepthMetrics:
     def test_empty_valid_set(self):
         with pytest.raises(EmptyValidSet):
             depth_metrics(np.ones((2, 2)), np.full((2, 2), 100.0))
+        with pytest.raises(ShapeMismatch):
+            depth_metrics(np.ones((2, 3)), np.ones((2, 2)))
 
     @given(st.integers(0, 100_000))
     @settings(max_examples=40)
@@ -133,6 +143,8 @@ class TestAbsRelErrorMap:
         gt = np.array([[1.0, 0.0]])
         err, valid = abs_rel_error_map(np.ones((1, 2)), gt)
         assert valid[0, 0] and not valid[0, 1]
+        with pytest.raises(ShapeMismatch):
+            abs_rel_error_map(np.ones((2, 1)), gt)
         assert err[0, 1] == 0.0
 
 
@@ -185,6 +197,8 @@ class TestCrop:
     def test_too_small(self):
         with pytest.raises(TooSmall):
             crop(np.zeros((1, 4)), "cityscapes_A")
+        with pytest.raises(TooSmall):  # 3/4 of one row keeps none
+            crop(np.zeros((1, 4)), "cityscapes_B")
 
     def test_unknown_scheme(self):
         with pytest.raises(ValueError):

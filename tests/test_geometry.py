@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sweepdepth.errors import DimensionMismatch, InvalidParameter, NonPositiveDepth
+from sweepdepth.errors import DimensionMismatch, InvalidParameter, NonPositiveDepth, ShapeMismatch
 from sweepdepth.geometry import (
     Intrinsics,
     PixelGrid,
@@ -75,6 +75,11 @@ class TestIntrinsics:
         with pytest.raises(InvalidParameter):
             dataclasses.replace(K, **{name: bad})
 
+    @pytest.mark.parametrize("cx, cy", [(-1.0, 48.0), (200.0, 48.0), (96.0, 100.0)])
+    def test_rejects_principal_point_outside_image(self, cx, cy):
+        with pytest.raises(InvalidParameter, match="principal point"):
+            dataclasses.replace(K, cx=cx, cy=cy)
+
 
 class TestPose:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -85,6 +90,8 @@ class TestPose:
     def test_rejects_non_orthonormal(self):
         with pytest.raises(ValueError):
             Pose(np.eye(3) * 2.0, np.zeros(3))
+        with pytest.raises(InvalidParameter, match="3x3"):
+            Pose(np.eye(2), np.zeros(3))
 
     def test_rejects_reflection(self):
         R = np.diag([1.0, 1.0, -1.0])
@@ -236,6 +243,8 @@ class TestBilinearSample:
         out, valid = bilinear_sample(img, PixelGrid(coords=coords, valid=valid_in))
         assert (valid == valid_in).all()
         assert out[0, 1] == 0.0 and out[1, 1] == 1.0
+        with pytest.raises(ShapeMismatch):  # coords for 3x2 pixels, a valid mask for 2x2
+            bilinear_sample(img, PixelGrid(coords=np.ones((3, 2, 2)), valid=valid_in))
 
     def test_nan_coords_at_invalid_entries_sample_zero(self):
         img = np.ones((4, 4, 2))

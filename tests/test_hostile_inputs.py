@@ -7,11 +7,13 @@ import shutil
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sweepdepth.cli import main
+from sweepdepth.io import write_ppm
 
 # A small static scene: 16x12, one textured wall, three frames.
 _SCENE = {
@@ -62,10 +64,13 @@ _INT_OPTIONS = {
 _HOSTILE = ("nan", "inf", "-1", "0", "1e308")
 
 # Every (command, kind, what, how). Integer options only take the hostile
-# values that parse as integers: argparse itself rejects the rest.
+# values that parse as integers: argparse itself rejects the rest. A "resize"d
+# frame is whole but not the size intrinsics.json gives.
 CASES = (
     [(command, "file", name, how) for command in ("depth", "depth_adaptive", "loss", "eval", "dump-cv")
      for name in _FILES for how in _DAMAGE]
+    + [(command, "file", f"frame_{t:04d}.ppm", "resize")
+       for command in ("depth", "depth_adaptive", "loss", "dump-cv") for t in range(3)]
     + [(command, "option", option, value) for command, options in _FLOAT_OPTIONS.items()
        for option in options for value in _HOSTILE]
     + [(command, "option", option, value) for command, options in _INT_OPTIONS.items()
@@ -87,6 +92,9 @@ def dataset(tmp_path_factory):
 def _damage(path, how):
     if how == "drop":
         path.unlink()
+        return
+    if how == "resize":
+        write_ppm(path, np.zeros((7, 9, 3)))
         return
     content = path.read_bytes()
     if how == "truncate":
@@ -124,11 +132,14 @@ def _run(case, data, tmp):
 @given(st.sampled_from(CASES))
 @example(("loss", "option", "--smooth-weight", "nan"))
 @example(("loss", "option", "--smooth-weight", "inf"))
+@example(("loss", "file", "frame_0002.ppm", "resize"))
 def test_hostile_input_exits_cleanly(dataset, case):
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         code, out, err = _run(case, dataset, tmp)
         assert code == 0 or (code == 1 and err.startswith("error:")), (code, err)
+        if case[3] == "resize":
+            assert code == 1 and case[2] in err, (code, err)
         if code == 0:
             # Every JSON report, printed or written, is valid JSON.
             reports = [out] + [p.read_text() for p in tmp.glob("*.json")]

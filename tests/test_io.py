@@ -5,7 +5,9 @@ import pytest
 
 from sweepdepth.costvolume import CostVolume, linear_planes
 from sweepdepth.errors import (
+    InvalidRange,
     MalformedHeader,
+    ShapeMismatch,
     SweepDepthError,
     TruncatedPayload,
     UnsupportedMaxval,
@@ -43,6 +45,9 @@ class TestPfm:
         path = tmp_path / "c.pfm"
         write_pfm(path, data)
         assert np.array_equal(read_pfm(path), data)
+        for bad in (data[..., :2], data[None]):  # two channels; four axes
+            with pytest.raises(ShapeMismatch):
+                write_pfm(path, bad)
 
     def test_literal_header_layout(self, tmp_path):
         payload = np.arange(35, dtype="<f4").tobytes()
@@ -90,12 +95,16 @@ class TestNetpbm:
         path = tmp_path / "i.ppm"
         write_ppm(path, img)
         assert np.array_equal(read_ppm(path), img)
+        with pytest.raises(ShapeMismatch):
+            write_ppm(path, img[..., 0])
 
     def test_pgm_round_trip(self, tmp_path, rng):
         img = rng.integers(0, 256, (6, 5)).astype(np.float64) / 255.0
         path = tmp_path / "i.pgm"
         write_pgm(path, img)
         assert np.array_equal(read_pgm(path), img)
+        with pytest.raises(ShapeMismatch):
+            write_pgm(path, img[..., None])
 
     def test_unsupported_maxval(self, tmp_path):
         path = tmp_path / "m.ppm"
@@ -201,6 +210,13 @@ class TestCostVolumeDump:
         path = tmp_path / "v.swpcv"
         path.write_bytes(b"SWPCV1 2 2 2 1.0 2.0\n" + bytes(10))
         with pytest.raises(TruncatedPayload):
+            read_cost_volume(path)
+
+    @pytest.mark.parametrize("d_min, d_max", [(b"1e-300", b"2.0"), (b"1.0", b"1e300")])
+    def test_header_range_float32_cannot_hold(self, tmp_path, d_min, d_max):
+        path = tmp_path / "v.swpcv"
+        path.write_bytes(b"SWPCV1 2 2 2 " + d_min + b" " + d_max + b"\n" + bytes(32))
+        with pytest.raises(InvalidRange):
             read_cost_volume(path)
 
 

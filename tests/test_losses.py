@@ -52,6 +52,8 @@ class TestSsim:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
             ssim(np.zeros((4, 4)), np.zeros((4, 5)))
+        with pytest.raises(ShapeMismatch):
+            photometric_error(np.zeros((4, 4, 3)), np.zeros((4, 4)))
 
 
 class TestPhotometricError:
@@ -113,6 +115,9 @@ class TestMinReprojection:
     def test_empty_sources(self, rng):
         with pytest.raises(EmptySources):
             min_reprojection_loss(rng.random((4, 4)), [])
+        img = rng.random((4, 4))
+        with pytest.raises(ShapeMismatch):  # a valid mask of another shape
+            min_reprojection_loss(img, [(img, np.ones((4, 5), dtype=bool))])
 
     def test_adding_sources_never_increases(self, rng):
         img = rng.random((5, 5))
@@ -143,6 +148,8 @@ class TestConsistencyMask:
     def test_nonpositive_rejected(self):
         with pytest.raises(NonPositiveDepth):
             consistency_mask(np.zeros((2, 2)), np.ones((2, 2)))
+        with pytest.raises(ShapeMismatch):
+            consistency_mask(np.ones((2, 2)), np.ones((2, 3)))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_rejected(self, bad):
@@ -170,6 +177,8 @@ class TestConsistencyLoss:
     def test_zero_mask(self, rng):
         d = rng.random((4, 4)) + 1
         assert consistency_loss(d, d + 3, np.zeros((4, 4), dtype=bool)) == 0.0
+        with pytest.raises(ShapeMismatch):
+            consistency_loss(d, d + 3, np.zeros((4, 5), dtype=bool))
 
     def test_full_mask_constant_offset(self, rng):
         d = rng.random((4, 4)) + 1
@@ -207,6 +216,8 @@ class TestSmoothness:
     def test_nonpositive_rejected(self):
         with pytest.raises(NonPositiveDepth):
             smoothness_loss(np.zeros((3, 3)), np.zeros((3, 3)))
+        with pytest.raises(ShapeMismatch):
+            smoothness_loss(np.ones((3, 3)), np.zeros((3, 4, 3)))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_rejected(self, bad):
