@@ -175,6 +175,10 @@ def cmd_synth(args) -> int:
             f"scene {args.scene!r} is neither a preset {PRESET_NAMES} nor a file"
         )
     frames = make_sequence(setup.scene, setup.poses, setup.K)
+    rects = [
+        {"time": frame.time, "rect": mover_rect(setup.scene, frame.pose, setup.K, frame.time)}
+        for frame in frames
+    ]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     sdio.write_intrinsics(out / "intrinsics.json", setup.K)
@@ -183,10 +187,6 @@ def cmd_synth(args) -> int:
         sdio.write_pfm(out / f"depth_{frame.time:04d}.pfm", frame.depth_gt)
         sdio.write_pose(out / f"pose_{frame.time:04d}.json", frame.pose)
     if setup.scene.mover is not None:
-        rects = [
-            {"time": frame.time, "rect": mover_rect(setup.scene, frame.pose, setup.K, frame.time)}
-            for frame in frames
-        ]
         sdio.write_json(out / "mover.json", {"frames": rects})
     print(json.dumps({"out": str(out), "frames": len(frames), "target_index": setup.target_index}))
     return 0

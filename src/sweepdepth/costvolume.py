@@ -10,7 +10,6 @@ cost and are excluded from the argmin.
 from __future__ import annotations
 
 import os
-import queue
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -140,7 +139,9 @@ def inverse_depth_planes(d_min: float, d_max: float, count: int = DEFAULT_PLANE_
     return DepthPlaneSet(d_min, d_max, count, "inverse")
 
 
-def _thread_count(plane_count: int) -> int:
+def _thread_count(run_count: int) -> int:
+    """Sweep pool width for ``run_count`` whole runs: SWEEPDEPTH_THREADS (0, unset
+    or not an integer: min(cores, 4)), at most one thread per run."""
     raw = os.environ.get("SWEEPDEPTH_THREADS", "0")
     try:
         n = int(raw)
@@ -148,7 +149,7 @@ def _thread_count(plane_count: int) -> int:
         n = 0
     if n <= 0:
         n = min(os.cpu_count() or 1, 4)
-    return max(1, min(n, plane_count))
+    return max(1, min(n, run_count))
 
 
 def build_cost_volume(
@@ -166,15 +167,17 @@ def build_cost_volume(
     features; contributions average over the sources whose warped sample
     was in bounds. Cells with no valid source get cost +inf.
 
-    The volume is filled in runs of whole pixels with all their planes, on a
-    thread pool whose width SWEEPDEPTH_THREADS sets (0 or unset: min(cores,
-    4)). A run holds up to min(_TILE, max(H'W', _TILE // 4)) cells, and at
-    least one pixel with all its planes. It scores straight into its own
-    contiguous block of ``costs`` and ``valid_count``, with work arrays
-    allocated once per sweep for each pool thread. The last run ends at the
-    last pixel and may overlap the run before it, so it is scored after all
-    the others. Every cell takes the same arithmetic in any run, so the
-    result is bit-identical whatever the pool width, the tile size or the
+    The pixels are split into contiguous slabs, one per thread of a pool
+    whose width SWEEPDEPTH_THREADS sets (0 or unset: min(cores, 4)), and
+    each slab is swept in runs of whole pixels with all their planes. A run
+    holds up to min(_TILE, max(H'W', _TILE // 4)) cells, and at least one
+    pixel with all its planes; every slab holds at least one whole run. A
+    run scores straight into its own contiguous block of ``costs`` and
+    ``valid_count``, with the work arrays of its slab's thread, allocated
+    once per sweep. A slab's last run ends at the slab's last pixel and may
+    overlap the run before it, on the same thread, so no two threads write
+    one cell. Every cell takes the same arithmetic in any run, so the result
+    is bit-identical whatever the pool width, the tile size or the
     execution order. A volume over MAX_VOLUME_CELLS raises VolumeTooLarge
     before anything is allocated.
     """
@@ -202,46 +205,40 @@ def build_cost_volume(
     counts = np.empty((n, n_planes), dtype=np.min_scalar_type(len(sources)))
     per_run = min(n, max(1, min(_TILE, max(n, _TILE // 4)) // n_planes))
     cells = per_run * n_planes
-    starts = range(0, n, per_run)
-    workers = _thread_count(len(starts))
-    # One set of work arrays per pool thread, lent to one run at a time.
-    # They are allocated here: allocated in the pool threads, they would sit
-    # in per-thread malloc arenas and raise the peak RSS of small sweeps.
-    idle = queue.SimpleQueue()
-    for _ in range(workers):
-        idle.put((_WorkArrays(channels, cells), np.empty(cells), np.empty(cells, counts.dtype)))
+    workers = _thread_count(n // per_run)
+    bounds = [n * k // workers for k in range(workers + 1)]  # each slab holds a whole run
+    # Each slab's work arrays and count row are allocated here: allocated in
+    # the pool threads, they would sit in per-thread malloc arenas and raise
+    # the peak RSS of small sweeps.
+    per_slab = [(_WorkArrays(channels, cells), np.empty(cells, counts.dtype))
+                for _ in range(workers)]
 
-    def sweep_run(start: int) -> None:
-        first = min(start, n - per_run)  # the last run ends at the last pixel
-        run = slice(first, first + per_run)
-        arrays = idle.get()
-        try:
-            score_run(run, costs[run].reshape(-1), counts[run].reshape(-1), *arrays)
-        finally:
-            idle.put(arrays)
-
-    def score_run(run: slice, total: np.ndarray, count: np.ndarray,
-                  work: _WorkArrays, diff: np.ndarray, denom: np.ndarray) -> None:
-        total.fill(0.0)
-        count.fill(0)
-        for src, uv, column in views:
-            np.add(uv[:, run, None], column, out=work.q.reshape(3, per_run, n_planes))
-            _to_pixels(work.q, K, work.valid, work.tmp, work.mask)
-            warped = _bilinear_gather(src, h, w, work.q[:2], work)
-            cube = warped.reshape(channels, per_run, n_planes)  # a view: the cell axis is contiguous
-            cube -= target_cm[:, run, None]
-            np.abs(warped, out=warped)
-            np.add.reduce(warped, axis=0, out=diff)  # the channel mean, as np.mean sums it
-            diff /= channels
-            np.add(total, diff, out=total, where=work.valid)
-            count += work.valid
-        np.maximum(count, 1, out=denom)
-        np.divide(total, denom, out=total)
-        np.copyto(total, np.inf, where=count == 0)
+    def sweep_slab(lo: int, hi: int, arrays: tuple[_WorkArrays, np.ndarray]) -> None:
+        work, denom = arrays
+        diff = work.tmp[0]  # free once _bilinear_gather has returned
+        for start in range(lo, hi, per_run):
+            first = min(start, hi - per_run)  # the slab's last run ends at its last pixel
+            run = slice(first, first + per_run)
+            total, count = costs[run].reshape(-1), counts[run].reshape(-1)
+            total.fill(0.0)
+            count.fill(0)
+            for src, uv, column in views:
+                np.add(uv[:, run, None], column, out=work.q.reshape(3, per_run, n_planes))
+                _to_pixels(work.q, K, work.valid, work.tmp, work.mask)
+                warped = _bilinear_gather(src, h, w, work.q[:2], work)
+                cube = warped.reshape(channels, per_run, n_planes)  # a view: the cell axis is contiguous
+                cube -= target_cm[:, run, None]
+                np.abs(warped, out=warped)
+                np.add.reduce(warped, axis=0, out=diff)  # the channel mean, as np.mean sums it
+                diff /= channels
+                np.add(total, diff, out=total, where=work.valid)
+                count += work.valid
+            np.maximum(count, 1, out=denom)
+            np.divide(total, denom, out=total)
+            np.copyto(total, np.inf, where=count == 0)
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(sweep_run, starts[:-1]))
-        pool.submit(sweep_run, starts[-1]).result()  # it may overlap the run before it
+        list(pool.map(sweep_slab, bounds[:-1], bounds[1:], per_slab))
 
     shape = (h, w, n_planes)
     return CostVolume(costs=costs.reshape(shape), valid_count=counts.reshape(shape))

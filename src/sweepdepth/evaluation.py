@@ -87,17 +87,18 @@ def depth_metrics(pred: np.ndarray, gt: np.ndarray, cap: float = DEPTH_CAP) -> M
 
 
 def abs_rel_error_map(pred: np.ndarray, gt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-pixel |pred - gt| / gt, with a mask of pixels where gt is positive.
+    """Per-pixel |pred - gt| / gt, with a mask of pixels where gt is finite and positive.
 
-    The map is 0 where gt is not positive; such pixels are flagged false.
-    A non-finite prediction raises NonFiniteDepth.
+    The map is 0 where gt is not (0 < gt < inf: zero, negative, infinite or
+    NaN); such pixels are flagged false. A non-finite prediction raises
+    NonFiniteDepth.
     """
     pred = np.asarray(pred, dtype=float)
     gt = np.asarray(gt, dtype=float)
     if pred.shape != gt.shape:
         raise ShapeMismatch(f"pred {pred.shape} does not match gt {gt.shape}")
     require_finite_depth(pred, "a scored prediction")
-    valid = gt > 0
+    valid = (gt > 0) & (gt < np.inf)
     err = np.zeros_like(gt)
     err[valid] = np.abs(pred[valid] - gt[valid]) / gt[valid]
     return err, valid

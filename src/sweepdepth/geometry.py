@@ -81,7 +81,9 @@ class Pose:
             raise InvalidParameter(f"rotation must be 3x3, got {R.shape}")
         if not np.isfinite(t).all():
             raise InvalidParameter(f"translation must be finite, got {t}")
-        if not np.allclose(R.T @ R, np.eye(3), atol=_ORTHONORMAL_TOL, rtol=0):
+        with np.errstate(all="ignore"):  # huge entries overflow to inf or NaN, and fail
+            orthonormal = np.allclose(R.T @ R, np.eye(3), atol=_ORTHONORMAL_TOL, rtol=0)
+        if not orthonormal:
             raise InvalidParameter("rotation is not orthonormal")
         if abs(np.linalg.det(R) - 1.0) > _ORTHONORMAL_TOL:
             raise InvalidParameter("rotation determinant is not +1")

@@ -188,27 +188,41 @@ def _nearest_hits(
 
 
 def render(scene: Scene, pose: Pose, K: Intrinsics, t: int = 0) -> Frame:
-    """Render one frame: nearest-intersection image and exact depth map."""
-    dirs_w = _pixel_rays(K) @ pose.rotation.T  # camera z component is 1: ray parameter == depth
-    origin = pose.translation
-    depth, winner = _nearest_hits(scene, origin, dirs_w, t)
-    if np.any(np.isinf(depth)):
-        raise DegenerateRay("some rays hit no scene element at positive depth")
+    """Render one frame: nearest-intersection image and exact depth map.
 
-    # (texture, albedo, texture anchor, noise seed), indexed like winner
-    surfaces = [(p.texture, p.albedo, (0.0, 0.0), scene.seed) for p in scene.planes]
-    if scene.mover is not None:
-        m = scene.mover
-        surfaces.append((m.texture, m.albedo, m.position(t)[:2], scene.seed + 1))
-    points = origin + dirs_w * depth[..., None]
-    image = np.zeros((K.height, K.width, 3))
-    for i, (texture, albedo, anchor, seed) in enumerate(surfaces):
-        sel = winner == i
-        if sel.any():
-            val = texture_value(
-                texture, points[sel, 0] - anchor[0], points[sel, 1] - anchor[1], seed
-            )
-            image[sel] = val[:, None] * np.asarray(albedo)
+    Extreme but finite scene numbers can overflow on the way; a frame with a
+    non-finite pixel, or a depth outside the positive normal float32 range
+    that depth maps store, raises InvalidParameter naming frame ``t``.
+    """
+    with np.errstate(all="ignore"):  # an overflow shows in the frame, checked below
+        dirs_w = _pixel_rays(K) @ pose.rotation.T  # camera z component is 1: ray parameter == depth
+        origin = pose.translation
+        depth, winner = _nearest_hits(scene, origin, dirs_w, t)
+        if np.any(np.isinf(depth)):
+            raise DegenerateRay(f"frame {t}: some rays hit no scene element at positive depth")
+
+        # (texture, albedo, texture anchor, noise seed), indexed like winner
+        surfaces = [(p.texture, p.albedo, (0.0, 0.0), scene.seed) for p in scene.planes]
+        if scene.mover is not None:
+            m = scene.mover
+            surfaces.append((m.texture, m.albedo, m.position(t)[:2], scene.seed + 1))
+        points = origin + dirs_w * depth[..., None]
+        image = np.zeros((K.height, K.width, 3))
+        for i, (texture, albedo, anchor, seed) in enumerate(surfaces):
+            sel = winner == i
+            if sel.any():
+                val = texture_value(
+                    texture, points[sel, 0] - anchor[0], points[sel, 1] - anchor[1], seed
+                )
+                image[sel] = val[:, None] * np.asarray(albedo)
+    if not np.isfinite(image).all():
+        raise InvalidParameter(f"frame {t}: the scene renders non-finite pixels")
+    f32 = np.finfo(np.float32)
+    if not (float(f32.tiny) <= depth.min() and depth.max() <= float(f32.max)):
+        raise InvalidParameter(
+            f"frame {t}: depths {depth.min():.8g} to {depth.max():.8g} leave the float32 "
+            f"range [{f32.tiny:.8g}, {f32.max:.8g}]"
+        )
     return Frame(image=image, depth_gt=depth, pose=pose, time=t)
 
 
@@ -250,17 +264,24 @@ def mover_mask(scene: Scene, pose: Pose, K: Intrinsics, t: int) -> np.ndarray:
 
 def mover_rect(scene: Scene, pose: Pose, K: Intrinsics, t: int) -> tuple[float, float, float, float] | None:
     """Pixel bounds (u0, v0, u1, v1) of the box's four projected corners; None
-    without a mover or when a corner is at or behind the camera plane."""
+    without a mover or when a corner is at or behind the camera plane. Corners
+    or bounds that overflow raise InvalidParameter naming frame ``t``."""
     if scene.mover is None:
         return None
-    pos = scene.mover.position(t)
     hx, hy = scene.mover.half_size
-    corners = [[pos[0] + sx * hx, pos[1] + sy * hy, pos[2]] for sx in (-1, 1) for sy in (-1, 1)]
-    cam = (np.array(corners) - pose.translation) @ pose.rotation
-    if np.any(cam[:, 2] <= 0):
-        return None
-    u, v = np.array([project(c, K) for c in cam]).T
-    return (float(u.min()), float(v.min()), float(u.max()), float(v.max()))
+    with np.errstate(all="ignore"):  # an overflow shows as a non-finite corner or bound
+        pos = scene.mover.position(t)
+        corners = [[pos[0] + sx * hx, pos[1] + sy * hy, pos[2]] for sx in (-1, 1) for sy in (-1, 1)]
+        cam = (np.array(corners) - pose.translation) @ pose.rotation
+        if not np.isfinite(cam).all():
+            raise InvalidParameter(f"frame {t}: the mover's corners are not finite")
+        if np.any(cam[:, 2] <= 0):
+            return None
+        u, v = np.array([project(c, K) for c in cam]).T
+    rect = (float(u.min()), float(v.min()), float(u.max()), float(v.max()))
+    if not all(map(math.isfinite, rect)):
+        raise InvalidParameter(f"frame {t}: the mover's pixel bounds {rect} are not finite")
+    return rect
 
 
 def texture_contrast_mask(gray: np.ndarray, threshold: float = 0.01) -> np.ndarray:

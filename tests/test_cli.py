@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,7 @@ import sweepdepth
 from sweepdepth import cli
 from sweepdepth.cli import main
 from sweepdepth.costvolume import inverse_depth_planes
-from sweepdepth.io import read_cost_volume, read_pfm, write_pfm, write_ppm
+from sweepdepth.io import read_cost_volume, read_pfm, read_ppm, write_pfm, write_ppm
 
 
 def run(capsys, *argv):
@@ -229,6 +230,21 @@ class TestEval:
         assert np.allclose(heat, [0, 0, 1])  # zero error: all blue
         assert (read_pfm(pfm) == 0).all()
 
+    def test_error_map_skips_infinite_gt(self, lateral_dataset, tmp_path, capsys):
+        # an infinite ground-truth pixel is not scored: the map is 0 there, not NaN
+        pred = lateral_dataset / "depth_0001.pfm"
+        gt = read_pfm(pred)
+        gt[5, 7] = np.inf
+        write_pfm(tmp_path / "gt.pfm", gt)
+        for name in ("err.pfm", "err.ppm"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                code, _, err = run(capsys, "eval", "--pred", str(pred), "--gt",
+                                   str(tmp_path / "gt.pfm"), "--error-map", str(tmp_path / name))
+            assert code == 0 and err == ""
+        assert (read_pfm(tmp_path / "err.pfm") == 0).all()  # finite, and zero error elsewhere
+        assert np.allclose(read_ppm(tmp_path / "err.ppm"), [0, 0, 1])
+
     def test_missing_file_fails_cleanly(self, tmp_path, capsys):
         code, _, err = run(capsys, "eval", "--pred", "/nope.pfm", "--gt", "/nope.pfm")
         assert code == 1 and "error:" in err
@@ -396,6 +412,23 @@ def _bad_input_argv(case, data, tmp):
                                                    "half_size": [-0.3, -0.2],
                                                    "velocity": [0.05, 0, 0]}},
     }
+    # finite numbers that overflow while rendering a 16x12 frame
+    grating = {"kind": "grating", "period_x": 1.0, "period_y": 1.0}
+    mover = {"center": [0, 0, 2.0], "half_size": [0.3, 0.2], "velocity": [0.05, 0, 0]}
+    render_edits = {
+        "render_phase_overflow": {"planes": [{**plane, "texture": {**grating, "phase_x": 1e308}}]},
+        "render_amplitude_overflow": {"planes": [{**plane, "texture": {
+            **grating, "amp_x": 1e308, "amp_y": 1e308, "phase_x": 0.125, "phase_y": 0.125}}]},
+        "render_noise_cell_underflow": {"planes": [{**plane, "texture": {"kind": "noise",
+                                                                         "cell": 1e-308}}]},
+        "render_camera_far": {"planes": [{**plane, "texture": grating}],
+                              "camera_motion": [[0, 0, 0], [1e308, 0, 0]]},
+        "render_wall_past_float32": {"planes": [{**plane, "offset": 1e39}]},  # inf as float32
+        "render_mover_at_zero_depth": {"mover": {**mover, "center": [0, 0, 1e-300]}},
+        "render_mover_bounds_overflow": {"mover": {**mover, "half_size": [1e308, 1e308]}},
+    }
+    scene_edits.update({case: {"width": 16, "height": 12, **edit}
+                        for case, edit in render_edits.items()})
     if case in scene_edits or case == "scene_not_utf8":
         scene = tmp / "scene.json"
         scene.write_bytes(_NOT_UTF8 if case == "scene_not_utf8"
@@ -447,6 +480,13 @@ def _bad_input_argv(case, data, tmp):
     "d_max_float32_inf",
     "scene_too_large",
     "scene_too_large_intrinsics",
+    "render_phase_overflow",
+    "render_amplitude_overflow",
+    "render_noise_cell_underflow",
+    "render_camera_far",
+    "render_wall_past_float32",
+    "render_mover_at_zero_depth",
+    "render_mover_bounds_overflow",
 ])
 def test_bad_input_is_a_typed_error(case, lateral_dataset, tmp_path):
     argv = _bad_input_argv(case, lateral_dataset, tmp_path)
@@ -470,6 +510,8 @@ def test_bad_input_is_a_typed_error(case, lateral_dataset, tmp_path):
         assert "<= 3.4028235e+38" in proc.stderr and "Warning" not in proc.stderr
     if case == "pred_all_zero_median_scale":
         assert "median" in proc.stderr and "Warning" not in proc.stderr
+    if case.startswith("render_"):
+        assert "error: frame " in proc.stderr and "Warning" not in proc.stderr
     if case == "pred_with_nan_pixel":
         assert proc.stdout == "" and not (tmp_path / "err.ppm").exists()
     if argv[0] == "synth":

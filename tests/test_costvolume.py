@@ -172,10 +172,11 @@ class TestBuildCostVolume:
     def test_equals_per_plane_warp_and_sample(self, rendered_presets, monkeypatch, kind, tile):
         # The tiled kernel returns the same bits as composing the public
         # plane_warp_grid and bilinear_sample plane by plane, for 1 and 3
-        # channels. The 64x48 pixels with their 12 planes go in 10 runs of
-        # 341 pixels (_TILE 16384, a tile of _TILE // 4 cells), 38 of 83
-        # (_TILE 1000) or 53 of 58 (_TILE 700); the last run overlaps the
-        # one before by 338, 82 or 2 pixels.
+        # channels. The 64x48 pixels with their 12 planes go in runs of 341
+        # pixels (_TILE 16384, a tile of _TILE // 4 cells), 83 (_TILE 1000)
+        # or 58 (_TILE 700). In one slab that is 10, 38 or 53 runs, the last
+        # overlapping the one before by 338, 82 or 2 pixels; in wider pools
+        # each slab's last run overlaps the one before it.
         # The second source's pose is yawed by 0.02 rad so the homography
         # has rotation terms.
         monkeypatch.setattr(costvolume, "_TILE", tile)
@@ -212,9 +213,11 @@ class TestBuildCostVolume:
 
     @pytest.mark.parametrize("threads", ["1", "4"])
     def test_prime_pixel_count(self, rng, monkeypatch, threads):
-        # A 1x127 strip with 8 planes and a _TILE of 64: 16 runs of 8
-        # pixels, the last scored over pixels 119-126. It shares pixel 119
-        # with the run before, so it must not run alongside it.
+        # A 1x127 strip with 8 planes and a _TILE of 64: runs of 8 pixels.
+        # At width 1 the one slab takes 16 runs, the last over pixels
+        # 119-126, sharing pixel 119 with the run before. At width 4 the
+        # slabs hold 31, 32, 32 and 32 pixels, and the first slab's last run
+        # shares pixel 23 with the run before it, on the same thread.
         monkeypatch.setattr(costvolume, "_TILE", 64)
         monkeypatch.setenv("SWEEPDEPTH_THREADS", threads)
         K = Intrinsics(fx=60.0, fy=60.0, cx=63.0, cy=0.0, width=127, height=1)
@@ -225,7 +228,7 @@ class TestBuildCostVolume:
         planes = linear_planes(1.0, 10.0, 8)
         want_costs, want_counts = _per_plane_composition(target, sources, K, planes)
         interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # switch threads often: overlapping runs would show
+        sys.setswitchinterval(1e-6)  # switch threads often: slabs sharing a cell would show
         try:
             for _ in range(5):  # a race need not show in every sweep
                 cv = build_cost_volume(target, sources, K, planes)
@@ -234,6 +237,35 @@ class TestBuildCostVolume:
         finally:
             sys.setswitchinterval(interval)
         assert (want_counts > 0).mean() > 0.5
+
+    @pytest.mark.parametrize("threads", ["2", "3", "4"])
+    def test_slab_boundaries(self, rng, monkeypatch, threads):
+        # 8 planes and a _TILE of 256: runs of 8 pixels. Strips of 9 and 15
+        # pixels hold one whole run, so they are one slab at any width; 25
+        # pixels hold three, in slabs of 12 and 13 pixels at width 2 or of 8,
+        # 8 and 9 at widths 3 and 4; a slab's second run overlaps its first.
+        # A pool sized by ceil(n / 8) would cut slabs shorter than a run.
+        monkeypatch.setattr(costvolume, "_TILE", 256)
+        planes = linear_planes(1.0, 10.0, 8)
+        interval = sys.getswitchinterval()
+        for n in (9, 15, 25):
+            K = Intrinsics(fx=10.0, fy=10.0, cx=(n - 1) / 2, cy=0.0, width=n, height=1)
+            target = FeatureMap(data=rng.random((1, n, 2)), scale=1)
+            sources = [(FeatureMap(data=rng.random((1, n, 2)), scale=1), pose)
+                       for pose in (Pose.from_translation(0.2, 0, 0.05),
+                                    Pose.from_translation(-0.3, 0, 0))]
+            monkeypatch.setenv("SWEEPDEPTH_THREADS", "1")
+            want = build_cost_volume(target, sources, K, planes)
+            assert (want.valid_count > 0).mean() > 0.5
+            monkeypatch.setenv("SWEEPDEPTH_THREADS", threads)
+            sys.setswitchinterval(1e-6)  # switch threads often: slabs sharing a cell would show
+            try:
+                for _ in range(5):  # a race need not show in every sweep
+                    cv = build_cost_volume(target, sources, K, planes)
+                    assert np.array_equal(cv.costs, want.costs), n
+                    assert np.array_equal(cv.valid_count, want.valid_count), n
+            finally:
+                sys.setswitchinterval(interval)
 
     @pytest.mark.parametrize("tile, planes", [(32768, 32), (32768, 96), (1000, 12), (8, 12)])
     def test_work_arrays_hold_one_tile(self, rendered_presets, monkeypatch, tile, planes):
@@ -524,8 +556,10 @@ class TestEndToEndRecovery:
         assert np.median(err[~box]) < floor
 
     def test_thread_count_does_not_change_result(self, rendered_presets, monkeypatch):
-        # 64x48 pixels with their 16 planes in 50 runs of 62 (_TILE 1000) or
-        # 72 of 43 (_TILE 700), the last overlapping the one before by 28 or 24.
+        # 64x48 pixels with their 16 planes in runs of 62 (_TILE 1000) or 43
+        # (_TILE 700). At width 1 that is 50 or 72 runs, the last overlapping
+        # the one before by 28 or 24 pixels; at width 4, four slabs of 768
+        # pixels in 13 or 18 runs each, the last overlapping by 38 or 6.
         setup, frames = rendered_presets["static_lateral"]
         planes = linear_planes(1.0, 10.0, 16)
         for tile in (1000, 700):
@@ -534,7 +568,7 @@ class TestEndToEndRecovery:
             serial, _, _ = _sweep_pipeline(setup, frames, planes)
             monkeypatch.setenv("SWEEPDEPTH_THREADS", "4")
             interval = sys.getswitchinterval()
-            sys.setswitchinterval(1e-6)  # switch threads often: shared work arrays would show
+            sys.setswitchinterval(1e-6)  # switch threads often: shared cells would show
             try:
                 threaded, _, _ = _sweep_pipeline(setup, frames, planes)
             finally:

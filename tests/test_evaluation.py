@@ -147,6 +147,14 @@ class TestAbsRelErrorMap:
             abs_rel_error_map(np.ones((2, 1)), gt)
         assert err[0, 1] == 0.0
 
+    def test_non_finite_gt_flagged(self):
+        gt = np.array([[2.0, np.inf, np.nan, -np.inf]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            err, valid = abs_rel_error_map(np.ones((1, 4)), gt)
+        assert valid.tolist() == [[True, False, False, False]]
+        assert err.tolist() == [[0.5, 0.0, 0.0, 0.0]]
+
 
 class TestNonFinitePrediction:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -7,11 +7,13 @@ import json
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sweepdepth.cli import main
+from sweepdepth.io import read_pfm
 from sweepdepth.synth import PRESET_NAMES, PRESETS
 
 
@@ -73,7 +75,8 @@ _DROP = object()
 MUTATIONS = [
     (path, value)
     for path in _paths(_SMALL)
-    for value in (_DROP, 0, -1, 0.5, "x", None, [], [1.0, 2.0], [1.0, 2.0, 3.0, 4.0])
+    for value in (_DROP, 0, -1, 0.5, 1e308, 1e-308, "x", None, [], [1.0, 2.0],
+                  [1.0, 2.0, 3.0, 4.0])
     if not (value is _DROP and path in (("width",), ("height",)))
 ]
 
@@ -90,11 +93,22 @@ def mutated_scene(path, value):
     return scene
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.sampled_from(MUTATIONS))
 def test_mutated_scene_file_exits_cleanly(mutation):
     with tempfile.TemporaryDirectory() as tmp:
-        file = Path(tmp) / "scene.json"
+        file, out = Path(tmp) / "scene.json", Path(tmp) / "out"
         file.write_text(json.dumps(mutated_scene(*mutation)))
-        code, err = _quiet_main(["synth", "--scene", str(file), "--out", str(Path(tmp) / "out")])
-    assert code == 0 or (code == 1 and err.startswith("error:")), (code, err)
+        code, err = _quiet_main(["synth", "--scene", str(file), "--out", str(out)])
+        assert code == 0 or (code == 1 and err.startswith("error:")), (code, err)
+        if code == 0:  # what synth writes, the rest of the pipeline can read
+            for path in out.glob("depth_*.pfm"):
+                depth = read_pfm(path)
+                assert (np.isfinite(depth) & (depth > 0)).all(), path
+            if (out / "mover.json").exists():
+                json.loads((out / "mover.json").read_text(), parse_constant=_reject_constant)
+
