@@ -9,10 +9,16 @@ Subcommands:
            SWPCV2 when the planes are not linearly spaced)
 
 Datasets are directories of frame_%04d.ppm, depth_%04d.pfm, pose_%04d.json
-(camera-to-world), and intrinsics.json, as written by `synth`. All
-structured output is JSON on stdout; dense output is PFM. Exit code is 0
-iff the requested outputs were written; malformed inputs produce a typed
-message on stderr and exit code 1.
+(camera-to-world), and intrinsics.json, as written by `synth`. `synth --out D`
+also removes the frame, depth and pose files D holds past the new last frame,
+up to the first missing index, and D's mover.json when the scene has no mover;
+it leaves every other file in D alone. Width, height, seed and target index
+in a JSON input must be whole numbers: 64 or 64.0, not 64.9, true or "64".
+
+Every subcommand prints one JSON object, indented by 2, on stdout; for `loss`
+and `eval` with --out it is byte-identical to that file. Dense output is PFM.
+Exit code is 0 iff the requested outputs were written; malformed inputs
+produce a typed message on stderr and exit code 1.
 """
 
 from __future__ import annotations
@@ -157,15 +163,20 @@ def _depth_image(
     return upsample_nearest(depth_f, args.feature_scale, data.K.height, data.K.width), valid
 
 
-def _emit(report, out: str | None) -> None:
-    """Print a report as indent-2 JSON, and also write it to ``out`` when given."""
+def _report(report, out: str | None) -> dict:
+    """A report's JSON object, also written to ``out`` when given."""
     obj = report.to_json_dict()
     if out:
         sdio.write_json(out, obj)
-    print(json.dumps(obj, indent=2))
+    return obj
 
 
-def cmd_synth(args) -> int:
+def _frame_files(root: Path, t: int) -> tuple[Path, Path, Path]:
+    """Frame ``t``'s image, ground-truth depth and pose files in a dataset directory."""
+    return root / f"frame_{t:04d}.ppm", root / f"depth_{t:04d}.pfm", root / f"pose_{t:04d}.json"
+
+
+def cmd_synth(args) -> dict:
     if args.scene in PRESET_NAMES:
         setup: SceneSetup = preset_scene(args.scene, seed=args.seed)
     elif Path(args.scene).exists():
@@ -181,18 +192,27 @@ def cmd_synth(args) -> int:
     ]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    # the extra frames of a longer scene written here before must go: load_dataset reads
+    # frames up to the first missing index
+    t = len(frames)
+    while stale := [path for path in _frame_files(out, t) if path.exists()]:
+        for path in stale:
+            path.unlink()
+        t += 1
     sdio.write_intrinsics(out / "intrinsics.json", setup.K)
     for frame in frames:
-        sdio.write_ppm(out / f"frame_{frame.time:04d}.ppm", frame.image)
-        sdio.write_pfm(out / f"depth_{frame.time:04d}.pfm", frame.depth_gt)
-        sdio.write_pose(out / f"pose_{frame.time:04d}.json", frame.pose)
+        image, depth, pose = _frame_files(out, frame.time)
+        sdio.write_ppm(image, frame.image)
+        sdio.write_pfm(depth, frame.depth_gt)
+        sdio.write_pose(pose, frame.pose)
     if setup.scene.mover is not None:
         sdio.write_json(out / "mover.json", {"frames": rects})
-    print(json.dumps({"out": str(out), "frames": len(frames), "target_index": setup.target_index}))
-    return 0
+    else:
+        (out / "mover.json").unlink(missing_ok=True)
+    return {"out": str(out), "frames": len(frames), "target_index": setup.target_index}
 
 
-def cmd_depth(args) -> int:
+def cmd_depth(args) -> dict:
     data = load_dataset(args.data)
     cv, planes = _volume_for(args, data, args.sources)
     depth_img, valid = _depth_image(args, data, cv, planes)
@@ -210,11 +230,10 @@ def cmd_depth(args) -> int:
         sdio.write_cost_volume(args.dump_cv, cv, planes)
         written["cost_volume"] = str(args.dump_cv)
     written["argmin_valid_fraction"] = float(valid.mean())
-    print(json.dumps(written))
-    return 0
+    return written
 
 
-def cmd_loss(args) -> int:
+def cmd_loss(args) -> dict:
     data = load_dataset(args.data)
     target = args.target
     loss_sources = args.sources or [i for i in (target - 1, target + 1) if 0 <= i < len(data.images)]
@@ -242,11 +261,10 @@ def cmd_loss(args) -> int:
         target_img,
         smoothness_weight=args.smooth_weight,
     )
-    _emit(report, args.out)
-    return 0
+    return _report(report, args.out)
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args) -> dict:
     pred = crop(sdio.read_pfm(args.pred), args.crop)
     gt = crop(sdio.read_pfm(args.gt), args.crop)
     if args.median_scale:
@@ -260,16 +278,14 @@ def cmd_eval(args) -> int:
             sdio.write_ppm(path, error_heatmap(err))
         else:
             sdio.write_pfm(path, err)
-    _emit(report, args.out)
-    return 0
+    return _report(report, args.out)
 
 
-def cmd_dump_cv(args) -> int:
+def cmd_dump_cv(args) -> dict:
     data = load_dataset(args.data)
     cv, planes = _volume_for(args, data, args.sources)
     sdio.write_cost_volume(args.out, cv, planes)
-    print(json.dumps({"cost_volume": str(args.out), "shape": list(cv.shape)}))
-    return 0
+    return {"cost_volume": str(args.out), "shape": list(cv.shape)}
 
 
 def _add_volume_options(
@@ -308,7 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"preset name {PRESET_NAMES} or scene JSON path")
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("depth", help="cost-volume argmin depth")
     p.add_argument("--data", required=True)
@@ -317,7 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mask-out", default=None)
     p.add_argument("--dump-cv", default=None, help="also write the raw cost volume here")
     _add_volume_options(p)
-    p.set_defaults(func=cmd_depth)
 
     p = sub.add_parser("loss", help="full loss report")
     p.add_argument("--data", required=True)
@@ -329,7 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     _add_volume_options(p, "reprojection source indices for the photometric loss "
                            "(default: both neighbours of --target)")
-    p.set_defaults(func=cmd_loss)
 
     p = sub.add_parser("eval", help="depth metrics")
     p.add_argument("--pred", required=True)
@@ -340,24 +353,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--error-map", default=None,
                    help="write the abs-rel error map (.pfm raw or .ppm heatmap)")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("dump-cv", help="build and dump a raw cost volume")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
     _add_volume_options(p)
-    p.set_defaults(func=cmd_dump_cv)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    # looked up at call time: a cmd_* re-bound after the parser was built is the one that runs
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        print(json.dumps(command(args), indent=2))
     except (SweepDepthError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

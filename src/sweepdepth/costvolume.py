@@ -104,7 +104,12 @@ class DepthPlaneSet:
 
 @dataclass(frozen=True)
 class CostVolume:
-    """Matching costs (H', W', P) and the per-cell count of contributing sources."""
+    """Matching costs (H', W', P) and the per-cell count of contributing sources.
+
+    A dump (``io.write_cost_volume``) keeps the costs only: after
+    ``io.read_cost_volume``, ``valid_count`` is 1 where the cost is finite and 0
+    where it is +inf, not the number of sources.
+    """
 
     costs: np.ndarray
     valid_count: np.ndarray
@@ -265,7 +270,9 @@ def argmin_depth(cv: CostVolume, planes: DepthPlaneSet) -> tuple[np.ndarray, np.
 def zero_volume(height: int, width: int, plane_count: int) -> CostVolume:
     """The all-zeros substitute volume used when no usable source exists.
 
-    Marked valid everywhere so the argmin tie rule yields the first plane.
+    Every cost is equal, so the argmin tie rule yields the first plane; every
+    cost is finite, so ``argmin_depth`` marks every pixel valid (validity comes
+    from the costs, not from ``valid_count``).
     """
     if height <= 0 or width <= 0 or plane_count <= 0:
         raise InvalidRange("zero volume dimensions must be positive")

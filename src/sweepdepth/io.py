@@ -18,6 +18,7 @@ import numpy as np
 
 from .costvolume import CostVolume, DepthPlaneSet
 from .errors import (
+    InvalidParameter,
     MalformedHeader,
     ShapeMismatch,
     SweepDepthError,
@@ -169,10 +170,21 @@ def write_json(path: str | Path, obj) -> None:
     Path(path).write_text(json.dumps(obj, indent=2) + "\n")
 
 
+def whole_number(value, name: str) -> int:
+    """A parsed JSON number equal to a whole number (``64`` or ``64.0``) as an int; a
+    fraction, a boolean or anything else raises InvalidParameter naming the field."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise InvalidParameter(f"{name} must be a whole number, got {value!r}")
+
+
 def intrinsics_from_json(obj: dict) -> Intrinsics:
     """Intrinsics from a parsed ``{fx, fy, cx, cy, width, height}`` object."""
     floats = {name: float(obj[name]) for name in ("fx", "fy", "cx", "cy")}
-    return Intrinsics(**floats, width=int(obj["width"]), height=int(obj["height"]))
+    sizes = {name: whole_number(obj[name], name) for name in ("width", "height")}
+    return Intrinsics(**floats, **sizes)
 
 
 def read_intrinsics(path: str | Path) -> Intrinsics:

@@ -23,7 +23,7 @@ from .costvolume import MAX_VOLUME_CELLS
 from .errors import DegenerateRay, InvalidParameter
 from .features import _central_diff_x, _central_diff_y
 from .geometry import Intrinsics, Pose, _pixel_rays, project
-from .io import intrinsics_from_json, pose_from_json, read_json
+from .io import intrinsics_from_json, pose_from_json, read_json, whole_number
 
 TEXTURE_KINDS = ("grating", "checker", "noise")
 
@@ -371,7 +371,8 @@ def _scene_setup_from_json(obj: dict) -> SceneSetup:
     if "intrinsics" in obj:
         K = intrinsics_from_json(obj["intrinsics"])
     else:
-        w, h = int(obj.get("width", 64)), int(obj.get("height", 48))
+        w = whole_number(obj.get("width", 64), "width")
+        h = whole_number(obj.get("height", 48), "height")
         K = Intrinsics(fx=float(w), fy=float(w), cx=(w - 1) / 2.0, cy=(h - 1) / 2.0,
                        width=w, height=h)
     if K.width * K.height > MAX_VOLUME_CELLS:
@@ -380,11 +381,11 @@ def _scene_setup_from_json(obj: dict) -> SceneSetup:
         pose_from_json(p) if isinstance(p, dict) else Pose.from_translation(*p)
         for p in obj["camera_motion"]
     ]
-    target_index = int(obj.get("target_index", 1))
+    target_index = whole_number(obj.get("target_index", 1), "target_index")
     if not 0 <= target_index < len(poses):
         raise InvalidParameter(f"target_index {target_index} out of range for {len(poses)} poses")
     return SceneSetup(
-        scene=Scene(planes=planes, mover=mover, seed=int(obj.get("seed", 0))),
+        scene=Scene(planes=planes, mover=mover, seed=whole_number(obj.get("seed", 0), "seed")),
         poses=poses,
         K=K,
         target_index=target_index,

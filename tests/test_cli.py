@@ -1,5 +1,6 @@
 """End-to-end CLI behavior on the bundled scenes."""
 
+import io
 import json
 import math
 import os
@@ -17,6 +18,7 @@ from sweepdepth import cli
 from sweepdepth.cli import main
 from sweepdepth.costvolume import inverse_depth_planes
 from sweepdepth.io import read_cost_volume, read_pfm, read_ppm, write_pfm, write_ppm
+from sweepdepth.synth import PRESETS
 
 
 def run(capsys, *argv):
@@ -64,6 +66,40 @@ class TestSynth:
         code, _, err = run(capsys, "synth", "--scene", "nope", "--out", str(tmp_path / "x"))
         assert code == 1
         assert "error:" in err
+
+    def test_rewrite_removes_the_frames_of_a_longer_scene(self, tmp_path, capsys):
+        # five frames, then static_lateral's three: frames 3 and 4 must not reach `loss`
+        scene = tmp_path / "five.json"
+        motion = [[0.1 * t, 0.0, 0.0] for t in range(5)]
+        scene.write_text(json.dumps({**PRESETS["static_lateral"], "camera_motion": motion}))
+        reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+        assert run(capsys, "synth", "--scene", str(scene), "--out", str(reused))[0] == 0
+        (reused / "dcv.pfm").write_bytes(b"not a dataset file")
+        for out in (reused, fresh):
+            assert run(capsys, "synth", "--scene", "static_lateral", "--out", str(out))[0] == 0
+        assert {p.name for p in reused.iterdir()} == {p.name for p in fresh.iterdir()} | {"dcv.pfm"}
+        assert (reused / "dcv.pfm").read_bytes() == b"not a dataset file"
+
+        def loss(root):
+            depth = str(root / "depth_0002.pfm")
+            code, stdout, _ = run(capsys, "loss", "--data", str(root), "--target", "2",
+                                  "--student", depth, "--teacher", depth,
+                                  "--d-min", "1", "--d-max", "10", "--planes", "8")
+            assert code == 0
+            return json.loads(stdout)
+
+        assert loss(reused) == loss(fresh)
+
+    def test_rewrite_removes_the_mover_sidecar(self, tmp_path, capsys):
+        out = tmp_path / "d"
+        assert run(capsys, "synth", "--scene", "moving_box", "--out", str(out))[0] == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        refused = tmp_path / "one_pose.json"  # fails its checks: the directory stays as it was
+        refused.write_text(json.dumps({**PRESETS["static_lateral"], "camera_motion": [[0, 0, 0]]}))
+        assert run(capsys, "synth", "--scene", str(refused), "--out", str(out))[0] == 1
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        assert run(capsys, "synth", "--scene", "static_lateral", "--out", str(out))[0] == 0
+        assert not (out / "mover.json").exists()
 
 
 class TestDepth:
@@ -293,6 +329,61 @@ class TestStaticCamera:
         assert np.isfinite(read_pfm(out)).all()
 
 
+# Each subcommand's report keys, in order; depth's with --teacher and --dump-cv.
+REPORT_KEYS = {
+    "synth": ["out", "frames", "target_index"],
+    "depth": ["depth", "mask", "mask_fraction", "cost_volume", "argmin_valid_fraction"],
+    "loss": ["lp", "lc", "ls", "total", "mask_fraction"],
+    "eval": ["abs_rel", "sq_rel", "rmse", "rmse_log", "delta1", "delta2", "delta3"],
+    "dump-cv": ["cost_volume", "shape"],
+}
+
+
+class TestMain:
+    def _argv(self, command, data, tmp):
+        volume = ["--data", str(data), "--d-min", "1", "--d-max", "10", "--planes", "4"]
+        gt = str(data / "depth_0001.pfm")
+        return {
+            "synth": ["synth", "--scene", "moving_box", "--out", str(tmp / "synth")],
+            "depth": ["depth", *volume, "--out", str(tmp / "d.pfm"), "--teacher", gt,
+                      "--dump-cv", str(tmp / "v.swpcv")],
+            "loss": ["loss", *volume, "--student", gt, "--teacher", gt, "--out", str(tmp / "r.json")],
+            "eval": ["eval", "--pred", gt, "--gt", gt, "--out", str(tmp / "r.json")],
+            "dump-cv": ["dump-cv", *volume, "--out", str(tmp / "v.swpcv")],
+        }[command]
+
+    @pytest.mark.parametrize("command", list(REPORT_KEYS))
+    def test_prints_one_indented_report(self, command, box_dataset, tmp_path, capsys):
+        code, stdout, err = run(capsys, *self._argv(command, box_dataset, tmp_path))
+        assert code == 0 and err == ""
+        report = json.loads(stdout)  # one object and nothing after it
+        assert list(report) == REPORT_KEYS[command]
+        assert stdout == json.dumps(report, indent=2) + "\n"
+        if command in ("loss", "eval"):
+            assert stdout == (tmp_path / "r.json").read_text()
+
+    def test_looks_the_command_up_at_call_time(self, lateral_dataset, tmp_path, capsys,
+                                               monkeypatch):
+        argv = self._argv("depth", lateral_dataset, tmp_path)
+        assert run(capsys, *argv)[0] == 0  # builds and caches the parser
+        seen = []
+        monkeypatch.setattr(cli, "cmd_depth", lambda args: seen.append(args.out) or {"ok": 1})
+        code, stdout, _ = run(capsys, *argv)
+        assert code == 0 and json.loads(stdout) == {"ok": 1}
+        assert seen == [str(tmp_path / "d.pfm")]
+
+    def test_closed_stdout_is_an_error(self, lateral_dataset, capsys, monkeypatch):
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        gt = str(lateral_dataset / "depth_0001.pfm")
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        code = main(["eval", "--pred", gt, "--gt", gt])
+        err = capsys.readouterr().err
+        assert code == 1 and err.startswith("error:") and "Broken pipe" in err
+
+
 def _copy_with(data, tmp, name, edit):
     """Copy of the dataset whose JSON file ``name`` holds ``edit(parsed original)``
     (text, or raw bytes)."""
@@ -382,6 +473,9 @@ def _bad_input_argv(case, data, tmp):
         "intrinsics_not_utf8": ("intrinsics.json", lambda _: _NOT_UTF8),
         "intrinsics_fx_nan": ("intrinsics.json", lambda k: json.dumps({**k, "fx": math.nan})),
         "intrinsics_fx_infinity": ("intrinsics.json", lambda k: json.dumps({**k, "fx": math.inf})),
+        "intrinsics_width_fraction": ("intrinsics.json", lambda k: json.dumps({**k, "width": 64.9})),
+        "intrinsics_height_boolean": ("intrinsics.json", lambda k: json.dumps({**k, "height": True})),
+        "intrinsics_width_string": ("intrinsics.json", lambda k: json.dumps({**k, "width": "64"})),
         "pose_translation_nan": ("pose_0000.json",
                                  lambda p: json.dumps({**p, "t": [math.nan, 0, 0]})),
         "pose_not_json": ("pose_0001.json", lambda _: "R = identity"),
@@ -403,6 +497,10 @@ def _bad_input_argv(case, data, tmp):
                                                    "velocity": [0.05, 0, 0]}},
         "texture_zero_period": {"planes": [{**plane, "texture": {"period_x": 0}}]},
         "target_index_out_of_range": {"target_index": 9},
+        "target_index_fraction": {"target_index": 1.5},
+        "scene_height_boolean": {"height": True},
+        "scene_width_string": {"width": "64"},
+        "scene_seed_fraction": {"seed": 2.5},
         # 10^7 x 10^7 pixels, past any machine's memory: without the check it fails at once
         # in numpy rather than rendering for minutes
         "scene_too_large": {"width": 10**7, "height": 10**7},
@@ -487,6 +585,13 @@ def _bad_input_argv(case, data, tmp):
     "render_wall_past_float32",
     "render_mover_at_zero_depth",
     "render_mover_bounds_overflow",
+    "intrinsics_width_fraction",
+    "intrinsics_height_boolean",
+    "intrinsics_width_string",
+    "target_index_fraction",
+    "scene_height_boolean",
+    "scene_width_string",
+    "scene_seed_fraction",
 ])
 def test_bad_input_is_a_typed_error(case, lateral_dataset, tmp_path):
     argv = _bad_input_argv(case, lateral_dataset, tmp_path)
@@ -514,9 +619,12 @@ def test_bad_input_is_a_typed_error(case, lateral_dataset, tmp_path):
         assert "error: frame " in proc.stderr and "Warning" not in proc.stderr
     if case == "pred_with_nan_pixel":
         assert proc.stdout == "" and not (tmp_path / "err.ppm").exists()
+    if case.endswith(("_fraction", "_boolean", "_string")):
+        assert "must be a whole number" in proc.stderr
     if argv[0] == "synth":
         assert not (tmp_path / "out").exists()
     if case.startswith(("intrinsics", "pose", "plane", "texture_unknown_key", "mover",
                         "texture_zero_period", "target_index", "scene_not_utf8", "scene_too_large",
-                        "state_d_max_infinity", "state_with_unknown_key", "state_momentum_one")):
+                        "state_d_max_infinity", "state_with_unknown_key", "state_momentum_one",
+                        "scene_height", "scene_width", "scene_seed")):
         assert ".json" in proc.stderr

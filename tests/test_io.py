@@ -227,6 +227,12 @@ class TestCameraJson:
         write_intrinsics(path, K)
         assert read_intrinsics(path) == K
 
+    def test_intrinsics_size_may_be_a_whole_float(self, tmp_path):
+        path = tmp_path / "k.json"
+        path.write_text('{"fx": 64, "fy": 64, "cx": 31.5, "cy": 23.5, "width": 64.0, "height": 48}')
+        K = read_intrinsics(path)
+        assert (K.width, K.height) == (64, 48) and type(K.width) is int
+
     def test_pose_round_trip(self, tmp_path):
         angle = 0.3
         R = np.array(

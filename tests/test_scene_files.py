@@ -75,7 +75,7 @@ _DROP = object()
 MUTATIONS = [
     (path, value)
     for path in _paths(_SMALL)
-    for value in (_DROP, 0, -1, 0.5, 1e308, 1e-308, "x", None, [], [1.0, 2.0],
+    for value in (_DROP, 0, -1, 0.5, 2.5, True, 1e308, 1e-308, "x", None, [], [1.0, 2.0],
                   [1.0, 2.0, 3.0, 4.0])
     if not (value is _DROP and path in (("width",), ("height",)))
 ]
@@ -112,3 +112,13 @@ def test_mutated_scene_file_exits_cleanly(mutation):
             if (out / "mover.json").exists():
                 json.loads((out / "mover.json").read_text(), parse_constant=_reject_constant)
 
+
+def test_whole_number_floats_are_the_integers(tmp_path):
+    as_float = {**_SMALL, "width": 16.0, "height": 12.0, "seed": 1.0, "target_index": 1.0}
+    outs = []
+    for name, scene in (("int", _SMALL), ("float", as_float)):
+        file, out = tmp_path / f"{name}.json", tmp_path / name
+        file.write_text(json.dumps(scene))
+        assert _quiet_main(["synth", "--scene", str(file), "--out", str(out)])[0] == 0
+        outs.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert outs[0] == outs[1]
