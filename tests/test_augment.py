@@ -1,5 +1,7 @@
 """Augmentation draws, color jitter, and the substitution contract."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,13 @@ from sweepdepth.augment import (
 )
 from sweepdepth.costvolume import CostVolume
 from sweepdepth.errors import InvalidParameter
+
+# sha256 of the float64 bytes of the jittered copy of GOLDEN_IMAGE drawn at seed 42, index 9
+GOLDEN_JITTER_SHA256 = "9e353f3425960f31fe36211981f12edd4677b765343e3b439ee21d160cdf73b3"
+
+
+def golden_image():
+    return np.random.default_rng(0).random((6, 8, 3))
 
 
 class TestDraw:
@@ -89,6 +98,10 @@ class TestColorJitter:
         b = color_jitter(img, sample_rng(42, 9, 1), JitterRanges())
         assert np.array_equal(a, b)
 
+    def test_golden_output(self):
+        out = color_jitter(golden_image(), sample_rng(42, 9, 1), JitterRanges())
+        assert hashlib.sha256(out.tobytes()).hexdigest() == GOLDEN_JITTER_SHA256
+
 
 class TestApply:
     def test_none_passes_prev_through_by_reference(self, rng):
@@ -105,6 +118,12 @@ class TestApply:
         )
         assert out is not target  # a copy, never the loss-side array itself
         assert np.allclose(out, target, atol=1e-12)
+
+    def test_static_substitute_golden_output(self):
+        img = golden_image()
+        out = apply_augmentation(Augmentation.STATIC_SUBSTITUTE, img, img[::-1], (2, 2, 3),
+                                 AugmentConfig(rng_seed=42), 9)
+        assert hashlib.sha256(out.tobytes()).hexdigest() == GOLDEN_JITTER_SHA256
 
     def test_zero_volume_result(self, rng):
         cfg = AugmentConfig(rng_seed=0)

@@ -275,6 +275,20 @@ class TestTotalLoss:
         assert report.total == pytest.approx(expected, abs=1e-12)
         assert report.mask_fraction == pytest.approx(mask.mean())
 
+    def test_golden_report(self):
+        r = np.random.default_rng(1)
+        target, src = r.random((6, 8, 3)), r.random((6, 8, 3))
+        valid = r.random((6, 8)) > 0.2
+        d_t, d_hat, d_cv = (r.uniform(1, 4, (6, 8)) for _ in range(3))
+        report = total_loss(target, [(src, valid), (target[::-1], ~valid)], d_t, d_hat, d_cv, target)
+        assert report.to_json_dict() == {
+            "lp": 0.4693076319787084,
+            "lc": 0.2428523644644585,
+            "ls": 0.6151323099418692,
+            "total": 0.6149965947244462,
+            "mask_fraction": 0.20833333333333334,
+        }
+
 
 NUM_ORACLE_FIXTURES = 50
 
