@@ -4,7 +4,6 @@ augmentations, evaluation, and a synthetic-scene oracle."""
 from .augment import (
     Augmentation,
     AugmentConfig,
-    JitterRanges,
     apply_augmentation,
     color_jitter,
     draw_augmentation,

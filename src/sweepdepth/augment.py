@@ -14,12 +14,19 @@ order samples are visited in.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .costvolume import CostVolume, zero_volume
 from .errors import InvalidParameter
+
+
+# Uniform ranges of the static-substitute colour jitter: an additive brightness delta, then
+# contrast and saturation factors about the image mean and the grayscale image.
+BRIGHTNESS = (-0.2, 0.2)
+CONTRAST = (0.8, 1.2)
+SATURATION = (0.8, 1.2)
 
 
 class Augmentation(enum.Enum):
@@ -29,28 +36,9 @@ class Augmentation(enum.Enum):
 
 
 @dataclass(frozen=True)
-class JitterRanges:
-    """Uniform sampling ranges for the color jitter factors.
-
-    brightness is an additive delta, contrast and saturation are
-    multiplicative factors (about the image mean and the grayscale image
-    respectively). Zero-width ranges pin a factor exactly.
-    """
-
-    brightness: tuple[float, float] = (-0.2, 0.2)
-    contrast: tuple[float, float] = (0.8, 1.2)
-    saturation: tuple[float, float] = (0.8, 1.2)
-
-    @classmethod
-    def identity(cls) -> "JitterRanges":
-        return cls(brightness=(0.0, 0.0), contrast=(1.0, 1.0), saturation=(1.0, 1.0))
-
-
-@dataclass(frozen=True)
 class AugmentConfig:
     p: float = 0.25
     q: float = 0.25
-    jitter: JitterRanges = field(default_factory=JitterRanges)
     rng_seed: int = 0
 
     def __post_init__(self):
@@ -85,18 +73,17 @@ def draw_augmentation(cfg: AugmentConfig, index: int) -> Augmentation:
     return Augmentation.NONE
 
 
-def color_jitter(
-    img: np.ndarray, rng: np.random.Generator, ranges: JitterRanges
-) -> np.ndarray:
-    """Brightness, contrast, then saturation, each uniform in its range; clamp to [0, 1]."""
+def color_jitter(img: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Brightness, contrast, then saturation, each drawn uniform in its range
+    (BRIGHTNESS, CONTRAST, SATURATION); clamp to [0, 1]."""
     img = np.asarray(img, dtype=float)
-    out = img + rng.uniform(*ranges.brightness)
-    out = (out - out.mean()) * rng.uniform(*ranges.contrast) + out.mean()
+    out = img + rng.uniform(*BRIGHTNESS)
+    out = (out - out.mean()) * rng.uniform(*CONTRAST) + out.mean()
     if img.ndim == 3 and img.shape[2] > 1:
         gray = out.mean(axis=2, keepdims=True)
-        out = gray + (out - gray) * rng.uniform(*ranges.saturation)
+        out = gray + (out - gray) * rng.uniform(*SATURATION)
     else:
-        rng.uniform(*ranges.saturation)  # keep the stream layout channel-independent
+        rng.uniform(*SATURATION)  # keep the stream layout channel-independent
     return np.clip(out, 0.0, 1.0)
 
 
@@ -117,5 +104,5 @@ def apply_augmentation(
     if decision is Augmentation.NONE:
         return prev_img
     if decision is Augmentation.STATIC_SUBSTITUTE:
-        return color_jitter(target_img, sample_rng(cfg.rng_seed, index, lane=1), cfg.jitter)
+        return color_jitter(target_img, sample_rng(cfg.rng_seed, index, lane=1))
     return zero_volume(*cv_shape)

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import sys
 from dataclasses import dataclass
@@ -77,19 +78,25 @@ class Dataset:
     poses: list[Pose]
 
 
+def _frame_files(root: Path, t: int) -> tuple[Path, Path, Path]:
+    """Frame ``t``'s image, ground-truth depth and pose files in a dataset directory."""
+    return root / f"frame_{t:04d}.ppm", root / f"depth_{t:04d}.pfm", root / f"pose_{t:04d}.json"
+
+
 def load_dataset(root: str | Path) -> Dataset:
     root = Path(root)
     K = sdio.read_intrinsics(root / "intrinsics.json")
     images, poses = [], []
-    t = 0
-    while (frame := root / f"frame_{t:04d}.ppm").exists():
+    for t in itertools.count():
+        frame, _depth, pose = _frame_files(root, t)
+        if not frame.exists():
+            break
         images.append(sdio.read_ppm(frame))
         if images[-1].shape[:2] != (K.height, K.width):
             raise ShapeMismatch(f"{frame} is not the {K.width}x{K.height} of intrinsics.json")
-        poses.append(sdio.read_pose(root / f"pose_{t:04d}.json"))
-        t += 1
+        poses.append(sdio.read_pose(pose))
     if not images:
-        raise SweepDepthError(f"no frame_0000.ppm under {root}")
+        raise SweepDepthError(f"no frames under {root}: {frame} is missing")
     return Dataset(K=K, images=images, poses=poses)
 
 
@@ -127,14 +134,15 @@ def _volume_for(
     shape = (K_f.height, K_f.width, args.planes)
     check_volume_size(*shape)  # before the plane set allocates its depths
     planes = _resolve_planes(args)
+    if args.augment_sample is not None:  # drawn first: bad flags are an error under --zero-cv too
+        cfg = AugmentConfig(p=args.aug_p, q=args.aug_q, rng_seed=args.seed)
+        decision = draw_augmentation(cfg, args.augment_sample)
 
     if args.zero_cv:
         return zero_volume(*shape), planes
 
     source_images = {i: data.images[i] for i in source_idxs}
     if args.augment_sample is not None:
-        cfg = AugmentConfig(p=args.aug_p, q=args.aug_q, rng_seed=args.seed)
-        decision = draw_augmentation(cfg, args.augment_sample)
         result = apply_augmentation(
             decision,
             data.images[target],
@@ -169,11 +177,6 @@ def _report(report, out: str | None) -> dict:
     if out:
         sdio.write_json(out, obj)
     return obj
-
-
-def _frame_files(root: Path, t: int) -> tuple[Path, Path, Path]:
-    """Frame ``t``'s image, ground-truth depth and pose files in a dataset directory."""
-    return root / f"frame_{t:04d}.ppm", root / f"depth_{t:04d}.pfm", root / f"pose_{t:04d}.json"
 
 
 def cmd_synth(args) -> dict:
@@ -241,7 +244,6 @@ def cmd_loss(args) -> dict:
 
     student = sdio.read_pfm(args.student)
     teacher = sdio.read_pfm(args.teacher)
-    target_img = data.images[target]
 
     synthesized = []
     for i in loss_sources:
@@ -252,15 +254,8 @@ def cmd_loss(args) -> dict:
     cv, planes = _volume_for(args, data, args.cv_sources)
     d_cv, _ = _depth_image(args, data, cv, planes)
 
-    report = total_loss(
-        target_img,
-        synthesized,
-        student,
-        teacher,
-        d_cv,
-        target_img,
-        smoothness_weight=args.smooth_weight,
-    )
+    report = total_loss(data.images[target], synthesized, student, teacher, d_cv,
+                        smoothness_weight=args.smooth_weight)
     return _report(report, args.out)
 
 

@@ -19,6 +19,7 @@ from .geometry import require_finite_depth
 DEPTH_CAP = 80.0
 PRED_FLOOR = 1e-3
 CROP_SCHEMES = ("none", "cityscapes_A", "cityscapes_B")
+HEATMAP_SATURATION = 0.2  # the abs-rel error that error_heatmap paints full red
 
 
 @dataclass(frozen=True)
@@ -129,12 +130,12 @@ def crop(data: np.ndarray, scheme: str = "none") -> np.ndarray:
     raise InvalidParameter(f"unknown crop scheme {scheme!r}; expected one of {CROP_SCHEMES}")
 
 
-def error_heatmap(err: np.ndarray, saturate: float = 0.2) -> np.ndarray:
-    """Color an abs-rel error map: blue at 0 through white to red at >= saturate.
+def error_heatmap(err: np.ndarray) -> np.ndarray:
+    """Color an abs-rel error map: blue at 0 through white to red at >= HEATMAP_SATURATION.
 
     Returns an (H, W, 3) image in [0, 1].
     """
-    t = np.clip(np.asarray(err, dtype=float) / saturate, 0.0, 1.0)
+    t = np.clip(np.asarray(err, dtype=float) / HEATMAP_SATURATION, 0.0, 1.0)
     blue = np.array([0.0, 0.0, 1.0])
     white = np.array([1.0, 1.0, 1.0])
     red = np.array([1.0, 0.0, 0.0])

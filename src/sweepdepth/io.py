@@ -180,9 +180,25 @@ def whole_number(value, name: str) -> int:
     raise InvalidParameter(f"{name} must be a whole number, got {value!r}")
 
 
+def number(value, name: str) -> float:
+    """A parsed JSON number as a float; a boolean raises InvalidParameter naming the field,
+    since JSON ``true`` is not the number 1."""
+    if isinstance(value, bool):
+        raise InvalidParameter(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def numbers(value, name: str) -> list[float]:
+    """Each entry of a parsed JSON array as a float, by ``number``; a string raises
+    InvalidParameter naming the field, since ``"100"`` is not the vector (1, 0, 0)."""
+    if isinstance(value, str):
+        raise InvalidParameter(f"{name} must be an array of numbers, got {value!r}")
+    return [number(entry, name) for entry in value]
+
+
 def intrinsics_from_json(obj: dict) -> Intrinsics:
     """Intrinsics from a parsed ``{fx, fy, cx, cy, width, height}`` object."""
-    floats = {name: float(obj[name]) for name in ("fx", "fy", "cx", "cy")}
+    floats = {name: number(obj[name], name) for name in ("fx", "fy", "cx", "cy")}
     sizes = {name: whole_number(obj[name], name) for name in ("width", "height")}
     return Intrinsics(**floats, **sizes)
 
@@ -197,8 +213,8 @@ def write_intrinsics(path: str | Path, K: Intrinsics) -> None:
 
 def pose_from_json(obj: dict) -> Pose:
     """Pose from a parsed ``{"R": 9 row-major, "t": 3}`` object."""
-    R = np.asarray(obj["R"], dtype=float).reshape(3, 3)
-    t = np.asarray(obj["t"], dtype=float)
+    R = np.reshape(numbers(obj["R"], "R"), (3, 3))
+    t = np.array(numbers(obj["t"], "t"))
     return Pose(R, t)
 
 

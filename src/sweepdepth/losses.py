@@ -18,7 +18,7 @@ from .geometry import require_positive_depth
 
 SSIM_C1 = 0.01**2
 SSIM_C2 = 0.03**2
-DEFAULT_ALPHA = 0.85
+ALPHA = 0.85  # weight of the SSIM term against L1, as in Monodepth2
 DEFAULT_SMOOTHNESS_WEIGHT = 1e-3
 
 
@@ -76,22 +76,20 @@ def ssim(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return num / den
 
 
-def photometric_error(pred: np.ndarray, target: np.ndarray, alpha: float = DEFAULT_ALPHA) -> np.ndarray:
+def photometric_error(pred: np.ndarray, target: np.ndarray) -> np.ndarray:
     """Blend of SSIM dissimilarity and L1, channel-averaged to (H, W).
 
-    pe = alpha/2 * (1 - SSIM) + (1 - alpha) * |pred - target|.
+    pe = ALPHA/2 * (1 - SSIM) + (1 - ALPHA) * |pred - target|.
     """
     pred, target = _as_hwc(pred), _as_hwc(target)
     if pred.shape != target.shape:
         raise ShapeMismatch(f"photometric inputs differ: {pred.shape} vs {target.shape}")
-    dissim = alpha / 2.0 * (1.0 - ssim(pred, target)) if alpha != 0 else 0.0
-    return (dissim + (1.0 - alpha) * np.abs(pred - target)).mean(axis=2)
+    dissim = ALPHA / 2.0 * (1.0 - ssim(pred, target))
+    return (dissim + (1.0 - ALPHA) * np.abs(pred - target)).mean(axis=2)
 
 
 def min_reprojection_loss(
-    target: np.ndarray,
-    synthesized: list[tuple[np.ndarray, np.ndarray]],
-    alpha: float = DEFAULT_ALPHA,
+    target: np.ndarray, synthesized: list[tuple[np.ndarray, np.ndarray]]
 ) -> tuple[float, np.ndarray]:
     """Per-pixel minimum photometric error over the synthesized views.
 
@@ -104,7 +102,7 @@ def min_reprojection_loss(
     h, w = np.asarray(target).shape[:2]
     best = np.full((h, w), np.inf)
     for img, valid in synthesized:
-        pe = photometric_error(img, target, alpha=alpha)
+        pe = photometric_error(img, target)
         if pe.shape != (h, w) or valid.shape != (h, w):
             raise ShapeMismatch("synthesized view shape does not match target")
         best = np.where(valid, np.minimum(best, pe), best)
@@ -167,24 +165,22 @@ def total_loss(
     d_t: np.ndarray,
     d_hat: np.ndarray,
     d_cv: np.ndarray,
-    img: np.ndarray,
     smoothness_weight: float = DEFAULT_SMOOTHNESS_WEIGHT,
-    alpha: float = DEFAULT_ALPHA,
 ) -> LossReport:
     """Assemble the full training loss for one frame.
 
     The mask comes from (d_cv, d_hat); the reprojection term is suppressed
     where it is set, the consistency term pulls the student toward the
     teacher there, and the smoothness term regularizes the student against
-    ``img``. All depth maps must be at image resolution, and
+    the edges of ``target``. All depth maps must be at image resolution, and
     ``smoothness_weight`` must be finite and non-negative.
     """
     if not 0 <= smoothness_weight < np.inf:
         raise InvalidParameter(f"smoothness weight must be finite and >= 0, got {smoothness_weight}")
     mask = consistency_mask(d_cv, d_hat)
-    lp, per_pixel = min_reprojection_loss(target, synthesized, alpha=alpha)
+    lp, per_pixel = min_reprojection_loss(target, synthesized)
     lc = consistency_loss(d_t, d_hat, mask)
-    ls = smoothness_loss(d_t, img)
+    ls = smoothness_loss(d_t, target)
     total = float(((1.0 - mask) * per_pixel).mean() + lc + smoothness_weight * ls)
     return LossReport(
         lp=lp,

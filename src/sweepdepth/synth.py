@@ -23,7 +23,7 @@ from .costvolume import MAX_VOLUME_CELLS
 from .errors import DegenerateRay, InvalidParameter
 from .features import _central_diff_x, _central_diff_y
 from .geometry import Intrinsics, Pose, _pixel_rays, project
-from .io import intrinsics_from_json, pose_from_json, read_json, whole_number
+from .io import intrinsics_from_json, number, numbers, pose_from_json, read_json, whole_number
 
 TEXTURE_KINDS = ("grating", "checker", "noise")
 
@@ -65,7 +65,7 @@ def _coerce(obj, label: str, **counts: int | None) -> None:
     for name, count in counts.items():
         value = getattr(obj, name)
         try:
-            out = tuple(float(v) for v in ([value] if count is None else value))
+            out = (number(value, name),) if count is None else tuple(numbers(value, name))
         except (TypeError, ValueError):
             out = ()
         if len(out) != (count or 1) or not all(map(math.isfinite, out)):
@@ -378,7 +378,8 @@ def _scene_setup_from_json(obj: dict) -> SceneSetup:
     if K.width * K.height > MAX_VOLUME_CELLS:
         raise InvalidParameter(f"{K.width}x{K.height} pixels exceed the budget of {MAX_VOLUME_CELLS}")
     poses = [
-        pose_from_json(p) if isinstance(p, dict) else Pose.from_translation(*p)
+        pose_from_json(p) if isinstance(p, dict)
+        else Pose.from_translation(*numbers(p, "camera_motion"))
         for p in obj["camera_motion"]
     ]
     target_index = whole_number(obj.get("target_index", 1), "target_index")

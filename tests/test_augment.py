@@ -8,7 +8,6 @@ import pytest
 from sweepdepth.augment import (
     Augmentation,
     AugmentConfig,
-    JitterRanges,
     apply_augmentation,
     color_jitter,
     draw_augmentation,
@@ -75,31 +74,31 @@ class TestDraw:
 
 
 class TestColorJitter:
-    def test_identity_ranges(self, rng):
-        img = rng.random((6, 6, 3))
-        out = color_jitter(img, sample_rng(0, 0, 1), JitterRanges.identity())
-        assert np.allclose(out, img, atol=1e-12)
-
     def test_pinned_brightness_delta(self):
+        # contrast and saturation leave a constant image as it is: only the brightness shows,
+        # and it is the first lane-1 draw, uniform in [-0.2, 0.2]
         img = np.full((4, 4, 3), 0.5)
-        ranges = JitterRanges(brightness=(0.1, 0.1), contrast=(1.0, 1.0), saturation=(1.0, 1.0))
-        out = color_jitter(img, sample_rng(0, 0, 1), ranges)
-        assert np.allclose(out, 0.6, atol=1e-12)
+        out = color_jitter(img, sample_rng(0, 0, 1))
+        assert np.allclose(out, 0.5 + sample_rng(0, 0, 1).uniform(-0.2, 0.2), atol=1e-12)
 
-    def test_output_clamped(self, rng):
-        img = rng.random((8, 8, 3))
-        ranges = JitterRanges(brightness=(0.9, 0.9), contrast=(3.0, 3.0), saturation=(3.0, 3.0))
-        out = color_jitter(img, sample_rng(1, 2, 1), ranges)
-        assert out.min() >= 0.0 and out.max() <= 1.0
+    def test_output_clamped(self):
+        deltas = [sample_rng(0, index, 1).uniform(-0.2, 0.2) for index in range(4)]
+        assert min(deltas) < 0 < max(deltas)
+        for value in (0.0, 1.0):  # a delta away from [0, 1] meets the clamp
+            img = np.full((4, 4, 3), value)
+            for index, delta in enumerate(deltas):
+                out = color_jitter(img, sample_rng(0, index, 1))
+                assert np.allclose(out, np.clip(value + delta, 0.0, 1.0), atol=1e-12)
+                assert out.min() >= 0.0 and out.max() <= 1.0
 
     def test_bit_exact_reproducibility(self, rng):
         img = rng.random((6, 6, 3))
-        a = color_jitter(img, sample_rng(42, 9, 1), JitterRanges())
-        b = color_jitter(img, sample_rng(42, 9, 1), JitterRanges())
+        a = color_jitter(img, sample_rng(42, 9, 1))
+        b = color_jitter(img, sample_rng(42, 9, 1))
         assert np.array_equal(a, b)
 
     def test_golden_output(self):
-        out = color_jitter(golden_image(), sample_rng(42, 9, 1), JitterRanges())
+        out = color_jitter(golden_image(), sample_rng(42, 9, 1))
         assert hashlib.sha256(out.tobytes()).hexdigest() == GOLDEN_JITTER_SHA256
 
 
@@ -110,14 +109,14 @@ class TestApply:
         out = apply_augmentation(Augmentation.NONE, target, prev, (2, 2, 3), cfg, 0)
         assert out is prev
 
-    def test_static_substitute_with_identity_jitter_is_target(self, rng):
-        cfg = AugmentConfig(jitter=JitterRanges.identity(), rng_seed=0)
+    def test_static_substitute_is_a_jittered_copy_of_target(self, rng):
+        cfg = AugmentConfig(rng_seed=42)
         target, prev = rng.random((4, 4, 3)), rng.random((4, 4, 3))
         out = apply_augmentation(
-            Augmentation.STATIC_SUBSTITUTE, target, prev, (2, 2, 3), cfg, 0
+            Augmentation.STATIC_SUBSTITUTE, target, prev, (2, 2, 3), cfg, 9
         )
         assert out is not target  # a copy, never the loss-side array itself
-        assert np.allclose(out, target, atol=1e-12)
+        assert np.array_equal(out, color_jitter(target, sample_rng(42, 9, 1)))
 
     def test_static_substitute_golden_output(self):
         img = golden_image()

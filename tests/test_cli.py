@@ -101,6 +101,16 @@ class TestSynth:
         assert run(capsys, "synth", "--scene", "static_lateral", "--out", str(out))[0] == 0
         assert not (out / "mover.json").exists()
 
+    def test_load_dataset_reads_the_files_synth_writes(self, tmp_path, capsys, monkeypatch):
+        # one function spells the file names: renamed, synth and load_dataset still agree
+        monkeypatch.setattr(cli, "_frame_files", lambda root, t: (
+            root / f"img{t}.ppm", root / f"gt{t}.pfm", root / f"cam{t}.json"))
+        assert run(capsys, "synth", "--scene", "static_lateral", "--out", str(tmp_path))[0] == 0
+        assert not list(tmp_path.glob("frame_*"))
+        data = cli.load_dataset(tmp_path)
+        assert len(data.images) == len(data.poses) == 3
+        assert np.array_equal(data.images[2], read_ppm(tmp_path / "img2.ppm"))
+
 
 class TestDepth:
     def test_recovers_static_scene(self, lateral_dataset, tmp_path, capsys):
@@ -418,8 +428,9 @@ def _bad_input_argv(case, data, tmp):
         state.write_text(states[case])
         return ["depth", "--data", str(data), "--out", str(tmp / "d.pfm"),
                 "--adaptive-state", str(state)]
-    if case == "aug_p_plus_q_above_one":
-        return ["depth", *volume, "--out", str(tmp / "d.pfm"),
+    if case.startswith("aug_p_plus_q_above_one"):
+        zero_cv = ["--zero-cv"] if case.endswith("zero_cv") else []
+        return ["depth", *volume, "--out", str(tmp / "d.pfm"), *zero_cv,
                 "--augment-sample", "0", "--aug-p", "0.9", "--aug-q", "0.9"]
     if case in ("augment_sample_negative", "augment_sample_over_64_bits"):
         index = "-5" if case == "augment_sample_negative" else "99999999999999999999999"
@@ -476,6 +487,9 @@ def _bad_input_argv(case, data, tmp):
         "intrinsics_width_fraction": ("intrinsics.json", lambda k: json.dumps({**k, "width": 64.9})),
         "intrinsics_height_boolean": ("intrinsics.json", lambda k: json.dumps({**k, "height": True})),
         "intrinsics_width_string": ("intrinsics.json", lambda k: json.dumps({**k, "width": "64"})),
+        "intrinsics_fx_true": ("intrinsics.json", lambda k: json.dumps({**k, "fx": True})),
+        "pose_rotation_all_booleans": ("pose_0001.json", lambda p: json.dumps(
+            {**p, "R": [bool(r) for r in p["R"]]})),
         "pose_translation_nan": ("pose_0000.json",
                                  lambda p: json.dumps({**p, "t": [math.nan, 0, 0]})),
         "pose_not_json": ("pose_0001.json", lambda _: "R = identity"),
@@ -501,6 +515,9 @@ def _bad_input_argv(case, data, tmp):
         "scene_height_boolean": {"height": True},
         "scene_width_string": {"width": "64"},
         "scene_seed_fraction": {"seed": 2.5},
+        "plane_normal_as_text": {"planes": [{**plane, "normal": "001"}]},
+        "plane_offset_true": {"planes": [{**plane, "offset": True}]},
+        "camera_motion_entry_as_text": {"camera_motion": [[0, 0, 0], "100"]},
         # 10^7 x 10^7 pixels, past any machine's memory: without the check it fails at once
         # in numpy rather than rendering for minutes
         "scene_too_large": {"width": 10**7, "height": 10**7},
@@ -592,6 +609,12 @@ def _bad_input_argv(case, data, tmp):
     "scene_height_boolean",
     "scene_width_string",
     "scene_seed_fraction",
+    "plane_normal_as_text",
+    "plane_offset_true",
+    "camera_motion_entry_as_text",
+    "intrinsics_fx_true",
+    "pose_rotation_all_booleans",
+    "aug_p_plus_q_above_one_zero_cv",
 ])
 def test_bad_input_is_a_typed_error(case, lateral_dataset, tmp_path):
     argv = _bad_input_argv(case, lateral_dataset, tmp_path)
@@ -621,10 +644,14 @@ def test_bad_input_is_a_typed_error(case, lateral_dataset, tmp_path):
         assert proc.stdout == "" and not (tmp_path / "err.ppm").exists()
     if case.endswith(("_fraction", "_boolean", "_string")):
         assert "must be a whole number" in proc.stderr
+    if case.endswith(("_as_text", "_true", "_all_booleans")):  # JSON true is not 1, "001" no vector
+        assert "must be" in proc.stderr
+    if case.startswith("aug_p_plus_q_above_one"):
+        assert "p + q <= 1" in proc.stderr
     if argv[0] == "synth":
         assert not (tmp_path / "out").exists()
     if case.startswith(("intrinsics", "pose", "plane", "texture_unknown_key", "mover",
                         "texture_zero_period", "target_index", "scene_not_utf8", "scene_too_large",
                         "state_d_max_infinity", "state_with_unknown_key", "state_momentum_one",
-                        "scene_height", "scene_width", "scene_seed")):
+                        "scene_height", "scene_width", "scene_seed", "camera_motion")):
         assert ".json" in proc.stderr

@@ -66,10 +66,6 @@ class TestPhotometricError:
         expected = 0.85 / 2 * (1 - CONST_0_1_SSIM) + 0.15 * 1.0
         assert np.allclose(pe, expected, atol=1e-12)
 
-    def test_alpha_zero_is_pure_l1(self, rng):
-        a, b = rng.random((5, 5)), rng.random((5, 5))
-        assert np.allclose(photometric_error(a, b, alpha=0.0), np.abs(a - b))
-
 
 class TestMinReprojection:
     def test_perfect_source(self, rng):
@@ -232,13 +228,13 @@ class TestTotalLoss:
         depth = np.full((4, 4), 2.0)
         ones = np.ones((4, 4), dtype=bool)
         with pytest.raises(InvalidParameter):
-            total_loss(img, [(img, ones)], depth, depth, depth, img, smoothness_weight=weight)
+            total_loss(img, [(img, ones)], depth, depth, depth, smoothness_weight=weight)
 
     def test_all_zero_composition(self, rng):
         img = rng.random((5, 5, 3))
         depth = np.full((5, 5), 2.0)
         ones = np.ones((5, 5), dtype=bool)
-        report = total_loss(img, [(img.copy(), ones)], depth, depth, depth, img)
+        report = total_loss(img, [(img.copy(), ones)], depth, depth, depth)
         assert report.total == 0.0
         assert report.lp == 0.0 and report.lc == 0.0 and report.ls == 0.0
         assert report.mask_fraction == 0.0
@@ -247,7 +243,7 @@ class TestTotalLoss:
         img = rng.random((5, 5, 3))
         depth = np.full((5, 5), 2.0)
         ones = np.ones((5, 5), dtype=bool)
-        report = total_loss(img, [(img.copy(), ones)], depth, depth, depth, img)
+        report = total_loss(img, [(img.copy(), ones)], depth, depth, depth)
         assert list(report.to_json_dict()) == ["lp", "lc", "ls", "total", "mask_fraction"]
 
     def test_full_mask_suppresses_reprojection(self, rng):
@@ -257,7 +253,7 @@ class TestTotalLoss:
         d_t = np.full((5, 5), 2.0)
         d_hat = np.full((5, 5), 2.0)
         d_cv = np.full((5, 5), 5.0)  # 2.5x teacher: masked everywhere
-        report = total_loss(img, [(garbage, ones)], d_t, d_hat, d_cv, img, smoothness_weight=0.5)
+        report = total_loss(img, [(garbage, ones)], d_t, d_hat, d_cv, smoothness_weight=0.5)
         assert report.mask_fraction == 1.0
         assert report.lp > 0
         assert report.total == pytest.approx(report.lc + 0.5 * report.ls, abs=1e-12)
@@ -269,7 +265,7 @@ class TestTotalLoss:
         d_t = rng.random((6, 6)) + 1
         d_hat = rng.random((6, 6)) + 1
         d_cv = rng.random((6, 6)) + 1
-        report = total_loss(img, [(src, ones)], d_t, d_hat, d_cv, img)
+        report = total_loss(img, [(src, ones)], d_t, d_hat, d_cv)
         mask = consistency_mask(d_cv, d_hat)
         expected = ((1 - mask) * report.per_pixel_lp).mean() + report.lc + 1e-3 * report.ls
         assert report.total == pytest.approx(expected, abs=1e-12)
@@ -280,7 +276,7 @@ class TestTotalLoss:
         target, src = r.random((6, 8, 3)), r.random((6, 8, 3))
         valid = r.random((6, 8)) > 0.2
         d_t, d_hat, d_cv = (r.uniform(1, 4, (6, 8)) for _ in range(3))
-        report = total_loss(target, [(src, valid), (target[::-1], ~valid)], d_t, d_hat, d_cv, target)
+        report = total_loss(target, [(src, valid), (target[::-1], ~valid)], d_t, d_hat, d_cv)
         assert report.to_json_dict() == {
             "lp": 0.4693076319787084,
             "lc": 0.2428523644644585,
