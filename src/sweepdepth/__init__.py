@@ -17,6 +17,7 @@ from .costvolume import (
     build_cost_volume,
     inverse_depth_planes,
     linear_planes,
+    sweep_argmin,
     upsample_nearest,
     zero_volume,
 )

@@ -43,6 +43,7 @@ from .costvolume import (
     argmin_depth,
     build_cost_volume,
     check_volume_size,
+    sweep_argmin,
     upsample_nearest,
     zero_volume,
 )
@@ -57,7 +58,7 @@ from .evaluation import (
     error_heatmap,
     median_scale,
 )
-from .features import EXTRACTOR_KINDS, VALID_SCALES, extract_features
+from .features import EXTRACTOR_KINDS, VALID_SCALES, FeatureMap, extract_features
 from .geometry import Intrinsics, Pose, bilinear_sample, reproject_grid
 from .losses import DEFAULT_SMOOTHNESS_WEIGHT, consistency_mask, total_loss
 from .synth import (
@@ -122,10 +123,30 @@ def _check_frames(target: int, source_idxs: list[int], count: int) -> None:
             raise SweepDepthError(f"bad or repeated source index {i} for {count}-frame dataset")
 
 
-def _volume_for(
-    args, data: Dataset, source_idxs: list[int] | None
-) -> tuple[CostVolume, DepthPlaneSet]:
-    """Plane-sweep volume for ``args.target`` (default source: the frame before it),
+@dataclass(frozen=True)
+class _Sweep:
+    """The plane sweep a command line asks for: its planes, its (H', W', P)
+    volume shape, and the features, sources and intrinsics to sweep, or None
+    when the all-zeros volume stands in for it (--zero-cv or a ZERO_VOLUME draw)."""
+
+    planes: DepthPlaneSet
+    shape: tuple[int, int, int]
+    inputs: tuple[FeatureMap, list[tuple[FeatureMap, Pose]], Intrinsics] | None
+
+    def volume(self) -> CostVolume:
+        if self.inputs is None:
+            return zero_volume(*self.shape)
+        return build_cost_volume(*self.inputs, self.planes)
+
+    def argmin(self) -> tuple[np.ndarray, np.ndarray]:
+        """``argmin_depth(self.volume(), self.planes)``, with no volume held."""
+        if self.inputs is None:  # every cost ties at 0: the first plane, valid everywhere
+            return np.full(self.shape[:2], self.planes.depths[0]), np.ones(self.shape[:2], bool)
+        return sweep_argmin(*self.inputs, self.planes)
+
+
+def _sweep_for(args, data: Dataset, source_idxs: list[int] | None) -> _Sweep:
+    """The plane sweep for ``args.target`` (default source: the frame before it),
     honoring --zero-cv and augmentation."""
     target = args.target
     source_idxs = source_idxs or [target - 1]
@@ -134,16 +155,17 @@ def _volume_for(
     shape = (K_f.height, K_f.width, args.planes)
     check_volume_size(*shape)  # before the plane set allocates its depths
     planes = _resolve_planes(args)
+    decision = Augmentation.NONE
     if args.augment_sample is not None:  # drawn first: bad flags are an error under --zero-cv too
         cfg = AugmentConfig(p=args.aug_p, q=args.aug_q, rng_seed=args.seed)
         decision = draw_augmentation(cfg, args.augment_sample)
 
-    if args.zero_cv:
-        return zero_volume(*shape), planes
+    if args.zero_cv or decision is Augmentation.ZERO_VOLUME:
+        return _Sweep(planes, shape, None)
 
     source_images = {i: data.images[i] for i in source_idxs}
     if args.augment_sample is not None:
-        result = apply_augmentation(
+        source_images[source_idxs[0]] = apply_augmentation(
             decision,
             data.images[target],
             data.images[source_idxs[0]],
@@ -151,24 +173,13 @@ def _volume_for(
             cfg,
             args.augment_sample,
         )
-        if decision is Augmentation.ZERO_VOLUME:
-            return result, planes
-        source_images[source_idxs[0]] = result
 
     f_target = extract_features(data.images[target], args.features, args.feature_scale)
     sources = []
     for i in source_idxs:
         fmap = extract_features(source_images[i], args.features, args.feature_scale)
         sources.append((fmap, relative_pose(data.poses[target], data.poses[i])))
-    return build_cost_volume(f_target, sources, K_f, planes), planes
-
-
-def _depth_image(
-    args, data: Dataset, cv: CostVolume, planes: DepthPlaneSet
-) -> tuple[np.ndarray, np.ndarray]:
-    """Argmin depth upsampled to image resolution, and its feature-resolution validity."""
-    depth_f, valid = argmin_depth(cv, planes)
-    return upsample_nearest(depth_f, args.feature_scale, data.K.height, data.K.width), valid
+    return _Sweep(planes, shape, (f_target, sources, K_f))
 
 
 def _report(report, out: str | None) -> dict:
@@ -217,8 +228,13 @@ def cmd_synth(args) -> dict:
 
 def cmd_depth(args) -> dict:
     data = load_dataset(args.data)
-    cv, planes = _volume_for(args, data, args.sources)
-    depth_img, valid = _depth_image(args, data, cv, planes)
+    sweep = _sweep_for(args, data, args.sources)
+    if args.dump_cv:
+        cv = sweep.volume()
+        depth_f, valid = argmin_depth(cv, sweep.planes)
+    else:
+        depth_f, valid = sweep.argmin()
+    depth_img = upsample_nearest(depth_f, args.feature_scale, data.K.height, data.K.width)
     sdio.write_pfm(args.out, depth_img)
     written = {"depth": str(args.out)}
 
@@ -230,7 +246,7 @@ def cmd_depth(args) -> dict:
         written["mask"] = mask_path
         written["mask_fraction"] = float(mask.mean())
     if args.dump_cv:
-        sdio.write_cost_volume(args.dump_cv, cv, planes)
+        sdio.write_cost_volume(args.dump_cv, cv, sweep.planes)
         written["cost_volume"] = str(args.dump_cv)
     written["argmin_valid_fraction"] = float(valid.mean())
     return written
@@ -251,8 +267,8 @@ def cmd_loss(args) -> dict:
         img, valid = bilinear_sample(data.images[i], grid)
         synthesized.append((img, valid))
 
-    cv, planes = _volume_for(args, data, args.cv_sources)
-    d_cv, _ = _depth_image(args, data, cv, planes)
+    depth_f, _ = _sweep_for(args, data, args.cv_sources).argmin()
+    d_cv = upsample_nearest(depth_f, args.feature_scale, data.K.height, data.K.width)
 
     report = total_loss(data.images[target], synthesized, student, teacher, d_cv,
                         smoothness_weight=args.smooth_weight)
@@ -278,8 +294,9 @@ def cmd_eval(args) -> dict:
 
 def cmd_dump_cv(args) -> dict:
     data = load_dataset(args.data)
-    cv, planes = _volume_for(args, data, args.sources)
-    sdio.write_cost_volume(args.out, cv, planes)
+    sweep = _sweep_for(args, data, args.sources)
+    cv = sweep.volume()
+    sdio.write_cost_volume(args.out, cv, sweep.planes)
     return {"cost_volume": str(args.out), "shape": list(cv.shape)}
 
 

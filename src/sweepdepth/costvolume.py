@@ -10,6 +10,7 @@ cost and are excluded from the argmin.
 from __future__ import annotations
 
 import os
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -186,9 +187,51 @@ def build_cost_volume(
     execution order. A volume over MAX_VOLUME_CELLS raises VolumeTooLarge
     before anything is allocated.
     """
+    _check_sweep(target, sources, K, planes)
+    costs, counts = _sweep(target, sources, K, planes, None)
+    shape = (*target.shape[:2], len(planes))
+    return CostVolume(costs=costs.reshape(shape), valid_count=counts.reshape(shape))
+
+
+def sweep_argmin(
+    target: FeatureMap,
+    sources: list[tuple[FeatureMap, Pose]],
+    K: Intrinsics,
+    planes: DepthPlaneSet,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``argmin_depth(build_cost_volume(target, sources, K, planes), planes)``,
+    bit for bit, without holding the volume.
+
+    The sweep, its checks (VolumeTooLarge included) and its slabs and runs
+    are those of ``build_cost_volume``, but each slab scores its runs in
+    turn into one run-sized block and reduces each run's pixels to their
+    cheapest plane and its validity before the next run reuses the block.
+    """
+    _check_sweep(target, sources, K, planes)
+    h, w, _ = target.shape
+    best = np.empty(h * w, dtype=np.intp)
+    valid = np.empty(h * w, dtype=bool)
+
+    def reduce(run: slice, costs: np.ndarray) -> None:
+        idx = best[run]
+        np.argmin(costs, axis=1, out=idx)
+        np.isfinite(costs[np.arange(len(idx)), idx], out=valid[run])
+
+    _sweep(target, sources, K, planes, reduce)
+    depth = np.where(valid, planes.depths[best], (planes.d_min + planes.d_max) / 2.0)
+    return depth.reshape(h, w), valid.reshape(h, w)
+
+
+def _check_sweep(
+    target: FeatureMap,
+    sources: list[tuple[FeatureMap, Pose]],
+    K: Intrinsics,
+    planes: DepthPlaneSet,
+) -> None:
+    """Raise unless every feature map and K agree in shape and the volume fits MAX_VOLUME_CELLS."""
     if not sources:
         raise EmptySourceList("cost volume needs at least one source view")
-    h, w, channels = target.shape
+    h, w, _ = target.shape
     if (K.height, K.width) != (h, w):
         raise ShapeMismatch(
             f"intrinsics {K.height}x{K.width} do not match features {h}x{w}; "
@@ -197,34 +240,60 @@ def build_cost_volume(
     for fmap, _pose in sources:
         if fmap.shape != target.shape or fmap.scale != target.scale:
             raise ShapeMismatch("all feature maps must share the target's shape and scale")
+    check_volume_size(h, w, len(planes))
 
+
+def _sweep(
+    target: FeatureMap,
+    sources: list[tuple[FeatureMap, Pose]],
+    K: Intrinsics,
+    planes: DepthPlaneSet,
+    reduce: Callable[[slice, np.ndarray], None] | None,
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """Score every cell of a sweep that passed ``_check_sweep``, run by run, as
+    ``build_cost_volume`` describes.
+
+    With ``reduce`` None each run scores into its own rows of a new (H'W', P)
+    pair of costs and source counts, which is returned. Otherwise each slab
+    scores its runs into one run-sized block of its own, and
+    ``reduce(run, costs)``, called on the slab's thread, takes what it needs
+    from the run's costs before the slab's next run reuses the block.
+    """
+    h, w, channels = target.shape
     n_planes = len(planes)
-    check_volume_size(h, w, n_planes)
     n = h * w
     target_cm = _channel_major(target.data)
     views = []
     for fmap, pose in sources:
         proj = _PlaneProjection.of(pose, K)
         views.append((_channel_major(fmap.data), proj.uv, proj.column(planes.depths)[:, None, :]))
-    costs = np.empty((n, n_planes))
-    counts = np.empty((n, n_planes), dtype=np.min_scalar_type(len(sources)))
+    count_dtype = np.min_scalar_type(len(sources))
     per_run = min(n, max(1, min(_TILE, max(n, _TILE // 4)) // n_planes))
     cells = per_run * n_planes
     workers = _thread_count(n // per_run)
     bounds = [n * k // workers for k in range(workers + 1)]  # each slab holds a whole run
-    # Each slab's work arrays and count row are allocated here: allocated in
-    # the pool threads, they would sit in per-thread malloc arenas and raise
-    # the peak RSS of small sweeps.
-    per_slab = [(_WorkArrays(channels, cells), np.empty(cells, counts.dtype))
+
+    def scores(pixels: int) -> tuple[np.ndarray, np.ndarray]:
+        """Costs and source counts for ``pixels`` pixels with all their planes."""
+        return np.empty((pixels, n_planes)), np.empty((pixels, n_planes), count_dtype)
+
+    # Each slab's work arrays, count row and run block (when reducing) are
+    # allocated here: allocated in the pool threads, they would sit in
+    # per-thread malloc arenas and raise the peak RSS of small sweeps.
+    volume = None if reduce else scores(n)
+    per_slab = [(_WorkArrays(channels, cells), np.empty(cells, count_dtype),
+                 scores(per_run) if reduce else volume)
                 for _ in range(workers)]
 
-    def sweep_slab(lo: int, hi: int, arrays: tuple[_WorkArrays, np.ndarray]) -> None:
-        work, denom = arrays
+    def sweep_slab(lo: int, hi: int,
+                   arrays: tuple[_WorkArrays, np.ndarray, tuple[np.ndarray, np.ndarray]]) -> None:
+        work, denom, (costs, counts) = arrays
         diff = work.tmp[0]  # free once _bilinear_gather has returned
         for start in range(lo, hi, per_run):
             first = min(start, hi - per_run)  # the slab's last run ends at its last pixel
             run = slice(first, first + per_run)
-            total, count = costs[run].reshape(-1), counts[run].reshape(-1)
+            block = slice(None) if reduce else run  # the lent block, or the run's rows of the volume
+            total, count = costs[block].reshape(-1), counts[block].reshape(-1)
             total.fill(0.0)
             count.fill(0)
             for src, uv, column in views:
@@ -241,12 +310,12 @@ def build_cost_volume(
             np.maximum(count, 1, out=denom)
             np.divide(total, denom, out=total)
             np.copyto(total, np.inf, where=count == 0)
+            if reduce:
+                reduce(run, costs)
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
         list(pool.map(sweep_slab, bounds[:-1], bounds[1:], per_slab))
-
-    shape = (h, w, n_planes)
-    return CostVolume(costs=costs.reshape(shape), valid_count=counts.reshape(shape))
+    return volume
 
 
 def argmin_depth(cv: CostVolume, planes: DepthPlaneSet) -> tuple[np.ndarray, np.ndarray]:

@@ -189,9 +189,10 @@ def number(value, name: str) -> float:
 
 
 def numbers(value, name: str) -> list[float]:
-    """Each entry of a parsed JSON array as a float, by ``number``; a string raises
-    InvalidParameter naming the field, since ``"100"`` is not the vector (1, 0, 0)."""
-    if isinstance(value, str):
+    """Each entry of a parsed JSON array as a float, by ``number``; a string, as the
+    array or as an entry, raises InvalidParameter naming the field: ``"100"`` is not
+    the vector (1, 0, 0), and a vector holds numbers, not ``["1", "0", "0"]``."""
+    if isinstance(value, str) or any(isinstance(entry, str) for entry in value):
         raise InvalidParameter(f"{name} must be an array of numbers, got {value!r}")
     return [number(entry, name) for entry in value]
 

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior on the bundled scenes."""
 
+import hashlib
 import io
 import json
 import math
@@ -14,7 +15,8 @@ import numpy as np
 import pytest
 
 import sweepdepth
-from sweepdepth import cli
+from sweepdepth import augment, cli, costvolume
+from sweepdepth.augment import Augmentation, AugmentConfig, draw_augmentation
 from sweepdepth.cli import main
 from sweepdepth.costvolume import inverse_depth_planes
 from sweepdepth.io import read_cost_volume, read_pfm, read_ppm, write_pfm, write_ppm
@@ -203,9 +205,9 @@ class TestDepth:
                                                      monkeypatch):
         # The parser is built once per process; each call still parses from the defaults.
         seen = []
-        volume_for = cli._volume_for
-        monkeypatch.setattr(cli, "_volume_for",
-                            lambda args, data, idxs: seen.append(idxs) or volume_for(args, data, idxs))
+        sweep_for = cli._sweep_for
+        monkeypatch.setattr(cli, "_sweep_for",
+                            lambda args, data, idxs: seen.append(idxs) or sweep_for(args, data, idxs))
         args = ["depth", "--data", str(lateral_dataset), "--out", str(tmp_path / "d.pfm"),
                 "--d-min", "1", "--d-max", "10", "--planes", "4"]
         assert run(capsys, *args, "--sources", "0", "2")[0] == 0
@@ -323,6 +325,105 @@ class TestDumpCv:
         assert out.read_bytes().startswith(b"SWPCV2 12 16 8 1.0 10.0 inverse\n")
         _, planes = read_cost_volume(out)
         assert np.array_equal(planes.depths, inverse_depth_planes(1.0, 10.0, 8).depths)
+
+
+def write_noise_dataset(root: Path) -> None:
+    """Three 32x24 frames of seeded noise, seen from x = 0, 0.25 and 0.5 m with no
+    rotation and power-of-two intrinsics: every homography term is exact, and the
+    sweep takes no transcendental function and no reduction longer than three
+    entries, so its bits should not depend on the machine's libm, BLAS or SIMD."""
+    root.mkdir(parents=True, exist_ok=True)
+    rng = np.random.default_rng(7)
+    (root / "intrinsics.json").write_text(json.dumps(
+        {"fx": 32.0, "fy": 32.0, "cx": 16.0, "cy": 12.0, "width": 32, "height": 24}))
+    for t in range(3):
+        write_ppm(root / f"frame_{t:04d}.ppm", rng.random((24, 32, 3)))
+        (root / f"pose_{t:04d}.json").write_text(json.dumps(
+            {"R": [1, 0, 0, 0, 1, 0, 0, 0, 1], "t": [0.25 * t, 0, 0]}))
+    write_pfm(root / "depth_0001.pfm", np.full((24, 32), 2.0))
+
+
+@pytest.fixture(scope="module")
+def noise_dataset(tmp_path_factory):
+    root = tmp_path_factory.mktemp("noise")
+    write_noise_dataset(root)
+    return root
+
+
+def sample_drawing(decision: Augmentation) -> int:
+    """The first augmentation sample index whose draw at the CLI's defaults is ``decision``."""
+    cfg = AugmentConfig()
+    return next(i for i in range(1000) if draw_augmentation(cfg, i) is decision)
+
+
+_SWEEP = ["--d-min", "1", "--d-max", "10", "--planes", "8", "--feature-scale", "1"]
+
+# The files each command writes over noise_dataset, as sha256 of their bytes, recorded
+# before `depth` and `loss` stopped building the volume: the volume path keeps them.
+VOLUME_BYTES = {
+    "depth_dump_cv": (
+        ["depth", "--sources", "0", "2", "--dump-cv", "{tmp}/v.swpcv", "--out", "{tmp}/d.pfm"],
+        {"v.swpcv": "e99032c5c2e060b619ce6b7f79b612df3047612f888b0774200cebed73451e1f",
+         "d.pfm": "ba7c1e5d2bddd78ed46090dbf9733b085aaff87eaaef45cbef116ad21813ac08"},
+    ),
+    "depth_dump_cv_static_substitute": (
+        ["depth", "--augment-sample", str(sample_drawing(Augmentation.STATIC_SUBSTITUTE)),
+         "--dump-cv", "{tmp}/v.swpcv", "--out", "{tmp}/d.pfm"],
+        {"v.swpcv": "8da9b9d9b37bf137358a8dbc9747909b5ad99ebad9267730dde8cc772fd2216d",
+         "d.pfm": "3052f313bc70ba708d143fb8bdc6f27c384702b19c2f6d8c9587bf5db1bb525c"},
+    ),
+    "dump_cv_inverse": (
+        ["dump-cv", "--sources", "0", "2", "--inverse-depth-planes", "--out", "{tmp}/v.swpcv"],
+        {"v.swpcv": "04d920934be16d54ff9ff550fa033521cc52fb513572e3f3703bd0616b553841"},
+    ),
+    "dump_cv_zero": (
+        ["dump-cv", "--zero-cv", "--out", "{tmp}/v.swpcv"],
+        {"v.swpcv": "eb379116811fbf06c2f1f414c741080376fc0c380eaf0a4d5e3003085d46d63e"},
+    ),
+}
+
+
+class TestVolumeBytes:
+    @pytest.mark.parametrize("case", list(VOLUME_BYTES))
+    def test_dumps_keep_their_bytes(self, noise_dataset, tmp_path, capsys, case):
+        argv, files = VOLUME_BYTES[case]
+        argv = [a.format(tmp=tmp_path) for a in argv]
+        assert run(capsys, *argv, "--data", str(noise_dataset), *_SWEEP)[0] == 0
+        got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in files}
+        assert got == files
+
+
+class TestNoVolume:
+    """`depth` without a dump and `loss` reduce the sweep as it runs: no volume is built."""
+
+    @pytest.fixture
+    def refuse_volumes(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("built a cost volume")
+
+        for module, name in ((costvolume, "build_cost_volume"), (cli, "build_cost_volume"),
+                             (costvolume, "zero_volume"), (cli, "zero_volume"),
+                             (augment, "zero_volume")):
+            monkeypatch.setattr(module, name, refuse)
+
+    @pytest.mark.parametrize("extra", [[], ["--zero-cv"], ["--inverse-depth-planes"],
+                                       ["--augment-sample", str(sample_drawing(Augmentation.ZERO_VOLUME))]])
+    def test_depth(self, noise_dataset, tmp_path, capsys, request, extra):
+        argv = ["depth", "--data", str(noise_dataset), "--sources", "0", "2", *_SWEEP, *extra]
+        assert run(capsys, *argv, "--out", str(tmp_path / "a.pfm"),
+                   "--dump-cv", str(tmp_path / "v.swpcv"))[0] == 0
+        request.getfixturevalue("refuse_volumes")
+        assert run(capsys, *argv, "--out", str(tmp_path / "b.pfm"))[0] == 0
+        assert (tmp_path / "b.pfm").read_bytes() == (tmp_path / "a.pfm").read_bytes()
+
+    @pytest.mark.parametrize("decision", list(Augmentation))
+    def test_loss(self, noise_dataset, tmp_path, capsys, refuse_volumes, decision):
+        gt = str(noise_dataset / "depth_0001.pfm")
+        code, stdout, err = run(capsys, "loss", "--data", str(noise_dataset), *_SWEEP,
+                                "--student", gt, "--teacher", gt, "--cv-sources", "0", "2",
+                                "--augment-sample", str(sample_drawing(decision)))
+        assert code == 0, err
+        assert set(json.loads(stdout)) == {"lp", "lc", "ls", "total", "mask_fraction"}
 
 
 class TestStaticCamera:
@@ -490,6 +591,8 @@ def _bad_input_argv(case, data, tmp):
         "intrinsics_fx_true": ("intrinsics.json", lambda k: json.dumps({**k, "fx": True})),
         "pose_rotation_all_booleans": ("pose_0001.json", lambda p: json.dumps(
             {**p, "R": [bool(r) for r in p["R"]]})),
+        "pose_translation_entries_as_text": ("pose_0001.json", lambda p: json.dumps(
+            {**p, "t": ["0", "0", "1"]})),
         "pose_translation_nan": ("pose_0000.json",
                                  lambda p: json.dumps({**p, "t": [math.nan, 0, 0]})),
         "pose_not_json": ("pose_0001.json", lambda _: "R = identity"),
@@ -518,6 +621,8 @@ def _bad_input_argv(case, data, tmp):
         "plane_normal_as_text": {"planes": [{**plane, "normal": "001"}]},
         "plane_offset_true": {"planes": [{**plane, "offset": True}]},
         "camera_motion_entry_as_text": {"camera_motion": [[0, 0, 0], "100"]},
+        "camera_motion_entries_as_text": {"camera_motion": [[0, 0, 0], ["0.1", "0", "0"]]},
+        "plane_normal_entries_as_text": {"planes": [{**plane, "normal": ["0", "0", "1"]}]},
         # 10^7 x 10^7 pixels, past any machine's memory: without the check it fails at once
         # in numpy rather than rendering for minutes
         "scene_too_large": {"width": 10**7, "height": 10**7},
@@ -612,6 +717,9 @@ def _bad_input_argv(case, data, tmp):
     "plane_normal_as_text",
     "plane_offset_true",
     "camera_motion_entry_as_text",
+    "plane_normal_entries_as_text",
+    "pose_translation_entries_as_text",
+    "camera_motion_entries_as_text",
     "intrinsics_fx_true",
     "pose_rotation_all_booleans",
     "aug_p_plus_q_above_one_zero_cv",

@@ -1,6 +1,7 @@
 """Plane sets, cost volume construction, argmin extraction, adaptive range."""
 
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import cost_volume_ref
-from sweepdepth import costvolume, geometry
+from sweepdepth import cli, costvolume, geometry
 from sweepdepth.costvolume import (
     MAX_VOLUME_CELLS,
     AdaptiveRangeState,
@@ -20,6 +21,7 @@ from sweepdepth.costvolume import (
     build_cost_volume,
     inverse_depth_planes,
     linear_planes,
+    sweep_argmin,
     zero_volume,
 )
 from sweepdepth.errors import (
@@ -119,8 +121,9 @@ class TestBuildCostVolume:
     def test_empty_sources_rejected(self, rng):
         K = small_K()
         fmap = FeatureMap(data=rng.random((6, 8, 1)), scale=1)
-        with pytest.raises(EmptySourceList):
-            build_cost_volume(fmap, [], K, linear_planes(1, 2, 2))
+        for sweep in (build_cost_volume, sweep_argmin):
+            with pytest.raises(EmptySourceList):
+                sweep(fmap, [], K, linear_planes(1, 2, 2))
 
     def test_shape_mismatch_rejected(self, rng):
         K = small_K()
@@ -335,8 +338,9 @@ class TestVolumeBudget:
 
         fmap = FeatureMap(data=rng.random((6, 8, 1)), scale=1)
         self._forbid(monkeypatch, "empty")
-        with pytest.raises(VolumeTooLarge):
-            build_cost_volume(fmap, [(fmap, Pose.identity())], small_K(), HugePlaneSet())
+        for sweep in (build_cost_volume, sweep_argmin):
+            with pytest.raises(VolumeTooLarge):
+                sweep(fmap, [(fmap, Pose.identity())], small_K(), HugePlaneSet())
 
     def test_budget_admits_the_kitti_volume(self):
         costvolume.check_volume_size(192, 640, 96)
@@ -408,6 +412,113 @@ class TestZeroVolume:
         assert not consistency_mask(depth, teacher).any()
         teacher = np.full((2, 3), 2.5)  # beyond 2x: masked
         assert consistency_mask(depth, teacher).all()
+
+
+def _same_as_argmin_of_volume(target, sources, K, planes) -> np.ndarray:
+    """Assert that sweep_argmin returns argmin_depth(build_cost_volume(...)) bit for bit;
+    return the validity."""
+    want = argmin_depth(build_cost_volume(target, sources, K, planes), planes)
+    got = sweep_argmin(target, sources, K, planes)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert g.tobytes() == w.tobytes()
+    return got[1]
+
+
+class TestSweepArgmin:
+    @pytest.fixture(params=["1", "2", "3", "4"])
+    def threads(self, request, monkeypatch):
+        monkeypatch.setenv("SWEEPDEPTH_THREADS", request.param)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often: slabs sharing a pixel would show
+        yield request.param
+        sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("spacing", ["linear", "inverse"])
+    def test_rendered_scene(self, rendered_presets, threads, spacing):
+        # 64x48 pixels with 96 planes, two sources: runs of 85 pixels
+        setup, frames = rendered_presets["moving_box"]
+        f_t = extract_features(frames[1].image, "gradient", 1)
+        sources = [(extract_features(frames[i].image, "gradient", 1),
+                    relative_pose(frames[1].pose, frames[i].pose)) for i in (0, 2)]
+        _same_as_argmin_of_volume(f_t, sources, setup.K, DepthPlaneSet(1.0, 10.0, 96, spacing))
+
+    def test_slab_boundaries(self, rng, monkeypatch, threads):
+        # The strips of TestBuildCostVolume.test_slab_boundaries: 8 planes and
+        # a _TILE of 256 give runs of 8 pixels, and a slab's last run
+        # overlaps the run before it.
+        monkeypatch.setattr(costvolume, "_TILE", 256)
+        planes = linear_planes(1.0, 10.0, 8)
+        for n in (9, 15, 25):
+            K = Intrinsics(fx=10.0, fy=10.0, cx=(n - 1) / 2, cy=0.0, width=n, height=1)
+            target = FeatureMap(data=rng.random((1, n, 2)), scale=1)
+            sources = [(FeatureMap(data=rng.random((1, n, 2)), scale=1), pose)
+                       for pose in (Pose.from_translation(0.2, 0, 0.05),
+                                    Pose.from_translation(-0.3, 0, 0))]
+            for _ in range(5):  # a race need not show in every sweep
+                _same_as_argmin_of_volume(target, sources, K, planes)
+
+    def test_one_pixel_runs(self, rendered_presets, monkeypatch, threads):
+        # 12 planes and a _TILE of 8 cells: every run is one pixel with all its planes.
+        monkeypatch.setattr(costvolume, "_TILE", 8)
+        setup, frames = rendered_presets["moving_box"]
+        f_t = extract_features(frames[1].image, "gradient", 1)
+        sources = [(extract_features(frames[i].image, "gradient", 1),
+                    relative_pose(frames[1].pose, frames[i].pose)) for i in (0, 2)]
+        _same_as_argmin_of_volume(f_t, sources, setup.K, linear_planes(1.0, 10.0, 12))
+
+    def test_every_plane_ties(self, threads):
+        # Constant features: every plane a pixel can see costs exactly 0, so
+        # the tie rule decides, and planes that warp out of bounds stay +inf.
+        fmap = FeatureMap(data=np.zeros((12, 16, 2)), scale=1)
+        valid = _same_as_argmin_of_volume(
+            fmap, [(fmap, Pose.from_translation(0.5, 0, 0))], small_K(16, 12),
+            linear_planes(1.0, 10.0, 8))
+        assert valid.mean() > 0.5
+
+    def test_pixels_without_a_valid_plane(self, rng, threads):
+        # A source 2 m to the side shifts a 25-pixel strip by 2 to 20 pixels:
+        # its last two pixels leave the image at every plane, so they take the
+        # range midpoint and valid=False.
+        K = Intrinsics(fx=10.0, fy=10.0, cx=12.0, cy=0.0, width=25, height=1)
+        target = FeatureMap(data=rng.random((1, 25, 2)), scale=1)
+        source = (FeatureMap(data=rng.random((1, 25, 2)), scale=1), Pose.from_translation(2.0, 0, 0))
+        valid = _same_as_argmin_of_volume(target, [source], K, linear_planes(1.0, 10.0, 8))
+        assert valid.any() and not valid.all()
+
+    @pytest.mark.parametrize("spacing", ["linear", "inverse"])
+    def test_zero_volume_answer(self, spacing):
+        # --zero-cv and a ZERO_VOLUME draw take the tie rule without a volume
+        planes = DepthPlaneSet(2.0, 8.0, 5, spacing)
+        want = argmin_depth(zero_volume(3, 4, 5), planes)
+        got = cli._Sweep(planes, (3, 4, 5), None).argmin()
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.shape == w.shape
+            assert g.tobytes() == w.tobytes()
+
+    def test_holds_no_volume(self, rng, monkeypatch):
+        # numpy reports its buffers to tracemalloc, so the peak counts every
+        # array the sweep allocates. One 96x320, 96-plane volume holds 26.5 MB
+        # of costs and counts; the reduce path keeps one pool thread's work
+        # arrays for a tile of 32768 cells (1.4 MB with one feature channel),
+        # the channel-major inputs and the per-pixel results.
+        monkeypatch.setenv("SWEEPDEPTH_THREADS", "1")
+        h, w = 96, 320
+        K = Intrinsics(fx=320.0, fy=320.0, cx=159.5, cy=47.5, width=w, height=h)
+        target = FeatureMap(data=rng.random((h, w, 1)), scale=1)
+        sources = [(FeatureMap(data=rng.random((h, w, 1)), scale=1), Pose.from_translation(0.2, 0, 0))]
+        planes = linear_planes(1.0, 10.0, 96)
+        volume_bytes = h * w * len(planes) * (8 + 1)
+        peaks = {}
+        for sweep in (build_cost_volume, sweep_argmin):
+            tracemalloc.start()
+            try:
+                sweep(target, sources, K, planes)
+                peaks[sweep] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[build_cost_volume] > volume_bytes  # the volume shows when it is held
+        assert peaks[sweep_argmin] < volume_bytes / 4
 
 
 class TestAdaptiveRange:
