@@ -1,6 +1,7 @@
 """Camera model, warping grids, and bilinear sampling."""
 
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -272,3 +273,51 @@ class TestBilinearSample:
         out, valid = bilinear_sample(img, full_grid(1, 1, coords))
         assert valid[0, 0]
         assert abs(out[0, 0] - (a * u + b * v + c)) < 1e-9
+
+
+# bilinear_sample samples in tiles of 16384 pixels (geometry._TILE_PIXELS):
+# grids of one pixel fewer, exactly one tile and one pixel more.
+TILE_GRIDS = ((127, 129), (128, 128), (5, 3277))
+
+# sha256 over the shapes and bytes of (sampled, valid) for a 9x13 image of
+# 1 and of 3 channels, recorded with the whole-grid sampler.
+GOLDEN_TILE_SHA256 = {
+    (127, 129): "2f5ad512ee2823a8292d655e7efdad78548ddddd0aad749662bb92e33218b13f",
+    (128, 128): "ddbe30e570069f9604f148ea3984d1b0b502f61f309d3ddff1c8f8706c9b3cba",
+    (5, 3277): "4e9b49eb7a9ebbe3ca78f223867fab7baaf309732133aea2583fc34faf930d05",
+}
+
+
+def tile_case(gh, gw):
+    """A 9x13x3 image and a grid of coordinates inside it, outside it and on its edges.
+
+    A sixth of the entries are drawn in [-2, 14] x [-2, 10], a sixth are whole
+    pixels, and one sixth each lie exactly on the left, right, top and bottom
+    edge. One in ten entries is flagged invalid, and a third of those hold NaN.
+    """
+    h, w = 9, 13
+    r = np.random.default_rng([gh, gw])
+    img = r.random((h, w, 3))
+    n = gh * gw
+    u, v = r.uniform(-2, w + 1, n), r.uniform(-2, h + 1, n)
+    kind = r.integers(0, 6, n)
+    whole = kind == 1
+    u[whole], v[whole] = r.integers(0, w, whole.sum()), r.integers(0, h, whole.sum())
+    for k, axis, edge in ((2, u, 0.0), (3, u, w - 1.0), (4, v, 0.0), (5, v, h - 1.0)):
+        axis[kind == k] = edge
+    valid = r.random(n) > 0.1
+    u[~valid & (r.random(n) < 1 / 3)] = np.nan
+    coords = np.stack([u, v], axis=-1).reshape(gh, gw, 2)
+    return img, PixelGrid(coords=coords, valid=valid.reshape(gh, gw))
+
+
+class TestBilinearTileGolden:
+    @pytest.mark.parametrize("shape", TILE_GRIDS)
+    def test_outputs_pinned(self, shape):
+        img, grid = tile_case(*shape)
+        digest = hashlib.sha256()
+        for image in (img[..., 0], img):
+            for out in bilinear_sample(image, grid):
+                digest.update(repr(out.shape).encode())
+                digest.update(out.tobytes())
+        assert digest.hexdigest() == GOLDEN_TILE_SHA256[shape]

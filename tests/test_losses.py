@@ -1,5 +1,7 @@
 """Loss terms against hand arithmetic and the scalar-loop references."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -284,6 +286,50 @@ class TestTotalLoss:
             "total": 0.6149965947244462,
             "mask_fraction": 0.20833333333333334,
         }
+
+
+# The photometric error is computed in row bands of up to 16384 pixels
+# (geometry._TILE_PIXELS), B = 8 rows at this width. The heights are 1, 2,
+# B - 1, B, B + 1 and 2B + 1 rows: one short band, one exact band, a band
+# and one row, and an interior band with halo rows on both sides.
+BAND_WIDTH = 2048
+BAND_HEIGHTS = (1, 2, 7, 8, 9, 17)
+
+# sha256 over the shapes and float64 bytes of each function's outputs at
+# BAND_HEIGHTS, recorded with the whole-image window mean.
+GOLDEN_BAND_SHA256 = {
+    ("ssim", 1): "474d7b1600811e0e72dda86cad1491782addf9f8090b78f3327822d848a3cb86",
+    ("ssim", 3): "fd7a5443cc8478d7f43a67764b11b6031cac823ff4d307558e38d143367bfad0",
+    ("photometric_error", 1): "905de51c669ab24dcf33865b20c5e15eb04288350d1b6e013dffa3373cfe0274",
+    ("photometric_error", 3): "92c2d0e201c10154be01b74c18d02d39e59b4907164d6a2820dd13546f95ffb1",
+    ("min_reprojection_loss", 1): "58730fa55f6d00c851146c77065c92a583a600f6351610d5c1159dfee455c21c",
+    ("min_reprojection_loss", 3): "d9c7015115dc1e362b9b2ea0f9f63428b54c3da459c580a364fd4a532bdaaee2",
+}
+
+
+def band_outputs(name, channels, height):
+    """The outputs of one loss function on seeded noise of ``height`` rows."""
+    r = np.random.default_rng([channels, height])
+    shape = (height, BAND_WIDTH) if channels == 1 else (height, BAND_WIDTH, channels)
+    target, first, second = (r.random(shape) for _ in range(3))
+    if name == "ssim":
+        return (ssim(first, target),)
+    if name == "photometric_error":
+        return (photometric_error(first, target),)
+    covers = [r.random((height, BAND_WIDTH)) > 0.3 for _ in range(2)]
+    scalar, per_pixel = min_reprojection_loss(target, list(zip((first, second), covers)))
+    return np.float64(scalar), per_pixel
+
+
+class TestBandGolden:
+    @pytest.mark.parametrize("name, channels", sorted(GOLDEN_BAND_SHA256))
+    def test_outputs_pinned(self, name, channels):
+        digest = hashlib.sha256()
+        for height in BAND_HEIGHTS:
+            for out in band_outputs(name, channels, height):
+                digest.update(repr(out.shape).encode())
+                digest.update(out.tobytes())
+        assert digest.hexdigest() == GOLDEN_BAND_SHA256[name, channels]
 
 
 NUM_ORACLE_FIXTURES = 50
