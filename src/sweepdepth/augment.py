@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .costvolume import CostVolume, zero_volume
 from .errors import InvalidParameter
 
 
@@ -91,18 +90,18 @@ def apply_augmentation(
     decision: Augmentation,
     target_img: np.ndarray,
     prev_img: np.ndarray,
-    cv_shape: tuple[int, int, int],
     cfg: AugmentConfig,
     index: int,
-) -> np.ndarray | CostVolume:
-    """Produce the cost-volume input this sample should use.
+) -> np.ndarray:
+    """Produce the image the cost volume should take in place of ``prev_img``.
 
     NONE passes ``prev_img`` through unchanged (same object), so loss-side
     inputs are never touched; STATIC_SUBSTITUTE returns a jittered copy of
-    the target; ZERO_VOLUME returns the substitute volume itself.
+    the target. ZERO_VOLUME replaces the volume, not an image: its caller
+    skips the sweep, and passing it here raises InvalidParameter.
     """
     if decision is Augmentation.NONE:
         return prev_img
     if decision is Augmentation.STATIC_SUBSTITUTE:
         return color_jitter(target_img, sample_rng(cfg.rng_seed, index, lane=1))
-    return zero_volume(*cv_shape)
+    raise InvalidParameter(f"{decision} substitutes the cost volume, not an image")

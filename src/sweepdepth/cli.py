@@ -28,6 +28,7 @@ import functools
 import itertools
 import json
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -72,10 +73,26 @@ from .synth import (
 )
 
 
+class _Frames(Sequence):
+    """A dataset's images, indexed by frame: each is held as its checked uint8 samples
+    and decoded to floats in [0, 1] by ``io.unit_floats`` the first time it is read."""
+
+    def __init__(self, samples: list[np.ndarray]):
+        self._frames = samples
+
+    def __len__(self) -> int:
+        return len(self._frames)
+
+    def __getitem__(self, t: int) -> np.ndarray:
+        if self._frames[t].dtype == np.uint8:
+            self._frames[t] = sdio.unit_floats(self._frames[t])
+        return self._frames[t]
+
+
 @dataclass
 class Dataset:
     K: Intrinsics
-    images: list[np.ndarray]
+    images: Sequence[np.ndarray]
     poses: list[Pose]
 
 
@@ -85,20 +102,26 @@ def _frame_files(root: Path, t: int) -> tuple[Path, Path, Path]:
 
 
 def load_dataset(root: str | Path) -> Dataset:
+    """The dataset under ``root``. Every frame's header, payload length and size against
+    intrinsics.json are checked here, and a bad one raises naming its file; a frame is
+    decoded to floats only when a command first reads it."""
     root = Path(root)
     K = sdio.read_intrinsics(root / "intrinsics.json")
-    images, poses = [], []
+    samples, poses = [], []
     for t in itertools.count():
         frame, _depth, pose = _frame_files(root, t)
         if not frame.exists():
             break
-        images.append(sdio.read_ppm(frame))
-        if images[-1].shape[:2] != (K.height, K.width):
+        try:
+            samples.append(sdio.read_ppm_samples(frame))
+        except SweepDepthError as exc:
+            raise type(exc)(f"{frame}: {exc}") from exc
+        if samples[-1].shape[:2] != (K.height, K.width):
             raise ShapeMismatch(f"{frame} is not the {K.width}x{K.height} of intrinsics.json")
         poses.append(sdio.read_pose(pose))
-    if not images:
+    if not samples:
         raise SweepDepthError(f"no frames under {root}: {frame} is missing")
-    return Dataset(K=K, images=images, poses=poses)
+    return Dataset(K=K, images=_Frames(samples), poses=poses)
 
 
 def _resolve_planes(args) -> DepthPlaneSet:
@@ -166,12 +189,7 @@ def _sweep_for(args, data: Dataset, source_idxs: list[int] | None) -> _Sweep:
     source_images = {i: data.images[i] for i in source_idxs}
     if args.augment_sample is not None:
         source_images[source_idxs[0]] = apply_augmentation(
-            decision,
-            data.images[target],
-            data.images[source_idxs[0]],
-            shape,
-            cfg,
-            args.augment_sample,
+            decision, data.images[target], data.images[source_idxs[0]], cfg, args.augment_sample
         )
 
     f_target = extract_features(data.images[target], args.features, args.feature_scale)

@@ -174,6 +174,12 @@ def _pixel_rays(K: Intrinsics) -> np.ndarray:
 
 _BOUNDARY_SNAP = 1e-9
 
+# Pixels per tile of ``bilinear_sample`` and per row band of the photometric
+# loss (``losses``), half the sweep's _TILE cells: their work arrays stay a few
+# MB at any image size, and a 64x48 image is one tile and one band. At 640x192
+# a quarter of this was slower, and twice it doubled the loss's peak memory.
+_TILE_PIXELS = 16384
+
 
 def _to_pixels(
     q: np.ndarray, K: Intrinsics, valid: np.ndarray, tmp: np.ndarray, mask: np.ndarray
@@ -340,7 +346,9 @@ def bilinear_sample(img: np.ndarray, grid: PixelGrid) -> tuple[np.ndarray, np.nd
     Returns (sampled, valid). Sampling interpolates the four integer
     neighbors; pixels whose grid entry is invalid or out of bounds get value
     0 and valid=False. ``img`` may be (H, W) or (H, W, C); the output keeps
-    that layout at the grid's shape.
+    that layout at the grid's shape. The grid is sampled in tiles of up to
+    _TILE_PIXELS pixels through one set of tile-sized work arrays; the last
+    tile ends at the last pixel and may overlap the one before it.
     """
     src = _channel_major(img)
     h, w = np.shape(img)[:2]
@@ -348,13 +356,21 @@ def bilinear_sample(img: np.ndarray, grid: PixelGrid) -> tuple[np.ndarray, np.nd
     if grid.coords.shape[:2] != (gh, gw):
         raise ShapeMismatch("grid coords and valid mask disagree")
 
-    work = _WorkArrays(len(src), gh * gw)
+    n, channels = gh * gw, len(src)
+    coords, grid_valid = grid.coords.reshape(-1, 2), grid.valid.reshape(-1)
+    out = np.empty((n, channels))
+    valid = np.empty(n, dtype=bool)
+    tile = max(1, min(n, _TILE_PIXELS))
+    work = _WorkArrays(channels, tile)
     u, v = uv = work.q[:2]
-    uv[:] = grid.coords.reshape(-1, 2).T
-    valid = grid.valid.reshape(-1) & (u >= 0) & (u <= w - 1) & (v >= 0) & (v <= h - 1)
-    work.valid[:] = valid
-
-    out = _bilinear_gather(src, h, w, uv, work)
-    np.copyto(out, 0.0, where=~valid)
-    out = np.ascontiguousarray(out.T).reshape(gh, gw, len(src))
+    for start in range(0, n, tile):
+        first = min(start, n - tile)
+        part = slice(first, first + tile)
+        uv[:] = coords[part].T
+        valid[part] = grid_valid[part] & (u >= 0) & (u <= w - 1) & (v >= 0) & (v <= h - 1)
+        work.valid[:] = valid[part]
+        sampled = _bilinear_gather(src, h, w, uv, work)
+        np.copyto(sampled, 0.0, where=~work.valid)
+        out[part] = sampled.T
+    out = out.reshape(gh, gw, channels)
     return (out[..., 0] if np.ndim(img) == 2 else out), valid.reshape(gh, gw)

@@ -69,15 +69,14 @@ def _fields(tokens: list[str], kinds, what: str) -> list:
 
 
 def _payload(buf: bytes, offset: int, dtype, shape: tuple[int, ...], what: str) -> np.ndarray:
-    """The ``shape`` array of ``dtype`` stored at ``buf[offset:]``, as float64."""
+    """The ``shape`` array of ``dtype`` stored at ``buf[offset:]``: a read-only view of ``buf``."""
     if min(shape) <= 0:
         raise MalformedHeader(f"bad {what} dimensions {'x'.join(map(str, shape))}")
     dtype = np.dtype(dtype)
     expected = math.prod(shape) * dtype.itemsize
-    payload = buf[offset : offset + expected]
-    if len(payload) < expected:
-        raise TruncatedPayload(f"{what} payload has {len(payload)} bytes, expected {expected}")
-    return np.frombuffer(payload, dtype=dtype).astype(np.float64).reshape(shape)
+    if len(buf) - offset < expected:
+        raise TruncatedPayload(f"{what} payload has {len(buf) - offset} bytes, expected {expected}")
+    return np.frombuffer(buf, dtype=dtype, count=math.prod(shape), offset=offset).reshape(shape)
 
 
 def _write(path: str | Path, header: str, array: np.ndarray, dtype) -> None:
@@ -96,7 +95,8 @@ def read_pfm(path: str | Path) -> np.ndarray:
     if not 0 < abs(scale) < math.inf:
         raise MalformedHeader(f"PFM scale must be finite and nonzero, got {scale}")
     dtype = "<f4" if scale < 0 else ">f4"
-    data = _payload(buf, offset, dtype, (height, width, bands), "PFM")[::-1]  # rows stored bottom-up
+    data = _payload(buf, offset, dtype, (height, width, bands), "PFM").astype(np.float64)
+    data = data[::-1]  # rows stored bottom-up
     return data[..., 0] if bands == 1 else data
 
 
@@ -114,6 +114,7 @@ def write_pfm(path: str | Path, data: np.ndarray) -> None:
 
 
 def _read_netpbm(path: str | Path, magic: str, bands: int) -> np.ndarray:
+    """The (height, width, bands) uint8 samples of a binary netpbm file, read-only."""
     buf = Path(path).read_bytes()
     tokens, offset = _split_header_tokens(buf, 4)
     if tokens[0] != magic:
@@ -121,8 +122,7 @@ def _read_netpbm(path: str | Path, magic: str, bands: int) -> np.ndarray:
     width, height, maxval = _fields(tokens[1:], (int, int, int), "netpbm")
     if maxval != 255:
         raise UnsupportedMaxval(f"only maxval 255 is supported, got {maxval}")
-    data = _payload(buf, offset, np.uint8, (height, width, bands), "netpbm") / 255.0
-    return data[..., 0] if bands == 1 else data
+    return _payload(buf, offset, np.uint8, (height, width, bands), "netpbm")
 
 
 def _write_netpbm(path: str | Path, magic: str, data: np.ndarray) -> None:
@@ -130,9 +130,20 @@ def _write_netpbm(path: str | Path, magic: str, data: np.ndarray) -> None:
     _write(path, f"{magic}\n{w} {h}\n255\n", np.round(np.clip(data, 0.0, 1.0) * 255.0), np.uint8)
 
 
+def read_ppm_samples(path: str | Path) -> np.ndarray:
+    """Read a binary P6 image into its (H, W, 3) uint8 samples, read-only, with every
+    check of ``read_ppm``."""
+    return _read_netpbm(path, "P6", 3)
+
+
+def unit_floats(samples: np.ndarray) -> np.ndarray:
+    """8-bit samples as float64 in [0, 1]: how ``read_ppm`` and ``read_pgm`` decode."""
+    return samples.astype(np.float64) / 255.0
+
+
 def read_ppm(path: str | Path) -> np.ndarray:
     """Read a binary P6 image into (H, W, 3) floats in [0, 1]."""
-    return _read_netpbm(path, "P6", 3)
+    return unit_floats(read_ppm_samples(path))
 
 
 def write_ppm(path: str | Path, img: np.ndarray) -> None:
@@ -144,7 +155,7 @@ def write_ppm(path: str | Path, img: np.ndarray) -> None:
 
 def read_pgm(path: str | Path) -> np.ndarray:
     """Read a binary P5 image into (H, W) floats in [0, 1]."""
-    return _read_netpbm(path, "P5", 1)
+    return unit_floats(_read_netpbm(path, "P5", 1))[..., 0]
 
 
 def write_pgm(path: str | Path, img: np.ndarray) -> None:
@@ -251,6 +262,7 @@ def read_cost_volume(path: str | Path) -> tuple[CostVolume, DepthPlaneSet]:
     else:
         raise MalformedHeader(f"bad cost volume header {fields!r}")
     h, w, p, d_min, d_max = _fields(fields[1:6], (int, int, int, float, float), "cost volume")
-    costs = np.moveaxis(_payload(buf, newline + 1, "<f4", (p, h, w), "cost volume"), 0, 2)
+    stored = _payload(buf, newline + 1, "<f4", (p, h, w), "cost volume")
+    costs = np.moveaxis(stored.astype(np.float64), 0, 2)
     valid = np.isfinite(costs).astype(np.uint8)
     return CostVolume(costs=costs, valid_count=valid), DepthPlaneSet(d_min, d_max, p, spacing)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import EmptySources, InvalidParameter, ShapeMismatch
-from .geometry import require_positive_depth
+from .geometry import _TILE_PIXELS, require_positive_depth
 
 SSIM_C1 = 0.01**2
 SSIM_C2 = 0.03**2
@@ -50,22 +50,26 @@ def _as_hwc(img: np.ndarray) -> np.ndarray:
     return img[..., None] if img.ndim == 2 else img
 
 
-def _window_mean(img: np.ndarray) -> np.ndarray:
-    """3x3 box mean per channel with replicate padding, summed as rows of 3 then columns of 3."""
-    padded = np.pad(img, ((1, 1), (1, 1), (0, 0)), mode="edge")
-    rows = padded[:-2] + padded[1:-1] + padded[2:]
+def _row_bands(height: int, width: int) -> list[slice]:
+    """Consecutive row slices covering ``height`` rows, each of at most _TILE_PIXELS pixels
+    (and at least one row)."""
+    rows = max(1, _TILE_PIXELS // width)
+    return [slice(start, min(start + rows, height)) for start in range(0, height, rows)]
+
+
+def _window_mean(band: np.ndarray) -> np.ndarray:
+    """3x3 box mean per channel of a band with one halo row and column on every side,
+    (R + 2, W + 2, C) -> (R, W, C), summed as rows of 3 then columns of 3."""
+    rows = band[:-2] + band[1:-1] + band[2:]
     return (rows[:, :-2] + rows[:, 1:-1] + rows[:, 2:]) / 9.0
 
 
-def ssim(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Per-pixel structural similarity with 3x3 replicate-padded windows.
-
-    Output has the input's shape (per channel for multi-channel inputs) and
-    lies in [-1, 1].
-    """
-    a, b = _as_hwc(a), _as_hwc(b)
-    if a.shape != b.shape:
-        raise ShapeMismatch(f"ssim inputs differ: {a.shape} vs {b.shape}")
+def _ssim_band(a: np.ndarray, b: np.ndarray, rows: slice) -> np.ndarray:
+    """SSIM of rows ``rows`` of two same-shape (H, W, C) images. The halo is the images'
+    own neighbouring rows, and replicated edge pixels only at their borders."""
+    lo, hi = max(rows.start - 1, 0), min(rows.stop + 1, len(a))
+    pad = ((lo - rows.start + 1, rows.stop + 1 - hi), (1, 1), (0, 0))
+    a, b = np.pad(a[lo:hi], pad, mode="edge"), np.pad(b[lo:hi], pad, mode="edge")
     mu_a = _window_mean(a)
     mu_b = _window_mean(b)
     var_a = _window_mean(a * a) - mu_a**2
@@ -76,16 +80,37 @@ def ssim(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return num / den
 
 
+def ssim(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per-pixel structural similarity with 3x3 replicate-padded windows.
+
+    Output has the input's shape (per channel for multi-channel inputs) and
+    lies in [-1, 1]. It is computed in row bands of up to _TILE_PIXELS
+    pixels, each with its halo rows, and every pixel gets the bits a
+    whole-image computation gives it.
+    """
+    a, b = _as_hwc(a), _as_hwc(b)
+    if a.shape != b.shape:
+        raise ShapeMismatch(f"ssim inputs differ: {a.shape} vs {b.shape}")
+    out = np.empty(a.shape)
+    for rows in _row_bands(*a.shape[:2]):
+        out[rows] = _ssim_band(a, b, rows)
+    return out
+
+
 def photometric_error(pred: np.ndarray, target: np.ndarray) -> np.ndarray:
     """Blend of SSIM dissimilarity and L1, channel-averaged to (H, W).
 
-    pe = ALPHA/2 * (1 - SSIM) + (1 - ALPHA) * |pred - target|.
+    pe = ALPHA/2 * (1 - SSIM) + (1 - ALPHA) * |pred - target|, computed in
+    the row bands of ``ssim``.
     """
     pred, target = _as_hwc(pred), _as_hwc(target)
     if pred.shape != target.shape:
         raise ShapeMismatch(f"photometric inputs differ: {pred.shape} vs {target.shape}")
-    dissim = ALPHA / 2.0 * (1.0 - ssim(pred, target))
-    return (dissim + (1.0 - ALPHA) * np.abs(pred - target)).mean(axis=2)
+    out = np.empty(pred.shape[:2])
+    for rows in _row_bands(*pred.shape[:2]):
+        dissim = ALPHA / 2.0 * (1.0 - _ssim_band(pred, target, rows))
+        out[rows] = (dissim + (1.0 - ALPHA) * np.abs(pred[rows] - target[rows])).mean(axis=2)
+    return out
 
 
 def min_reprojection_loss(

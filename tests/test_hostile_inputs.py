@@ -145,3 +145,15 @@ def test_hostile_input_exits_cleanly(dataset, case):
             reports = [out] + [p.read_text() for p in tmp.glob("*.json")]
             for report in reports:
                 _strict_json(report)
+
+
+@pytest.mark.parametrize("how", ["resize", "truncate"])
+def test_unread_frame_is_checked_at_load(dataset, tmp_path, capsys, how):
+    # `depth --target 1 --sources 0` never reads frame 2, and still refuses it
+    shutil.copytree(dataset, tmp_path / "data")
+    _damage(tmp_path / "data" / "frame_0002.ppm", how)
+    code = main(["depth", "--data", str(tmp_path / "data"), "--target", "1", "--sources", "0",
+                 "--d-min", "1", "--d-max", "10", "--planes", "4", "--out", str(tmp_path / "d.pfm")])
+    err = capsys.readouterr().err
+    assert code == 1 and err.startswith("error:") and "frame_0002.ppm" in err, err
+    assert not (tmp_path / "d.pfm").exists()

@@ -1,6 +1,7 @@
 """Loss terms against hand arithmetic and the scalar-loop references."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -116,6 +117,19 @@ class TestMinReprojection:
         img = rng.random((4, 4))
         with pytest.raises(ShapeMismatch):  # a valid mask of another shape
             min_reprojection_loss(img, [(img, np.ones((4, 5), dtype=bool))])
+
+    def test_memory_stays_in_row_bands(self, rng):
+        # numpy reports its buffers to tracemalloc. At 640x192x3 one full-image
+        # float64 temporary is 2.9 MB; the whole-image SSIM held about 26 MB.
+        target = rng.random((192, 640, 3))
+        synthesized = [(rng.random((192, 640, 3)), rng.random((192, 640)) > 0.1) for _ in range(2)]
+        tracemalloc.start()
+        try:
+            min_reprojection_loss(target, synthesized)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12e6
 
     def test_adding_sources_never_increases(self, rng):
         img = rng.random((5, 5))
