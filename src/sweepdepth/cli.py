@@ -1,12 +1,11 @@
 """Command-line driver for the full pipeline.
 
 Subcommands:
-  synth    render a bundled or JSON-described scene to a dataset directory
-  depth    estimate depth from a dataset via the cost-volume argmin
-  loss     compute the full loss report for a student/teacher depth pair
-  eval     score a predicted depth map against ground truth
-  dump-cv  build a cost volume and write only its raw dump (SWPCV1, or
-           SWPCV2 when the planes are not linearly spaced)
+  synth  render a bundled or JSON-described scene to a dataset directory
+  depth  estimate depth from a dataset via the cost-volume argmin; --dump-cv FILE
+         also writes the raw volume (SWPCV1, or SWPCV2 for non-linear planes)
+  loss   compute the full loss report for a student/teacher depth pair
+  eval   score a predicted depth map against ground truth
 
 Datasets are directories of frame_%04d.ppm, depth_%04d.pfm, pose_%04d.json
 (camera-to-world), and intrinsics.json, as written by `synth`. `synth --out D`
@@ -112,10 +111,7 @@ def load_dataset(root: str | Path) -> Dataset:
         frame, _depth, pose = _frame_files(root, t)
         if not frame.exists():
             break
-        try:
-            samples.append(sdio.read_ppm_samples(frame))
-        except SweepDepthError as exc:
-            raise type(exc)(f"{frame}: {exc}") from exc
+        samples.append(sdio.read_ppm_samples(frame))
         if samples[-1].shape[:2] != (K.height, K.width):
             raise ShapeMismatch(f"{frame} is not the {K.width}x{K.height} of intrinsics.json")
         poses.append(sdio.read_pose(pose))
@@ -310,14 +306,6 @@ def cmd_eval(args) -> dict:
     return _report(report, args.out)
 
 
-def cmd_dump_cv(args) -> dict:
-    data = load_dataset(args.data)
-    sweep = _sweep_for(args, data, args.sources)
-    cv = sweep.volume()
-    sdio.write_cost_volume(args.out, cv, sweep.planes)
-    return {"cost_volume": str(args.out), "shape": list(cv.shape)}
-
-
 def _add_volume_options(
     p: argparse.ArgumentParser,
     sources_help: str = "source frame indices (default: the preceding frame)",
@@ -384,18 +372,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write the abs-rel error map (.pfm raw or .ppm heatmap)")
     p.add_argument("--out", default=None)
 
-    p = sub.add_parser("dump-cv", help="build and dump a raw cost volume")
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
-    _add_volume_options(p)
-
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     # looked up at call time: a cmd_* re-bound after the parser was built is the one that runs
-    command = globals()["cmd_" + args.command.replace("-", "_")]
+    command = globals()["cmd_" + args.command]
     try:
         print(json.dumps(command(args), indent=2))
     except (SweepDepthError, OSError) as exc:

@@ -178,19 +178,26 @@ def build_cost_volume(
     each slab is swept in runs of whole pixels with all their planes. A run
     holds up to min(_TILE, max(H'W', _TILE // 4)) cells, and at least one
     pixel with all its planes; every slab holds at least one whole run. A
-    run scores straight into its own contiguous block of ``costs`` and
-    ``valid_count``, with the work arrays of its slab's thread, allocated
-    once per sweep. A slab's last run ends at the slab's last pixel and may
-    overlap the run before it, on the same thread, so no two threads write
-    one cell. Every cell takes the same arithmetic in any run, so the result
-    is bit-identical whatever the pool width, the tile size or the
-    execution order. A volume over MAX_VOLUME_CELLS raises VolumeTooLarge
-    before anything is allocated.
+    run scores into a run-sized block of its slab's thread, with that
+    thread's work arrays, both allocated once per sweep, and is then copied
+    into its own rows of ``costs`` and ``valid_count``. A slab's last run
+    ends at the slab's last pixel and may overlap the run before it, on the
+    same thread, so no two threads write one cell. Every cell takes the same
+    arithmetic in any run, so the result is bit-identical whatever the pool
+    width, the tile size or the execution order. A volume over
+    MAX_VOLUME_CELLS raises VolumeTooLarge before anything is allocated.
     """
     _check_sweep(target, sources, K, planes)
-    costs, counts = _sweep(target, sources, K, planes, None)
     shape = (*target.shape[:2], len(planes))
-    return CostVolume(costs=costs.reshape(shape), valid_count=counts.reshape(shape))
+    costs = np.empty(shape)
+    counts = np.empty(shape, np.min_scalar_type(len(sources)))
+
+    def reduce(run: slice, run_costs: np.ndarray, run_counts: np.ndarray) -> None:
+        costs.reshape(-1, shape[2])[run] = run_costs  # the run's rows of the volume
+        counts.reshape(-1, shape[2])[run] = run_counts
+
+    _sweep(target, sources, K, planes, reduce)
+    return CostVolume(costs=costs, valid_count=counts)
 
 
 def sweep_argmin(
@@ -202,17 +209,16 @@ def sweep_argmin(
     """``argmin_depth(build_cost_volume(target, sources, K, planes), planes)``,
     bit for bit, without holding the volume.
 
-    The sweep, its checks (VolumeTooLarge included) and its slabs and runs
-    are those of ``build_cost_volume``, but each slab scores its runs in
-    turn into one run-sized block and reduces each run's pixels to their
-    cheapest plane and its validity before the next run reuses the block.
+    The sweep, its checks (VolumeTooLarge included), slabs, runs and blocks
+    are ``build_cost_volume``'s, but each run is reduced to its pixels'
+    cheapest plane and validity instead of copied into a volume.
     """
     _check_sweep(target, sources, K, planes)
     h, w, _ = target.shape
     best = np.empty(h * w, dtype=np.intp)
     valid = np.empty(h * w, dtype=bool)
 
-    def reduce(run: slice, costs: np.ndarray) -> None:
+    def reduce(run: slice, costs: np.ndarray, _counts: np.ndarray) -> None:
         idx = best[run]
         np.argmin(costs, axis=1, out=idx)
         np.isfinite(costs[np.arange(len(idx)), idx], out=valid[run])
@@ -248,16 +254,16 @@ def _sweep(
     sources: list[tuple[FeatureMap, Pose]],
     K: Intrinsics,
     planes: DepthPlaneSet,
-    reduce: Callable[[slice, np.ndarray], None] | None,
-) -> tuple[np.ndarray, np.ndarray] | None:
+    reduce: Callable[[slice, np.ndarray, np.ndarray], None],
+) -> None:
     """Score every cell of a sweep that passed ``_check_sweep``, run by run, as
     ``build_cost_volume`` describes.
 
-    With ``reduce`` None each run scores into its own rows of a new (H'W', P)
-    pair of costs and source counts, which is returned. Otherwise each slab
-    scores its runs into one run-sized block of its own, and
-    ``reduce(run, costs)``, called on the slab's thread, takes what it needs
-    from the run's costs before the slab's next run reuses the block.
+    Each slab scores its runs in turn into one run-sized block of its own:
+    the (pixels, P) costs and source counts of the run's pixels ``run`` of
+    the flattened target. ``reduce(run, costs, counts)``, called on the
+    slab's thread, takes what it needs from the block before the slab's next
+    run reuses it.
     """
     h, w, channels = target.shape
     n_planes = len(planes)
@@ -273,27 +279,21 @@ def _sweep(
     workers = _thread_count(n // per_run)
     bounds = [n * k // workers for k in range(workers + 1)]  # each slab holds a whole run
 
-    def scores(pixels: int) -> tuple[np.ndarray, np.ndarray]:
-        """Costs and source counts for ``pixels`` pixels with all their planes."""
-        return np.empty((pixels, n_planes)), np.empty((pixels, n_planes), count_dtype)
-
-    # Each slab's work arrays, count row and run block (when reducing) are
-    # allocated here: allocated in the pool threads, they would sit in
-    # per-thread malloc arenas and raise the peak RSS of small sweeps.
-    volume = None if reduce else scores(n)
+    # Each slab's work arrays, count row and run block are allocated here:
+    # allocated in the pool threads, they would sit in per-thread malloc
+    # arenas and raise the peak RSS of small sweeps.
     per_slab = [(_WorkArrays(channels, cells), np.empty(cells, count_dtype),
-                 scores(per_run) if reduce else volume)
+                 np.empty((per_run, n_planes)), np.empty((per_run, n_planes), count_dtype))
                 for _ in range(workers)]
 
     def sweep_slab(lo: int, hi: int,
-                   arrays: tuple[_WorkArrays, np.ndarray, tuple[np.ndarray, np.ndarray]]) -> None:
-        work, denom, (costs, counts) = arrays
+                   arrays: tuple[_WorkArrays, np.ndarray, np.ndarray, np.ndarray]) -> None:
+        work, denom, costs, counts = arrays
+        total, count = costs.reshape(-1), counts.reshape(-1)
         diff = work.tmp[0]  # free once _bilinear_gather has returned
         for start in range(lo, hi, per_run):
             first = min(start, hi - per_run)  # the slab's last run ends at its last pixel
             run = slice(first, first + per_run)
-            block = slice(None) if reduce else run  # the lent block, or the run's rows of the volume
-            total, count = costs[block].reshape(-1), counts[block].reshape(-1)
             total.fill(0.0)
             count.fill(0)
             for src, uv, column in views:
@@ -310,12 +310,10 @@ def _sweep(
             np.maximum(count, 1, out=denom)
             np.divide(total, denom, out=total)
             np.copyto(total, np.inf, where=count == 0)
-            if reduce:
-                reduce(run, costs)
+            reduce(run, costs, counts)
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
         list(pool.map(sweep_slab, bounds[:-1], bounds[1:], per_slab))
-    return volume
 
 
 def argmin_depth(cv: CostVolume, planes: DepthPlaneSet) -> tuple[np.ndarray, np.ndarray]:

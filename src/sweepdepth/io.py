@@ -9,6 +9,7 @@ share ``_fields``, ``_payload`` and ``_write``; JSON goes through ``read_json``/
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import asdict
@@ -79,11 +80,25 @@ def _payload(buf: bytes, offset: int, dtype, shape: tuple[int, ...], what: str) 
     return np.frombuffer(buf, dtype=dtype, count=math.prod(shape), offset=offset).reshape(shape)
 
 
+def _names_its_file(read):
+    """``read(path, ...)``, with ``path`` put in front of any SweepDepthError it raises."""
+
+    @functools.wraps(read)
+    def read_naming_path(path: str | Path, *args):
+        try:
+            return read(path, *args)
+        except SweepDepthError as exc:
+            raise type(exc)(f"{path}: {exc}") from exc
+
+    return read_naming_path
+
+
 def _write(path: str | Path, header: str, array: np.ndarray, dtype) -> None:
     """An ASCII header, then ``array`` in C order as ``dtype``."""
     Path(path).write_bytes(header.encode("ascii") + array.astype(dtype).tobytes())
 
 
+@_names_its_file
 def read_pfm(path: str | Path) -> np.ndarray:
     """Read a PFM file into an (H, W) or (H, W, 3) float64 array."""
     buf = Path(path).read_bytes()
@@ -113,6 +128,7 @@ def write_pfm(path: str | Path, data: np.ndarray) -> None:
     _write(path, f"{magic}\n{w} {h}\n-1.0\n", payload[::-1], "<f4")
 
 
+@_names_its_file
 def _read_netpbm(path: str | Path, magic: str, bands: int) -> np.ndarray:
     """The (height, width, bands) uint8 samples of a binary netpbm file, read-only."""
     buf = Path(path).read_bytes()
@@ -248,6 +264,7 @@ def write_cost_volume(path: str | Path, cv: CostVolume, planes: DepthPlaneSet) -
     _write(path, header, np.moveaxis(cv.costs, 2, 0), "<f4")
 
 
+@_names_its_file
 def read_cost_volume(path: str | Path) -> tuple[CostVolume, DepthPlaneSet]:
     """Read an SWPCV1 (linear planes) or SWPCV2 (spacing recorded) dump."""
     buf = Path(path).read_bytes()

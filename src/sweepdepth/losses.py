@@ -83,7 +83,7 @@ def _ssim_band(a: np.ndarray, b: np.ndarray, rows: slice) -> np.ndarray:
 def ssim(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Per-pixel structural similarity with 3x3 replicate-padded windows.
 
-    Output has the input's shape (per channel for multi-channel inputs) and
+    Output is (H, W, C), per channel, with C = 1 for an (H, W) input, and
     lies in [-1, 1]. It is computed in row bands of up to _TILE_PIXELS
     pixels, each with its halo rows, and every pixel gets the bits a
     whole-image computation gives it.

@@ -261,6 +261,15 @@ class TestLoss:
         assert code == 0
         assert json.loads(stdout)["mask_fraction"] > 0.05
 
+    def test_truncated_student_names_its_file(self, lateral_dataset, tmp_path, capsys):
+        gt = lateral_dataset / "depth_0001.pfm"
+        student = tmp_path / "student.pfm"
+        student.write_bytes(gt.read_bytes()[:100])
+        code, _, err = run(capsys, "loss", "--data", str(lateral_dataset), "--student",
+                           str(student), "--teacher", str(gt), "--d-min", "1", "--d-max", "10",
+                           "--planes", "4")
+        assert code == 1 and err.startswith(f"error: {student}: "), err
+
 
 class TestEval:
     def test_perfect_report(self, lateral_dataset, tmp_path, capsys):
@@ -314,19 +323,24 @@ class TestEval:
         code, _, err = run(capsys, "eval", "--pred", "/nope.pfm", "--gt", "/nope.pfm")
         assert code == 1 and "error:" in err
 
+    def test_truncated_pred_names_its_file(self, lateral_dataset, tmp_path, capsys):
+        gt = lateral_dataset / "depth_0001.pfm"
+        pred = tmp_path / "pred.pfm"
+        pred.write_bytes(gt.read_bytes()[:5])  # the header ends before the height
+        code, _, err = run(capsys, "eval", "--pred", str(pred), "--gt", str(gt))
+        assert code == 1 and err.startswith(f"error: {pred}: header ended"), err
+
 
 class TestDumpCv:
-    def test_dump_subcommand(self, lateral_dataset, tmp_path, capsys):
+    def test_dump_round_trip(self, lateral_dataset, tmp_path, capsys):
         out = tmp_path / "v.swpcv"
         code, stdout, _ = run(
             capsys,
-            "dump-cv", "--data", str(lateral_dataset), "--out", str(out),
-            "--d-min", "1", "--d-max", "10", "--planes", "4",
+            "depth", "--data", str(lateral_dataset), "--out", str(tmp_path / "d.pfm"),
+            "--dump-cv", str(out), "--d-min", "1", "--d-max", "10", "--planes", "4",
         )
         assert code == 0
-        assert json.loads(stdout)["shape"] == [12, 16, 4]
-        from sweepdepth.io import read_cost_volume
-
+        assert json.loads(stdout)["cost_volume"] == str(out)
         cv, planes = read_cost_volume(out)
         assert cv.costs.shape == (12, 16, 4)
         assert len(planes) == 4
@@ -335,8 +349,9 @@ class TestDumpCv:
         out = tmp_path / "v.swpcv"
         code, _, _ = run(
             capsys,
-            "dump-cv", "--data", str(lateral_dataset), "--out", str(out),
-            "--d-min", "1", "--d-max", "10", "--planes", "8", "--inverse-depth-planes",
+            "depth", "--data", str(lateral_dataset), "--out", str(tmp_path / "d.pfm"),
+            "--dump-cv", str(out), "--d-min", "1", "--d-max", "10", "--planes", "8",
+            "--inverse-depth-planes",
         )
         assert code == 0
         assert out.read_bytes().startswith(b"SWPCV2 12 16 8 1.0 10.0 inverse\n")
@@ -391,11 +406,12 @@ VOLUME_BYTES = {
          "d.pfm": "3052f313bc70ba708d143fb8bdc6f27c384702b19c2f6d8c9587bf5db1bb525c"},
     ),
     "dump_cv_inverse": (
-        ["dump-cv", "--sources", "0", "2", "--inverse-depth-planes", "--out", "{tmp}/v.swpcv"],
+        ["depth", "--sources", "0", "2", "--inverse-depth-planes", "--dump-cv", "{tmp}/v.swpcv",
+         "--out", "{tmp}/d.pfm"],
         {"v.swpcv": "04d920934be16d54ff9ff550fa033521cc52fb513572e3f3703bd0616b553841"},
     ),
     "dump_cv_zero": (
-        ["dump-cv", "--zero-cv", "--out", "{tmp}/v.swpcv"],
+        ["depth", "--zero-cv", "--dump-cv", "{tmp}/v.swpcv", "--out", "{tmp}/d.pfm"],
         {"v.swpcv": "eb379116811fbf06c2f1f414c741080376fc0c380eaf0a4d5e3003085d46d63e"},
     ),
 }
@@ -463,7 +479,6 @@ REPORT_KEYS = {
     "depth": ["depth", "mask", "mask_fraction", "cost_volume", "argmin_valid_fraction"],
     "loss": ["lp", "lc", "ls", "total", "mask_fraction"],
     "eval": ["abs_rel", "sq_rel", "rmse", "rmse_log", "delta1", "delta2", "delta3"],
-    "dump-cv": ["cost_volume", "shape"],
 }
 
 
@@ -477,7 +492,6 @@ class TestMain:
                       "--dump-cv", str(tmp / "v.swpcv")],
             "loss": ["loss", *volume, "--student", gt, "--teacher", gt, "--out", str(tmp / "r.json")],
             "eval": ["eval", "--pred", gt, "--gt", gt, "--out", str(tmp / "r.json")],
-            "dump-cv": ["dump-cv", *volume, "--out", str(tmp / "v.swpcv")],
         }[command]
 
     @pytest.mark.parametrize("command", list(REPORT_KEYS))
@@ -672,7 +686,8 @@ def _bad_input_argv(case, data, tmp):
                           else json.dumps({**_SCENE, **scene_edits[case]}).encode())
         return ["synth", "--scene", str(scene), "--out", str(tmp / "out")]
     assert case == "target_out_of_range"
-    return ["dump-cv", *volume, "--out", str(tmp / "v.swpcv"), "--target", "9"]
+    return ["depth", *volume, "--out", str(tmp / "d.pfm"), "--dump-cv", str(tmp / "v.swpcv"),
+            "--target", "9"]
 
 
 @pytest.mark.parametrize("case", [

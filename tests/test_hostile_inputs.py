@@ -41,8 +41,9 @@ def _argv(command, data, tmp):
     if command == "eval":
         return ["eval", "--pred", str(data / "depth_0001.pfm"), "--gt", str(data / "depth_0002.pfm"),
                 "--median-scale", "--error-map", str(tmp / "err.ppm"), "--out", str(tmp / "eval.json")]
-    assert command == "dump-cv"
-    return ["dump-cv", "--data", str(data), *_VOLUME, "--out", str(tmp / "v.swpcv")]
+    assert command == "depth_dump_cv"
+    return ["depth", "--data", str(data), *_VOLUME, "--out", str(tmp / "d.pfm"),
+            "--dump-cv", str(tmp / "v.swpcv")]
 
 
 _FILES = ["intrinsics.json", "state.json"] + [
@@ -54,12 +55,12 @@ _FLOAT_OPTIONS = {
     "depth": ("--d-min", "--d-max", "--aug-p", "--aug-q"),
     "loss": ("--d-min", "--d-max", "--aug-p", "--aug-q", "--smooth-weight"),
     "eval": ("--cap",),
-    "dump-cv": ("--d-min", "--d-max", "--aug-p", "--aug-q"),
+    "depth_dump_cv": ("--d-min", "--d-max", "--aug-p", "--aug-q"),
 }
 _INT_OPTIONS = {
     "depth": ("--planes", "--seed", "--augment-sample", "--target", "--sources"),
     "loss": ("--planes", "--seed", "--augment-sample", "--target", "--sources", "--cv-sources"),
-    "dump-cv": ("--planes", "--seed", "--augment-sample", "--target", "--sources"),
+    "depth_dump_cv": ("--planes", "--seed", "--augment-sample", "--target", "--sources"),
 }
 _HOSTILE = ("nan", "inf", "-1", "0", "1e308")
 
@@ -67,10 +68,11 @@ _HOSTILE = ("nan", "inf", "-1", "0", "1e308")
 # values that parse as integers: argparse itself rejects the rest. A "resize"d
 # frame is whole but not the size intrinsics.json gives.
 CASES = (
-    [(command, "file", name, how) for command in ("depth", "depth_adaptive", "loss", "eval", "dump-cv")
+    [(command, "file", name, how)
+     for command in ("depth", "depth_adaptive", "loss", "eval", "depth_dump_cv")
      for name in _FILES for how in _DAMAGE]
     + [(command, "file", f"frame_{t:04d}.ppm", "resize")
-       for command in ("depth", "depth_adaptive", "loss", "dump-cv") for t in range(3)]
+       for command in ("depth", "depth_adaptive", "loss", "depth_dump_cv") for t in range(3)]
     + [(command, "option", option, value) for command, options in _FLOAT_OPTIONS.items()
        for option in options for value in _HOSTILE]
     + [(command, "option", option, value) for command, options in _INT_OPTIONS.items()

@@ -1,5 +1,7 @@
 """Codec round trips and malformed-input behavior."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -174,6 +176,18 @@ class TestFuzz:
                     pass  # typed failure is the contract
                 except ValueError as exc:  # pragma: no cover
                     raise AssertionError(f"untyped error on variant {i}: {exc}")
+
+    @pytest.mark.parametrize("reader, blob", [
+        (read_pfm, b"Pf\n5 7\n-1.0\n" + bytes(139)),
+        (read_ppm, b"P6\n2 2\n255\n" + bytes(11)),
+        (read_pgm, b"P5\n2 2\n255\n" + bytes(3)),
+        (read_cost_volume, b"SWPCV1 2 3 4 1.0 2.0\n" + bytes(95)),
+    ], ids=["pfm", "ppm", "pgm", "swpcv"])
+    def test_errors_name_the_file(self, tmp_path, reader, blob):
+        path = tmp_path / "short"
+        path.write_bytes(blob)  # one byte short of its payload
+        with pytest.raises(TruncatedPayload, match=f"^{re.escape(str(path))}: "):
+            reader(path)
 
 
 class TestCostVolumeDump:
