@@ -60,7 +60,7 @@ from .evaluation import (
 )
 from .features import EXTRACTOR_KINDS, VALID_SCALES, FeatureMap, extract_features
 from .geometry import Intrinsics, Pose, bilinear_sample, reproject_grid
-from .losses import DEFAULT_SMOOTHNESS_WEIGHT, consistency_mask, total_loss
+from .losses import consistency_mask, total_loss
 from .synth import (
     PRESET_NAMES,
     SceneSetup,
@@ -284,8 +284,7 @@ def cmd_loss(args) -> dict:
     depth_f, _ = _sweep_for(args, data, args.cv_sources).argmin()
     d_cv = upsample_nearest(depth_f, args.feature_scale, data.K.height, data.K.width)
 
-    report = total_loss(data.images[target], synthesized, student, teacher, d_cv,
-                        smoothness_weight=args.smooth_weight)
+    report = total_loss(data.images[target], synthesized, student, teacher, d_cv)
     return _report(report, args.out)
 
 
@@ -293,11 +292,11 @@ def cmd_eval(args) -> dict:
     pred = crop(sdio.read_pfm(args.pred), args.crop)
     gt = crop(sdio.read_pfm(args.gt), args.crop)
     if args.median_scale:
-        valid = (gt > 0) & (gt < args.cap)
+        valid = (gt > 0) & (gt < DEPTH_CAP)
         pred = median_scale(pred, gt, valid)
-    report = depth_metrics(pred, gt, cap=args.cap)
+    report = depth_metrics(pred, gt)
     if args.error_map:
-        err, _valid = abs_rel_error_map(np.clip(pred, PRED_FLOOR, args.cap), gt)
+        err, _valid = abs_rel_error_map(np.clip(pred, PRED_FLOOR, DEPTH_CAP), gt)
         path = Path(args.error_map)
         if path.suffix.lower() == ".ppm":
             sdio.write_ppm(path, error_heatmap(err))
@@ -357,7 +356,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--teacher", required=True, help="teacher depth PFM")
     p.add_argument("--cv-sources", type=int, nargs="+", default=None,
                    help="source indices for the cost volume (default: the preceding frame)")
-    p.add_argument("--smooth-weight", type=float, default=DEFAULT_SMOOTHNESS_WEIGHT)
     p.add_argument("--out", default=None)
     _add_volume_options(p, "reprojection source indices for the photometric loss "
                            "(default: both neighbours of --target)")
@@ -365,7 +363,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="depth metrics")
     p.add_argument("--pred", required=True)
     p.add_argument("--gt", required=True)
-    p.add_argument("--cap", type=float, default=DEPTH_CAP)
     p.add_argument("--crop", choices=CROP_SCHEMES, default="none")
     p.add_argument("--median-scale", action="store_true")
     p.add_argument("--error-map", default=None,

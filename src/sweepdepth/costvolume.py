@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import (
     EmptyBatch,
-    EmptySourceList,
+    EmptySources,
     FrozenState,
     InvalidRange,
     ShapeMismatch,
@@ -236,7 +236,7 @@ def _check_sweep(
 ) -> None:
     """Raise unless every feature map and K agree in shape and the volume fits MAX_VOLUME_CELLS."""
     if not sources:
-        raise EmptySourceList("cost volume needs at least one source view")
+        raise EmptySources("cost volume needs at least one source view")
     h, w, _ = target.shape
     if (K.height, K.width) != (h, w):
         raise ShapeMismatch(

@@ -18,10 +18,6 @@ class NonFiniteDepth(SweepDepthError):
     """A depth map holds NaN or infinity where finite values are required."""
 
 
-class DimensionMismatch(SweepDepthError):
-    """A depth map or grid does not match the camera dimensions."""
-
-
 class ShapeMismatch(SweepDepthError):
     """Two arrays that must share a shape do not."""
 
@@ -38,12 +34,8 @@ class VolumeTooLarge(SweepDepthError):
     """A cost volume or plane set would exceed the cell budget (costvolume.MAX_VOLUME_CELLS)."""
 
 
-class EmptySourceList(SweepDepthError):
-    """A cost volume was requested with no source views."""
-
-
 class EmptySources(SweepDepthError):
-    """A reprojection loss was requested with no synthesized views."""
+    """A cost volume or a reprojection loss was requested with no source views."""
 
 
 class EmptyBatch(SweepDepthError):

@@ -1,7 +1,7 @@
 """Standard depth-evaluation protocol.
 
 Metrics follow the usual monocular-depth convention: evaluate only where
-ground truth lies in (0, cap), clamp predictions to [1e-3, cap], and report
+ground truth lies in (0, DEPTH_CAP), clamp predictions to [PRED_FLOOR, DEPTH_CAP], and report
 abs rel, sq rel, RMSE, log RMSE, and the three delta accuracy thresholds
 (strict <). Median scaling removes the global scale ambiguity of monocular
 predictions before scoring.
@@ -16,7 +16,7 @@ import numpy as np
 from .errors import EmptyValidSet, InvalidParameter, NonPositiveDepth, ShapeMismatch, TooSmall
 from .geometry import require_finite_depth
 
-DEPTH_CAP = 80.0
+DEPTH_CAP = 80.0  # metres; the KITTI and Cityscapes evaluation cap
 PRED_FLOOR = 1e-3
 CROP_SCHEMES = ("none", "cityscapes_A", "cityscapes_B")
 HEATMAP_SATURATION = 0.2  # the abs-rel error that error_heatmap paints full red
@@ -57,22 +57,22 @@ def median_scale(pred: np.ndarray, gt: np.ndarray, valid: np.ndarray) -> np.ndar
     return pred * (np.median(gt[valid]) / pred_median)
 
 
-def depth_metrics(pred: np.ndarray, gt: np.ndarray, cap: float = DEPTH_CAP) -> MetricsReport:
-    """Score a prediction against ground truth over the (0, cap) valid set.
+def depth_metrics(pred: np.ndarray, gt: np.ndarray) -> MetricsReport:
+    """Score a prediction against ground truth over the (0, DEPTH_CAP) valid set.
 
     The prediction must be finite (NonFiniteDepth otherwise); zero and
-    negative values are legal and clamp to [PRED_FLOOR, cap].
+    negative values are legal and clamp to [PRED_FLOOR, DEPTH_CAP].
     """
     pred = np.asarray(pred, dtype=float)
     gt = np.asarray(gt, dtype=float)
     if pred.shape != gt.shape:
         raise ShapeMismatch(f"pred {pred.shape} does not match gt {gt.shape}")
     require_finite_depth(pred, "a scored prediction")
-    valid = (gt > 0) & (gt < cap)
+    valid = (gt > 0) & (gt < DEPTH_CAP)
     if not valid.any():
-        raise EmptyValidSet(f"no ground truth in (0, {cap})")
+        raise EmptyValidSet(f"no ground truth in (0, {DEPTH_CAP})")
     g = gt[valid]
-    p = np.clip(pred[valid], PRED_FLOOR, cap)
+    p = np.clip(pred[valid], PRED_FLOOR, DEPTH_CAP)
 
     ratio = np.maximum(p / g, g / p)
     sq_err = (p - g) ** 2

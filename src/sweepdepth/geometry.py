@@ -18,13 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    InvalidParameter,
-    NonFiniteDepth,
-    NonPositiveDepth,
-    ShapeMismatch,
-)
+from .errors import InvalidParameter, NonFiniteDepth, NonPositiveDepth, ShapeMismatch
 
 _ORTHONORMAL_TOL = 1e-9
 
@@ -321,9 +315,8 @@ def reproject_grid(depth: np.ndarray, T: Pose, K: Intrinsics) -> PixelGrid:
     """
     depth = np.asarray(depth, dtype=float)
     if depth.shape != (K.height, K.width):
-        raise DimensionMismatch(
-            f"depth map {depth.shape} does not match camera "
-            f"({K.height}, {K.width})"
+        raise ShapeMismatch(
+            f"depth map {depth.shape} does not match camera ({K.height}, {K.width})"
         )
     require_positive_depth(depth, "reprojection")
     return _homography_grid(_PlaneProjection.of(T, K), depth.reshape(-1), K)

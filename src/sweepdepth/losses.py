@@ -13,20 +13,20 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import EmptySources, InvalidParameter, ShapeMismatch
+from .errors import EmptySources, ShapeMismatch
 from .geometry import _TILE_PIXELS, require_positive_depth
 
 SSIM_C1 = 0.01**2
 SSIM_C2 = 0.03**2
 ALPHA = 0.85  # weight of the SSIM term against L1, as in Monodepth2
-DEFAULT_SMOOTHNESS_WEIGHT = 1e-3
+SMOOTHNESS_WEIGHT = 1e-3  # weight of the smoothness term in the total, as in Monodepth2
 
 
 @dataclass(frozen=True)
 class LossReport:
     """All loss terms for one target frame.
 
-    ``total = mean((1 - M) * per_pixel_lp) + lc + smoothness_weight * ls``.
+    ``total = mean((1 - M) * per_pixel_lp) + lc + SMOOTHNESS_WEIGHT * ls``.
     ``lp`` is the mean of the per-pixel minimum reprojection error over the
     pixels covered by at least one source; ``per_pixel_lp`` is zero at
     uncovered pixels.
@@ -190,23 +190,20 @@ def total_loss(
     d_t: np.ndarray,
     d_hat: np.ndarray,
     d_cv: np.ndarray,
-    smoothness_weight: float = DEFAULT_SMOOTHNESS_WEIGHT,
 ) -> LossReport:
     """Assemble the full training loss for one frame.
 
     The mask comes from (d_cv, d_hat); the reprojection term is suppressed
     where it is set, the consistency term pulls the student toward the
     teacher there, and the smoothness term regularizes the student against
-    the edges of ``target``. All depth maps must be at image resolution, and
-    ``smoothness_weight`` must be finite and non-negative.
+    the edges of ``target``, weighted by SMOOTHNESS_WEIGHT. All depth maps
+    must be at image resolution.
     """
-    if not 0 <= smoothness_weight < np.inf:
-        raise InvalidParameter(f"smoothness weight must be finite and >= 0, got {smoothness_weight}")
     mask = consistency_mask(d_cv, d_hat)
     lp, per_pixel = min_reprojection_loss(target, synthesized)
     lc = consistency_loss(d_t, d_hat, mask)
     ls = smoothness_loss(d_t, target)
-    total = float(((1.0 - mask) * per_pixel).mean() + lc + smoothness_weight * ls)
+    total = float(((1.0 - mask) * per_pixel).mean() + lc + SMOOTHNESS_WEIGHT * ls)
     return LossReport(
         lp=lp,
         lc=lc,

@@ -26,6 +26,7 @@ from .geometry import Intrinsics, Pose, _pixel_rays, project
 from .io import intrinsics_from_json, number, numbers, pose_from_json, read_json, whole_number
 
 TEXTURE_KINDS = ("grating", "checker", "noise")
+CONTRAST_THRESHOLD = 0.01  # the smallest per-pixel gradient texture_contrast_mask counts as texture
 
 
 @dataclass(frozen=True)
@@ -284,9 +285,9 @@ def mover_rect(scene: Scene, pose: Pose, K: Intrinsics, t: int) -> tuple[float, 
     return rect
 
 
-def texture_contrast_mask(gray: np.ndarray, threshold: float = 0.01) -> np.ndarray:
-    """Pixels with local intensity gradient above ``threshold`` per pixel."""
-    return np.hypot(_central_diff_x(gray), _central_diff_y(gray)) > threshold
+def texture_contrast_mask(gray: np.ndarray) -> np.ndarray:
+    """Pixels with local intensity gradient above CONTRAST_THRESHOLD per pixel."""
+    return np.hypot(_central_diff_x(gray), _central_diff_y(gray)) > CONTRAST_THRESHOLD
 
 
 @dataclass(frozen=True)

@@ -93,7 +93,7 @@ def _argmin_pipeline(setup, frames, target, source_idxs, planes, scale=1):
     cv = build_cost_volume(f_t, sources, K_f, planes)
     depth_f, _ = argmin_depth(cv, planes)
     d_img = upsample_nearest(depth_f, scale, setup.K.height, setup.K.width)
-    tex = texture_contrast_mask(f_t.data[:, :, 0], 0.01)
+    tex = texture_contrast_mask(f_t.data[:, :, 0])
     tex_img = upsample_nearest(tex.astype(float), scale, setup.K.height, setup.K.width) > 0.5
     return d_img, tex_img
 

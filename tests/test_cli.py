@@ -595,9 +595,6 @@ def _bad_input_argv(case, data, tmp):
     if case == "too_many_planes":  # 16x12 features x 1e8 planes: refused before any allocation
         return ["depth", "--data", str(data), "--d-min", "1", "--d-max", "10",
                 "--planes", "100000000", "--out", str(tmp / "d.pfm")]
-    if case == "smooth_weight_nan":
-        return ["loss", *volume, "--student", str(data / "depth_0001.pfm"),
-                "--teacher", str(data / "depth_0001.pfm"), "--smooth-weight", "nan"]
     if case == "pred_with_nan_pixel":
         pred = read_pfm(data / "depth_0001.pfm")
         pred[5, 7] = np.nan
@@ -716,7 +713,6 @@ def _bad_input_argv(case, data, tmp):
     "student_with_nan_pixel",
     "too_many_planes",
     "pred_with_nan_pixel",
-    "smooth_weight_nan",
     "intrinsics_fx_nan",
     "intrinsics_fx_infinity",
     "pose_translation_nan",

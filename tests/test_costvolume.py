@@ -26,7 +26,7 @@ from sweepdepth.costvolume import (
 )
 from sweepdepth.errors import (
     EmptyBatch,
-    EmptySourceList,
+    EmptySources,
     FrozenState,
     InvalidRange,
     NonPositiveDepth,
@@ -122,7 +122,7 @@ class TestBuildCostVolume:
         K = small_K()
         fmap = FeatureMap(data=rng.random((6, 8, 1)), scale=1)
         for sweep in (build_cost_volume, sweep_argmin):
-            with pytest.raises(EmptySourceList):
+            with pytest.raises(EmptySources):
                 sweep(fmap, [], K, linear_planes(1, 2, 2))
 
     def test_shape_mismatch_rejected(self, rng):
@@ -596,7 +596,7 @@ def _sweep_pipeline(setup, frames, planes, scale=1):
     cv = build_cost_volume(f_t, sources, setup.K.scaled(scale), planes)
     depth_f, _ = argmin_depth(cv, planes)
     d_img = upsample_nearest(depth_f, scale, setup.K.height, setup.K.width)
-    tex = texture_contrast_mask(f_t.data[:, :, 0], 0.01)
+    tex = texture_contrast_mask(f_t.data[:, :, 0])
     tex_img = upsample_nearest(tex.astype(float), scale, setup.K.height, setup.K.width) > 0.5
     return cv, d_img, tex_img
 
@@ -650,7 +650,7 @@ class TestEndToEndRecovery:
         cv = build_cost_volume(f_t, sources, K, planes)
         idx = np.argmin(cv.costs, axis=2)
         nearest = int(np.argmin(np.abs(planes.depths - 4.3)))
-        tex = texture_contrast_mask(f_t.data[:, :, 0], 0.01)
+        tex = texture_contrast_mask(f_t.data[:, :, 0])
         assert (idx[tex] == nearest).mean() >= 0.95
 
     def test_moving_object_corrupts_box_only(self, rendered_presets):

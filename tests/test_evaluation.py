@@ -92,7 +92,7 @@ class TestDepthMetrics:
     def test_cap_excludes_far_gt(self):
         gt = np.array([[10.0, 90.0]])
         pred = np.array([[10.0, 1.0]])
-        m = depth_metrics(pred, gt, cap=80.0)
+        m = depth_metrics(pred, gt)
         assert m.abs_rel == 0.0  # the 90 m pixel is outside the valid set
 
     def test_empty_valid_set(self):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sweepdepth.errors import DimensionMismatch, InvalidParameter, NonPositiveDepth, ShapeMismatch
+from sweepdepth.errors import InvalidParameter, NonPositiveDepth, ShapeMismatch
 from sweepdepth.geometry import (
     Intrinsics,
     PixelGrid,
@@ -132,7 +132,7 @@ class TestReprojectGrid:
         assert not grid.valid.any()
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ShapeMismatch):
             reproject_grid(np.ones((4, 4)), Pose.identity(), K)
 
     def test_nonpositive_depth_rejected(self):
