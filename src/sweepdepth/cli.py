@@ -17,7 +17,8 @@ in a JSON input must be whole numbers: 64 or 64.0, not 64.9, true or "64".
 Every subcommand prints one JSON object, indented by 2, on stdout; for `loss`
 and `eval` with --out it is byte-identical to that file. Dense output is PFM.
 Exit code is 0 iff the requested outputs were written; malformed inputs
-produce a typed message on stderr and exit code 1.
+produce a typed message on stderr and exit code 1, and so do two outputs of
+one command that name the same file, before anything is written.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import argparse
 import functools
 import itertools
 import json
+import os
 import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -165,11 +167,11 @@ class _Sweep:
 
 
 def _sweep_for(args, data: Dataset, source_idxs: list[int] | None) -> _Sweep:
-    """The plane sweep for ``args.target`` (default source: the frame before it),
-    honoring --zero-cv and augmentation."""
+    """The plane sweep for ``args.target``, honoring --zero-cv and augmentation. The
+    default source, the frame before the target, is needed only when a sweep runs: the
+    zero volume stands in at the first frame too."""
     target = args.target
-    source_idxs = source_idxs or [target - 1]
-    _check_frames(target, source_idxs, len(data.images))
+    _check_frames(target, source_idxs or [], len(data.images))
     K_f = data.K.scaled(args.feature_scale)
     shape = (K_f.height, K_f.width, args.planes)
     check_volume_size(*shape)  # before the plane set allocates its depths
@@ -181,6 +183,11 @@ def _sweep_for(args, data: Dataset, source_idxs: list[int] | None) -> _Sweep:
 
     if args.zero_cv or decision is Augmentation.ZERO_VOLUME:
         return _Sweep(planes, shape, None)
+    if source_idxs is None:
+        if target == 0:
+            raise SweepDepthError("target 0 has no preceding frame to sweep against: "
+                                  "name its sources, or use --zero-cv")
+        source_idxs = [target - 1]
 
     source_images = {i: data.images[i] for i in source_idxs}
     if args.augment_sample is not None:
@@ -194,6 +201,20 @@ def _sweep_for(args, data: Dataset, source_idxs: list[int] | None) -> _Sweep:
         fmap = extract_features(source_images[i], args.features, args.feature_scale)
         sources.append((fmap, relative_pose(data.poses[target], data.poses[i])))
     return _Sweep(planes, shape, (f_target, sources, K_f))
+
+
+def _check_outputs(outputs: dict[str, str | Path | None]) -> None:
+    """Refuse two outputs (keyed by what they hold) that resolve to the same file."""
+    seen: dict[str, str] = {}
+    for what, path in outputs.items():
+        if path is None:
+            continue
+        where = os.path.realpath(path)
+        if where in seen:
+            raise SweepDepthError(
+                f"the {seen[where]} and the {what} would both be written to {path}"
+            )
+        seen[where] = what
 
 
 def _report(report, out: str | None) -> dict:
@@ -241,7 +262,12 @@ def cmd_synth(args) -> dict:
 
 
 def cmd_depth(args) -> dict:
+    mask_path = None
+    if args.teacher:
+        mask_path = args.mask_out or str(Path(args.out).with_suffix(".mask.pfm"))
+    _check_outputs({"depth": args.out, "mask": mask_path, "cost volume": args.dump_cv})
     data = load_dataset(args.data)
+    teacher = sdio.read_pfm(args.teacher) if args.teacher else None  # before --out may replace it
     sweep = _sweep_for(args, data, args.sources)
     if args.dump_cv:
         cv = sweep.volume()
@@ -253,9 +279,7 @@ def cmd_depth(args) -> dict:
     written = {"depth": str(args.out)}
 
     if args.teacher:
-        teacher = sdio.read_pfm(args.teacher)
         mask = consistency_mask(depth_img, teacher)
-        mask_path = args.mask_out or str(Path(args.out).with_suffix(".mask.pfm"))
         sdio.write_pfm(mask_path, mask.astype(float))
         written["mask"] = mask_path
         written["mask_fraction"] = float(mask.mean())
@@ -289,6 +313,7 @@ def cmd_loss(args) -> dict:
 
 
 def cmd_eval(args) -> dict:
+    _check_outputs({"error map": args.error_map, "report": args.out})
     pred = crop(sdio.read_pfm(args.pred), args.crop)
     gt = crop(sdio.read_pfm(args.gt), args.crop)
     if args.median_scale:

@@ -155,6 +155,51 @@ class TestDepth:
         assert code == 0
         assert (read_pfm(out) == 2.0).all()
 
+    def test_zero_cv_at_the_first_frame(self, lateral_dataset, tmp_path, capsys):
+        # the zero volume is the start-of-sequence substitute: frame 0 needs no preceding frame
+        out = tmp_path / "z.pfm"
+        args = ["depth", "--data", str(lateral_dataset), "--out", str(out),
+                "--d-min", "2", "--d-max", "8", "--target", "0", "--zero-cv"]
+        code, stdout, _ = run(capsys, *args)
+        assert code == 0
+        assert (read_pfm(out) == 2.0).all()
+        assert json.loads(stdout)["argmin_valid_fraction"] == 1.0
+        code, _, err = run(capsys, *args, "--sources", "7")  # named sources are still checked
+        assert code == 1 and err.startswith("error: bad or repeated source index 7"), err
+
+    def test_sweep_at_the_first_frame_names_the_missing_frame(self, lateral_dataset, tmp_path,
+                                                              capsys):
+        code, _, err = run(capsys, "depth", "--data", str(lateral_dataset),
+                           "--out", str(tmp_path / "d.pfm"), "--d-min", "1", "--d-max", "10",
+                           "--target", "0")
+        assert code == 1 and "no preceding frame" in err, err
+        assert not (tmp_path / "d.pfm").exists()
+
+    def test_out_over_teacher_scores_the_teacher(self, box_dataset, tmp_path, capsys):
+        # the teacher is read before --out replaces it: the mask is the one a separate out gives
+        args = ["depth", "--data", str(box_dataset), "--d-min", "1", "--d-max", "10",
+                "--planes", "32", "--feature-scale", "1", "--sources", "0", "2"]
+        teacher = tmp_path / "t.pfm"
+        shutil.copyfile(box_dataset / "depth_0001.pfm", teacher)
+        code, stdout, _ = run(capsys, *args, "--teacher", str(teacher),
+                              "--out", str(tmp_path / "d.pfm"))
+        assert code == 0
+        separate = json.loads(stdout)["mask_fraction"]
+        code, stdout, _ = run(capsys, *args, "--teacher", str(teacher), "--out", str(teacher))
+        assert code == 0
+        assert separate > 0.05 and json.loads(stdout)["mask_fraction"] == separate
+        assert (tmp_path / "t.mask.pfm").read_bytes() == (tmp_path / "d.mask.pfm").read_bytes()
+
+    @pytest.mark.parametrize("dump", ["d.pfm", "d.mask.pfm"])
+    def test_outputs_on_one_file_are_refused(self, lateral_dataset, tmp_path, capsys, dump):
+        # the volume dump over the depth, or over the default mask path next to it
+        code, _, err = run(capsys, "depth", "--data", str(lateral_dataset),
+                           "--out", str(tmp_path / "d.pfm"),
+                           "--teacher", str(lateral_dataset / "depth_0001.pfm"),
+                           "--dump-cv", str(tmp_path / dump), "--d-min", "1", "--d-max", "10")
+        assert code == 1 and err.startswith("error: the ") and dump in err, err
+        assert list(tmp_path.iterdir()) == []
+
     def test_teacher_writes_mask(self, box_dataset, tmp_path, capsys):
         out = tmp_path / "d.pfm"
         mask_out = tmp_path / "m.pfm"
@@ -270,6 +315,14 @@ class TestLoss:
                            "--planes", "4")
         assert code == 1 and err.startswith(f"error: {student}: "), err
 
+    def test_zero_cv_at_the_first_frame(self, lateral_dataset, capsys):
+        gt = str(lateral_dataset / "depth_0000.pfm")
+        code, stdout, err = run(capsys, "loss", "--data", str(lateral_dataset), "--target", "0",
+                                "--student", gt, "--teacher", gt, "--d-min", "1", "--d-max", "10",
+                                "--zero-cv")
+        assert code == 0, err
+        assert json.loads(stdout)["mask_fraction"] > 0  # the near-plane constant is far off
+
 
 class TestEval:
     def test_perfect_report(self, lateral_dataset, tmp_path, capsys):
@@ -318,6 +371,14 @@ class TestEval:
             assert code == 0 and err == ""
         assert (read_pfm(tmp_path / "err.pfm") == 0).all()  # finite, and zero error elsewhere
         assert np.allclose(read_ppm(tmp_path / "err.ppm"), [0, 0, 1])
+
+    def test_error_map_over_out_is_refused(self, lateral_dataset, tmp_path, capsys):
+        gt = str(lateral_dataset / "depth_0001.pfm")
+        both = tmp_path / "e.pfm"
+        code, _, err = run(capsys, "eval", "--pred", gt, "--gt", gt,
+                           "--error-map", str(both), "--out", str(both))
+        assert code == 1 and err.startswith("error: the error map and the report"), err
+        assert not both.exists()
 
     def test_missing_file_fails_cleanly(self, tmp_path, capsys):
         code, _, err = run(capsys, "eval", "--pred", "/nope.pfm", "--gt", "/nope.pfm")
