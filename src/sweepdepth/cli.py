@@ -267,7 +267,6 @@ def cmd_depth(args) -> dict:
         mask_path = args.mask_out or str(Path(args.out).with_suffix(".mask.pfm"))
     _check_outputs({"depth": args.out, "mask": mask_path, "cost volume": args.dump_cv})
     data = load_dataset(args.data)
-    teacher = sdio.read_pfm(args.teacher) if args.teacher else None  # before --out may replace it
     sweep = _sweep_for(args, data, args.sources)
     if args.dump_cv:
         cv = sweep.volume()
@@ -275,6 +274,8 @@ def cmd_depth(args) -> dict:
     else:
         depth_f, valid = sweep.argmin()
     depth_img = upsample_nearest(depth_f, args.feature_scale, data.K.height, data.K.width)
+    # read after the sweep, which then peaks without it, and before --out may replace it
+    teacher = sdio.read_pfm(args.teacher) if args.teacher else None
     sdio.write_pfm(args.out, depth_img)
     written = {"depth": str(args.out)}
 
