@@ -203,7 +203,7 @@ def _sweep_for(args, data: Dataset, source_idxs: list[int] | None) -> _Sweep:
     return _Sweep(planes, shape, (f_target, sources, K_f))
 
 
-def _check_outputs(outputs: dict[str, str | Path | None]) -> None:
+def _check_outputs(outputs: dict[str, str | None]) -> None:
     """Refuse two outputs (keyed by what they hold) that resolve to the same file."""
     seen: dict[str, str] = {}
     for what, path in outputs.items():
@@ -274,7 +274,7 @@ def cmd_depth(args) -> dict:
     else:
         depth_f, valid = sweep.argmin()
     depth_img = upsample_nearest(depth_f, args.feature_scale, data.K.height, data.K.width)
-    # read after the sweep, which then peaks without it, and before --out may replace it
+    # read before --out, which may name the same file, is written
     teacher = sdio.read_pfm(args.teacher) if args.teacher else None
     sdio.write_pfm(args.out, depth_img)
     written = {"depth": str(args.out)}

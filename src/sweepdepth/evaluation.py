@@ -1,10 +1,10 @@
 """Standard depth-evaluation protocol.
 
 Metrics follow the usual monocular-depth convention: evaluate only where
-ground truth lies in (0, DEPTH_CAP), clamp predictions to [PRED_FLOOR, DEPTH_CAP], and report
-abs rel, sq rel, RMSE, log RMSE, and the three delta accuracy thresholds
-(strict <). Median scaling removes the global scale ambiguity of monocular
-predictions before scoring.
+ground truth lies in (0, DEPTH_CAP), clamp predictions to [PRED_FLOOR,
+DEPTH_CAP], and report abs rel, sq rel, RMSE, log RMSE, and the three delta
+accuracy thresholds (strict <). Median scaling removes the global scale
+ambiguity of monocular predictions before scoring.
 """
 
 from __future__ import annotations
