@@ -274,13 +274,12 @@ def cmd_depth(args) -> dict:
     else:
         depth_f, valid = sweep.argmin()
     depth_img = upsample_nearest(depth_f, args.feature_scale, data.K.height, data.K.width)
-    # read before --out, which may name the same file, is written
-    teacher = sdio.read_pfm(args.teacher) if args.teacher else None
+    # scored before --out, which may name the teacher's file, is written
+    mask = consistency_mask(depth_img, sdio.read_pfm(args.teacher)) if args.teacher else None
     sdio.write_pfm(args.out, depth_img)
     written = {"depth": str(args.out)}
 
-    if args.teacher:
-        mask = consistency_mask(depth_img, teacher)
+    if mask is not None:
         sdio.write_pfm(mask_path, mask.astype(float))
         written["mask"] = mask_path
         written["mask_fraction"] = float(mask.mean())
