@@ -262,9 +262,9 @@ def cmd_synth(args) -> dict:
 
 
 def cmd_depth(args) -> dict:
-    mask_path = None
-    if args.teacher:
-        mask_path = args.mask_out or str(Path(args.out).with_suffix(".mask.pfm"))
+    if args.mask_out and not args.teacher:
+        raise SweepDepthError("--mask-out needs --teacher")
+    mask_path = (args.mask_out or str(Path(args.out).with_suffix(".mask.pfm"))) if args.teacher else None
     _check_outputs({"depth": args.out, "mask": mask_path, "cost volume": args.dump_cv})
     data = load_dataset(args.data)
     sweep = _sweep_for(args, data, args.sources)

@@ -215,17 +215,13 @@ def sweep_argmin(
     """
     _check_sweep(target, sources, K, planes)
     h, w, _ = target.shape
-    best = np.empty(h * w, dtype=np.intp)
-    valid = np.empty(h * w, dtype=bool)
+    best, valid = np.empty(h * w, np.intp), np.empty(h * w, bool)
 
     def reduce(run: slice, costs: np.ndarray, _counts: np.ndarray) -> None:
-        idx = best[run]
-        np.argmin(costs, axis=1, out=idx)
-        np.isfinite(costs[np.arange(len(idx)), idx], out=valid[run])
+        _argmin_rows(costs, best[run], valid[run])
 
     _sweep(target, sources, K, planes, reduce)
-    depth = np.where(valid, planes.depths[best], (planes.d_min + planes.d_max) / 2.0)
-    return depth.reshape(h, w), valid.reshape(h, w)
+    return _plane_depths(best, valid, planes).reshape(h, w), valid.reshape(h, w)
 
 
 def _check_sweep(
@@ -324,14 +320,22 @@ def argmin_depth(cv: CostVolume, planes: DepthPlaneSet) -> tuple[np.ndarray, np.
     and valid=False.
     """
     if cv.costs.shape[2] != len(planes):
-        raise ShapeMismatch(
-            f"volume has {cv.costs.shape[2]} planes but plane set has {len(planes)}"
-        )
-    idx = np.argmin(cv.costs, axis=2)
-    depth = planes.depths[idx]
-    valid = np.isfinite(np.take_along_axis(cv.costs, idx[..., None], 2)[..., 0])
-    depth = np.where(valid, depth, (planes.d_min + planes.d_max) / 2.0)
-    return depth, valid
+        raise ShapeMismatch(f"volume has {cv.costs.shape[2]} planes but plane set has {len(planes)}")
+    best, valid = np.empty(cv.costs.shape[:2], np.intp), np.empty(cv.costs.shape[:2], bool)
+    for row, costs in enumerate(cv.costs):  # a row at a time: a read dump's volume is not copied
+        _argmin_rows(costs, best[row], valid[row])
+    return _plane_depths(best, valid, planes), valid
+
+
+def _argmin_rows(costs: np.ndarray, best: np.ndarray, valid: np.ndarray) -> None:
+    """Into ``best`` each row's cheapest plane (ties: the first), into ``valid`` whether it is finite."""
+    np.argmin(costs, axis=1, out=best)
+    np.isfinite(costs[np.arange(len(best)), best], out=valid)
+
+
+def _plane_depths(best: np.ndarray, valid: np.ndarray, planes: DepthPlaneSet) -> np.ndarray:
+    """The depth of plane ``best``, or the range midpoint where ``valid`` is False."""
+    return np.where(valid, planes.depths[best], (planes.d_min + planes.d_max) / 2.0)
 
 
 def zero_volume(height: int, width: int, plane_count: int) -> CostVolume:

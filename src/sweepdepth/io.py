@@ -5,6 +5,7 @@ These formats are the package's on-disk interface, so they are implemented
 here rather than pulled from an image library: the tests fuzz the parsers
 and require write -> read round trips to be bit-identical. The binary formats
 share ``_fields``, ``_payload`` and ``_write``; JSON goes through ``read_json``/``write_json``.
+Every reader names its file in its errors through ``_names_its_file``.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import re
 from dataclasses import asdict
 from pathlib import Path
 
@@ -34,31 +36,22 @@ _CV_MAGIC_LINEAR = "SWPCV1"
 _CV_MAGIC_SPACED = "SWPCV2"
 
 
-def _split_header_tokens(buf: bytes, count: int) -> tuple[list[str], int]:
-    """First ``count`` whitespace-separated tokens and the payload offset.
+# one header token after whitespace and '#' comments, each comment running to a newline or the end
+_HEADER_TOKEN = re.compile(rb"(?:\s|#[^\n]*(?=\n|\Z))*([^\s#]\S*)")
 
-    Netpbm-style '#' comments are skipped. The payload starts after exactly
-    one whitespace byte following the last token.
-    """
-    tokens: list[str] = []
-    i = 0
-    n = len(buf)
-    while len(tokens) < count:
-        while i < n and buf[i : i + 1].isspace():
-            i += 1
-        if i < n and buf[i : i + 1] == b"#":
-            while i < n and buf[i : i + 1] != b"\n":
-                i += 1
-            continue
-        start = i
-        while i < n and not buf[i : i + 1].isspace():
-            i += 1
-        if i == start:
+
+def _split_header_tokens(buf: bytes, count: int) -> tuple[list[str], int]:
+    """The first ``count`` whitespace-separated tokens, netpbm-style '#' comments skipped, and
+    the payload offset: exactly one whitespace byte past the last token."""
+    tokens, end = [], 0
+    for _ in range(count):
+        if not (match := _HEADER_TOKEN.match(buf, end)):
             raise MalformedHeader("header ended before all fields were read")
-        tokens.append(buf[start:i].decode("ascii", errors="replace"))
-    if i >= n or not buf[i : i + 1].isspace():
+        tokens.append(match[1].decode("ascii", errors="replace"))
+        end = match.end()
+    if not buf[end : end + 1].isspace():
         raise MalformedHeader("missing whitespace after header")
-    return tokens, i + 1
+    return tokens, end + 1
 
 
 def _fields(tokens: list[str], kinds, what: str) -> list:
@@ -81,7 +74,8 @@ def _payload(buf: bytes, offset: int, dtype, shape: tuple[int, ...], what: str) 
 
 
 def _names_its_file(read):
-    """``read(path, ...)``, with ``path`` put in front of any SweepDepthError it raises."""
+    """``read(path, ...)``, with ``path`` put in front of any SweepDepthError it raises;
+    a KeyError, TypeError, ValueError or AttributeError becomes a SweepDepthError naming it too."""
 
     @functools.wraps(read)
     def read_naming_path(path: str | Path, *args):
@@ -89,13 +83,18 @@ def _names_its_file(read):
             return read(path, *args)
         except SweepDepthError as exc:
             raise type(exc)(f"{path}: {exc}") from exc
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            raise SweepDepthError(f"{path}: {exc!r}") from exc
 
     return read_naming_path
 
 
 def _write(path: str | Path, header: str, array: np.ndarray, dtype) -> None:
-    """An ASCII header, then ``array`` in C order as ``dtype``."""
-    Path(path).write_bytes(header.encode("ascii") + array.astype(dtype).tobytes())
+    """An ASCII header, then ``array`` in C order as ``dtype``, with no second copy of it."""
+    payload = np.ascontiguousarray(array, dtype=dtype)
+    with open(path, "wb") as file:
+        file.write(header.encode("ascii"))
+        file.write(payload)
 
 
 @_names_its_file
@@ -181,15 +180,11 @@ def write_pgm(path: str | Path, img: np.ndarray) -> None:
     _write_netpbm(path, "P5", img[..., None])
 
 
+@_names_its_file
 def read_json(path: str | Path, parse):
     """``parse(content of path)``; content that does not decode, parse or pass ``parse`` raises
     a SweepDepthError naming the file, of the same type when ``parse`` raised one."""
-    try:
-        return parse(json.loads(Path(path).read_text(encoding="utf-8")))
-    except SweepDepthError as exc:
-        raise type(exc)(f"malformed {path}: {exc}") from exc
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
-        raise SweepDepthError(f"malformed {path}: {exc!r}") from exc
+    return parse(json.loads(Path(path).read_text(encoding="utf-8")))
 
 
 def write_json(path: str | Path, obj) -> None:

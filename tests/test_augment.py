@@ -90,6 +90,15 @@ class TestColorJitter:
                 assert np.allclose(out, np.clip(value + delta, 0.0, 1.0), atol=1e-12)
                 assert out.min() >= 0.0 and out.max() <= 1.0
 
+    def test_gray_image_draws_the_rgb_factors(self, rng):
+        # a 2-D image has no saturation to change but still draws its factor, so
+        # the generator is left where an RGB image leaves it
+        gray_rng, rgb_rng = sample_rng(0, 5, 1), sample_rng(0, 5, 1)
+        out = color_jitter(rng.random((6, 6)), gray_rng)
+        color_jitter(rng.random((6, 6, 3)), rgb_rng)
+        assert out.shape == (6, 6)
+        assert np.array_equal(gray_rng.random(4), rgb_rng.random(4))
+
     def test_bit_exact_reproducibility(self, rng):
         img = rng.random((6, 6, 3))
         a = color_jitter(img, sample_rng(42, 9, 1))

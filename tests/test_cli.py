@@ -200,6 +200,14 @@ class TestDepth:
         assert code == 1 and err.startswith("error: the ") and dump in err, err
         assert list(tmp_path.iterdir()) == []
 
+    def test_mask_out_without_teacher_is_refused(self, lateral_dataset, tmp_path, capsys):
+        # the mask is scored against --teacher: without one there is no mask to write
+        code, _, err = run(capsys, "depth", "--data", str(lateral_dataset),
+                           "--out", str(tmp_path / "d.pfm"), "--mask-out", str(tmp_path / "m.pfm"),
+                           "--d-min", "1", "--d-max", "10")
+        assert code == 1 and err == "error: --mask-out needs --teacher\n", err
+        assert list(tmp_path.iterdir()) == []
+
     def test_teacher_writes_mask(self, box_dataset, tmp_path, capsys):
         out = tmp_path / "d.pfm"
         mask_out = tmp_path / "m.pfm"

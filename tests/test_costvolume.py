@@ -1,5 +1,6 @@
 """Plane sets, cost volume construction, argmin extraction, adaptive range."""
 
+import os
 import sys
 import tracemalloc
 import warnings
@@ -35,6 +36,7 @@ from sweepdepth.errors import (
 )
 from sweepdepth.features import FeatureMap, extract_features
 from sweepdepth.geometry import Intrinsics, Pose, bilinear_sample, plane_warp_grid
+from sweepdepth.io import read_cost_volume, write_cost_volume
 from sweepdepth.synth import relative_pose
 
 
@@ -91,6 +93,7 @@ class TestBuildCostVolume:
         fmap = FeatureMap(data=rng.random((6, 8, 2)), scale=1)
         planes = linear_planes(1.0, 5.0, 4)
         cv = build_cost_volume(fmap, [(fmap, Pose.identity())], K, planes)
+        assert cv.shape == (6, 8, 4)
         assert np.allclose(cv.costs, 0.0, atol=1e-12)
         assert (cv.valid_count == 1).all()
 
@@ -346,6 +349,12 @@ class TestVolumeBudget:
         costvolume.check_volume_size(192, 640, 96)
 
 
+def test_thread_count_falls_back_on_a_setting_that_is_not_an_integer(monkeypatch):
+    monkeypatch.setenv("SWEEPDEPTH_THREADS", "two")
+    assert costvolume._thread_count(1000) == min(os.cpu_count() or 1, 4)
+    assert costvolume._thread_count(1) == 1  # never wider than the number of runs
+
+
 class TestArgminDepth:
     def test_unique_minimum(self):
         planes = linear_planes(1.0, 4.0, 4)
@@ -385,6 +394,29 @@ class TestArgminDepth:
         assert valid[0, 0]
         assert depth[1, 1] == 4.0  # (2 + 6) / 2
         assert not valid[1, 1]
+
+    def test_decodes_a_read_dump_without_copying_it(self, rng, tmp_path):
+        # numpy reports its buffers to tracemalloc. A read dump's costs are an
+        # (H, W, P) view of plane-major float64, 23.6 MB at 96x320x96: taking
+        # the argmin over the whole volume would copy it to put the planes last.
+        h, w, p = 96, 320, 96
+        costs = rng.random((h, w, p), dtype=np.float32)
+        costs[:, :8] = np.inf  # pixels without a valid plane
+        path = tmp_path / "v.swpcv"
+        write_cost_volume(path, CostVolume(costs, np.isfinite(costs)), linear_planes(1.0, 10.0, p))
+        del costs
+        cv, planes = read_cost_volume(path)
+        tracemalloc.start()
+        try:
+            depth, valid = argmin_depth(cv, planes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < cv.costs.nbytes / 4
+        want_valid = np.isfinite(cv.costs.min(axis=2))
+        assert np.array_equal(valid, want_valid) and valid.any() and not valid.all()
+        want = np.where(want_valid, planes.depths[np.argmin(cv.costs, axis=2)], 5.5)
+        assert np.array_equal(depth, want)
 
 
 class TestZeroVolume:

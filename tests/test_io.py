@@ -1,6 +1,7 @@
 """Codec round trips and malformed-input behavior."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -219,6 +220,20 @@ class TestCostVolumeDump:
         flat = np.frombuffer(payload, dtype="<f4")
         # plane 0 first (row-major), then plane 1
         assert np.array_equal(flat, [0, 2, 4, 6, 1, 3, 5, 7])
+
+    def test_write_holds_one_copy_of_the_payload(self, rng, tmp_path):
+        # numpy reports its buffers to tracemalloc: a 96x320x96 volume is an
+        # 11.8 MB float32 payload, converted once and written from that copy
+        costs = rng.random((96, 320, 96))
+        cv = CostVolume(costs=costs, valid_count=np.ones(costs.shape, np.uint8))
+        planes = linear_planes(1.0, 10.0, 96)
+        tracemalloc.start()
+        try:
+            write_cost_volume(tmp_path / "v.swpcv", cv, planes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * costs.size * 4
 
     def test_truncation(self, tmp_path):
         path = tmp_path / "v.swpcv"

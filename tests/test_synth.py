@@ -192,6 +192,13 @@ class TestMoverHelpers:
         assert mover_rect(scene, Pose.identity(), K, 0) is None
         assert not mover_mask(scene, Pose.identity(), K, 0).any()
 
+    def test_rect_of_overflowing_corners_raises(self):
+        # every number is finite, but the box's right edge, 1e308 + 1e308, is not
+        mover = Mover(center=(1e308, 0.0, 3.0), half_size=(1e308, 0.3),
+                      velocity=(0.0, 0.0, 0.0), texture=Texture(kind="grating"))
+        with pytest.raises(InvalidParameter, match="frame 0: the mover's corners are not finite"):
+            mover_rect(wall_scene(5.0, mover), Pose.identity(), K, 0)
+
 
 def _rotation(rx, ry, rz):
     cx, sx, cy, sy, cz, sz = np.cos(rx), np.sin(rx), np.cos(ry), np.sin(ry), np.cos(rz), np.sin(rz)
