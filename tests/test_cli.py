@@ -44,6 +44,50 @@ def box_dataset(tmp_path_factory):
     return root
 
 
+@pytest.fixture(scope="module")
+def static_camera_dataset(tmp_path_factory):
+    root = tmp_path_factory.mktemp("static_camera")
+    assert main(["synth", "--scene", "static_camera", "--out", str(root)]) == 0
+    return root
+
+
+def _loss_report(lp, lc, ls, total, mask_fraction):
+    return {"lp": lp, "lc": lc, "ls": ls, "total": total, "mask_fraction": mask_fraction}
+
+
+_BOX_LP_LS = {"lp": 0.012580872445838899, "ls": 0.027062833634897934}
+_STATIC_CAMERA_REPORT = _loss_report(0.0, 1.1554676443338394, 0.015446309154591267,
+                                     1.155483090642994, 1.0)
+
+# `loss --out` of target 1 with the teacher its true depth and the student 1.25 times it, over
+# [1, 10] m in 32 planes, keyed by (scene, --feature-scale, the augmentation the sample draws
+# or None for no --augment-sample, --cv-sources). Recorded before the sweep ran beside the
+# photometric terms. The static camera has no baseline, so every sweep there is invalid and
+# gives the range midpoint.
+LOSS_REPORTS = {
+    ("moving_box", "4", "NONE", None): _loss_report(
+        _BOX_LP_LS["lp"], 0.08980550368626912, _BOX_LP_LS["ls"], 0.09837429135993372,
+        0.10611979166666667),
+    ("moving_box", "4", "ZERO_VOLUME", None): _loss_report(
+        _BOX_LP_LS["lp"], 1.0722281880055864, _BOX_LP_LS["ls"], 1.0722552508392214, 1.0),
+    ("moving_box", "4", "STATIC_SUBSTITUTE", None): _loss_report(
+        _BOX_LP_LS["lp"], 0.38478749835242826, _BOX_LP_LS["ls"], 0.3880819870337118,
+        0.4690755208333333),
+    ("moving_box", "1", "NONE", None): _loss_report(
+        _BOX_LP_LS["lp"], 0.085940150776878, _BOX_LP_LS["ls"], 0.09126480467946291,
+        0.13704427083333334),
+    ("moving_box", "1", "ZERO_VOLUME", None): _loss_report(
+        _BOX_LP_LS["lp"], 1.0722281880055864, _BOX_LP_LS["ls"], 1.0722552508392214, 1.0),
+    ("moving_box", "1", "STATIC_SUBSTITUTE", None): _loss_report(
+        _BOX_LP_LS["lp"], 0.3946545202440272, _BOX_LP_LS["ls"], 0.3971549313704429,
+        0.4820963541666667),
+    ("moving_box", "1", None, ("0", "2")): _loss_report(
+        _BOX_LP_LS["lp"], 0.084228515625, _BOX_LP_LS["ls"], 0.08957858848132133, 0.134765625),
+    **{("static_camera", scale, decision, None): _STATIC_CAMERA_REPORT
+       for scale in ("4", "1") for decision in ("NONE", "ZERO_VOLUME", "STATIC_SUBSTITUTE")},
+}
+
+
 class TestSynth:
     def test_writes_expected_layout(self, lateral_dataset):
         names = {p.name for p in lateral_dataset.iterdir()}
@@ -322,6 +366,24 @@ class TestLoss:
                            str(student), "--teacher", str(gt), "--d-min", "1", "--d-max", "10",
                            "--planes", "4")
         assert code == 1 and err.startswith(f"error: {student}: "), err
+
+    @pytest.mark.parametrize("case", list(LOSS_REPORTS),
+                             ids=lambda case: "-".join(map(str, case[:3])) + (case[3] and "-cv02" or ""))
+    def test_golden_report(self, box_dataset, static_camera_dataset, tmp_path, capsys, case):
+        scene, scale, decision, cv_sources = case
+        data = box_dataset if scene == "moving_box" else static_camera_dataset
+        student = tmp_path / "student.pfm"
+        write_pfm(student, read_pfm(data / "depth_0001.pfm") * 1.25)
+        argv = ["loss", "--data", str(data), "--student", str(student),
+                "--teacher", str(data / "depth_0001.pfm"), "--d-min", "1", "--d-max", "10",
+                "--planes", "32", "--feature-scale", scale, "--out", str(tmp_path / "r.json")]
+        if decision is not None:
+            argv += ["--augment-sample", str(sample_drawing(Augmentation[decision]))]
+        if cv_sources:
+            argv += ["--cv-sources", *cv_sources]
+        code, stdout, err = run(capsys, *argv)
+        assert code == 0, err
+        assert stdout == (tmp_path / "r.json").read_text() == json.dumps(LOSS_REPORTS[case], indent=2) + "\n"
 
     def test_zero_cv_at_the_first_frame(self, lateral_dataset, capsys):
         gt = str(lateral_dataset / "depth_0000.pfm")
