@@ -30,6 +30,7 @@ import json
 import os
 import sys
 from collections.abc import Sequence
+from contextlib import AbstractContextManager, nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -45,6 +46,7 @@ from .costvolume import (
     argmin_depth,
     build_cost_volume,
     check_volume_size,
+    started_sweep_argmin,
     sweep_argmin,
     upsample_nearest,
     zero_volume,
@@ -164,6 +166,13 @@ class _Sweep:
         if self.inputs is None:  # every cost ties at 0: the first plane, valid everywhere
             return np.full(self.shape[:2], self.planes.depths[0]), np.ones(self.shape[:2], bool)
         return sweep_argmin(*self.inputs, self.planes)
+
+    def started(self) -> AbstractContextManager:
+        """``self.argmin`` as ``costvolume.started_sweep_argmin`` runs it: the sweep on
+        threads of its own while the block runs, joined by the callable the block gets."""
+        if self.inputs is None:
+            return nullcontext(self.argmin)
+        return started_sweep_argmin(*self.inputs, self.planes)
 
 
 def _sweep_for(args, data: Dataset, source_idxs: list[int] | None) -> _Sweep:
@@ -298,17 +307,21 @@ def cmd_loss(args) -> dict:
 
     student = sdio.read_pfm(args.student)
     teacher = sdio.read_pfm(args.teacher)
+    sweep = _sweep_for(args, data, args.cv_sources)
 
-    synthesized = []
-    for i in loss_sources:
-        grid = reproject_grid(student, relative_pose(data.poses[target], data.poses[i]), data.K)
-        img, valid = bilinear_sample(data.images[i], grid)
-        synthesized.append((img, valid))
+    # Only the mask reads the sweep's depth: this thread warps the sources and scores the
+    # photometric and smoothness terms while the sweep runs, and joins it for the mask.
+    with sweep.started() as join:
+        synthesized = []
+        for i in loss_sources:
+            grid = reproject_grid(student, relative_pose(data.poses[target], data.poses[i]), data.K)
+            synthesized.append(bilinear_sample(data.images[i], grid))
 
-    depth_f, _ = _sweep_for(args, data, args.cv_sources).argmin()
-    d_cv = upsample_nearest(depth_f, args.feature_scale, data.K.height, data.K.width)
+        def d_cv() -> np.ndarray:
+            depth_f, _valid = join()
+            return upsample_nearest(depth_f, args.feature_scale, data.K.height, data.K.width)
 
-    report = total_loss(data.images[target], synthesized, student, teacher, d_cv)
+        report = total_loss(data.images[target], synthesized, student, teacher, d_cv)
     return _report(report, args.out)
 
 

@@ -9,9 +9,11 @@ cost and are excluded from the argmin.
 
 from __future__ import annotations
 
+import functools
 import os
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -47,7 +49,8 @@ MAX_VOLUME_CELLS = 2**26
 # Cells (pixels x planes) per tile of the sweep kernel; each pool thread gets
 # work arrays for one tile, about 6 MB with 3 channels. Smaller tiles spend
 # more of the sweep holding the GIL between numpy calls (at 4096 a pool of two
-# is no faster than one thread); larger ones cost memory and gain nothing.
+# is no faster than one thread); larger ones cost memory and gain nothing. So
+# at the default width, runs of fewer than _TILE // 2 cells sweep as one slab.
 _TILE = 32768
 
 
@@ -145,16 +148,17 @@ def inverse_depth_planes(d_min: float, d_max: float, count: int = DEFAULT_PLANE_
     return DepthPlaneSet(d_min, d_max, count, "inverse")
 
 
-def _thread_count(run_count: int) -> int:
-    """Sweep pool width for ``run_count`` whole runs: SWEEPDEPTH_THREADS (0, unset
-    or not an integer: min(cores, 4)), at most one thread per run."""
+def _thread_count(run_count: int, run_cells: int = _TILE) -> int:
+    """Sweep pool width for ``run_count`` whole runs of ``run_cells`` cells each, at most
+    one thread per run: SWEEPDEPTH_THREADS, or when that is 0, unset or not an integer,
+    min(cores, 4) for runs of at least _TILE // 2 cells and 1 for smaller ones."""
     raw = os.environ.get("SWEEPDEPTH_THREADS", "0")
     try:
         n = int(raw)
     except ValueError:
         n = 0
     if n <= 0:
-        n = min(os.cpu_count() or 1, 4)
+        n = min(os.cpu_count() or 1, 4) if run_cells >= _TILE // 2 else 1
     return max(1, min(n, run_count))
 
 
@@ -174,13 +178,15 @@ def build_cost_volume(
     was in bounds. Cells with no valid source get cost +inf.
 
     The pixels are split into contiguous slabs, one per thread of a pool
-    whose width SWEEPDEPTH_THREADS sets (0 or unset: min(cores, 4)), and
-    each slab is swept in runs of whole pixels with all their planes. A run
-    holds up to min(_TILE, max(H'W', _TILE // 4)) cells, and at least one
-    pixel with all its planes; every slab holds at least one whole run. A
-    run scores into a run-sized block of its slab's thread, with that
-    thread's work arrays, both allocated once per sweep, and is then copied
-    into its own rows of ``costs`` and ``valid_count``. A slab's last run
+    whose width SWEEPDEPTH_THREADS sets (0 or unset: min(cores, 4), or a
+    single slab on the calling thread when a run holds fewer than
+    _TILE // 2 cells), and each slab is swept in runs of whole pixels with
+    all their planes. A run holds up to min(_TILE, max(H'W', _TILE // 4))
+    cells, and at least one pixel with all its planes; every slab holds at
+    least one whole run. A run scores into a run-sized block of its slab,
+    with that slab's work arrays, both allocated once per sweep on the
+    calling thread, and is then copied into its own rows of ``costs`` and
+    ``valid_count``. A slab's last run
     ends at the slab's last pixel and may overlap the run before it, on the
     same thread, so no two threads write one cell. Every cell takes the same
     arithmetic in any run, so the result is bit-identical whatever the pool
@@ -196,7 +202,7 @@ def build_cost_volume(
         costs.reshape(-1, shape[2])[run] = run_costs  # the run's rows of the volume
         counts.reshape(-1, shape[2])[run] = run_counts
 
-    _sweep(target, sources, K, planes, reduce)
+    _run(_sweep(target, sources, K, planes, reduce))
     return CostVolume(costs=costs, valid_count=counts)
 
 
@@ -213,6 +219,48 @@ def sweep_argmin(
     are ``build_cost_volume``'s, but each run is reduced to its pixels'
     cheapest plane and validity instead of copied into a volume.
     """
+    slabs, depth = _argmin_sweep(target, sources, K, planes)
+    _run(slabs)
+    del slabs  # and with them their work arrays, before the depth map is built
+    return depth()
+
+
+@contextmanager
+def started_sweep_argmin(
+    target: FeatureMap,
+    sources: list[tuple[FeatureMap, Pose]],
+    K: Intrinsics,
+    planes: DepthPlaneSet,
+) -> Iterator[Callable[[], tuple[np.ndarray, np.ndarray]]]:
+    """``sweep_argmin`` on threads of its own while the caller works on.
+
+    The checks and every allocation of the sweep happen here, on the calling
+    thread; only the slabs' run loops go to the pool, one thread each. Yields
+    ``join``, which waits for the sweep, raises its first error, and returns
+    ``sweep_argmin``'s (depth, valid). Leaving the block waits for every pool
+    thread, also when the block raises.
+    """
+    slabs, depth = _argmin_sweep(target, sources, K, planes)
+    with ThreadPoolExecutor(max_workers=len(slabs)) as pool:
+        futures = [pool.submit(slab) for slab in slabs]
+        del slabs  # so that each slab's work arrays go when it ends, not when the block does
+
+        def join() -> tuple[np.ndarray, np.ndarray]:
+            for future in futures:
+                future.result()
+            return depth()
+
+        yield join
+
+
+def _argmin_sweep(
+    target: FeatureMap,
+    sources: list[tuple[FeatureMap, Pose]],
+    K: Intrinsics,
+    planes: DepthPlaneSet,
+) -> tuple[list[Callable[[], None]], Callable[[], tuple[np.ndarray, np.ndarray]]]:
+    """The checked, allocated slabs of ``sweep_argmin``'s sweep, and the function
+    that reads its (depth, valid) once they have all run."""
     _check_sweep(target, sources, K, planes)
     h, w, _ = target.shape
     best, valid = np.empty(h * w, np.intp), np.empty(h * w, bool)
@@ -220,8 +268,10 @@ def sweep_argmin(
     def reduce(run: slice, costs: np.ndarray, _counts: np.ndarray) -> None:
         _argmin_rows(costs, best[run], valid[run])
 
-    _sweep(target, sources, K, planes, reduce)
-    return _plane_depths(best, valid, planes).reshape(h, w), valid.reshape(h, w)
+    def depth() -> tuple[np.ndarray, np.ndarray]:
+        return _plane_depths(best, valid, planes).reshape(h, w), valid.reshape(h, w)
+
+    return _sweep(target, sources, K, planes, reduce), depth
 
 
 def _check_sweep(
@@ -251,15 +301,13 @@ def _sweep(
     K: Intrinsics,
     planes: DepthPlaneSet,
     reduce: Callable[[slice, np.ndarray, np.ndarray], None],
-) -> None:
-    """Score every cell of a sweep that passed ``_check_sweep``, run by run, as
-    ``build_cost_volume`` describes.
-
-    Each slab scores its runs in turn into one run-sized block of its own:
-    the (pixels, P) costs and source counts of the run's pixels ``run`` of
-    the flattened target. ``reduce(run, costs, counts)``, called on the
-    slab's thread, takes what it needs from the block before the slab's next
-    run reuses it.
+) -> list[Callable[[], None]]:
+    """The slabs of a sweep that passed ``_check_sweep``, as ``build_cost_volume``
+    describes: each, when called, scores its runs in turn into one run-sized
+    block of its own, the (pixels, P) costs and source counts of the run's
+    pixels ``run`` of the flattened target. ``reduce(run, costs, counts)``,
+    called on the slab's thread, takes what it needs from the block before the
+    slab's next run reuses it.
     """
     h, w, channels = target.shape
     n_planes = len(planes)
@@ -272,7 +320,7 @@ def _sweep(
     count_dtype = np.min_scalar_type(len(sources))
     per_run = min(n, max(1, min(_TILE, max(n, _TILE // 4)) // n_planes))
     cells = per_run * n_planes
-    workers = _thread_count(n // per_run)
+    workers = _thread_count(n // per_run, cells)
     bounds = [n * k // workers for k in range(workers + 1)]  # each slab holds a whole run
 
     # Each slab's work arrays, count row and run block are allocated here:
@@ -308,8 +356,18 @@ def _sweep(
             np.copyto(total, np.inf, where=count == 0)
             reduce(run, costs, counts)
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(sweep_slab, bounds[:-1], bounds[1:], per_slab))
+    return [functools.partial(sweep_slab, lo, hi, arrays)
+            for lo, hi, arrays in zip(bounds[:-1], bounds[1:], per_slab)]
+
+
+def _run(slabs: list[Callable[[], None]]) -> None:
+    """Run a sweep's slabs to the end: one on the calling thread, several on a pool."""
+    if len(slabs) == 1:
+        slabs[0]()
+        return
+    with ThreadPoolExecutor(max_workers=len(slabs)) as pool:
+        for future in [pool.submit(slab) for slab in slabs]:
+            future.result()
 
 
 def argmin_depth(cv: CostVolume, planes: DepthPlaneSet) -> tuple[np.ndarray, np.ndarray]:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import os
 import re
 from dataclasses import asdict
 from pathlib import Path
@@ -62,14 +63,18 @@ def _fields(tokens: list[str], kinds, what: str) -> list:
         raise MalformedHeader(f"non-numeric {what} header field: {exc}") from exc
 
 
-def _payload(buf: bytes, offset: int, dtype, shape: tuple[int, ...], what: str) -> np.ndarray:
-    """The ``shape`` array of ``dtype`` stored at ``buf[offset:]``: a read-only view of ``buf``."""
+def _check_payload(available: int, dtype, shape: tuple[int, ...], what: str) -> None:
+    """Raise unless ``shape`` is positive and ``available`` bytes hold it as ``dtype``."""
     if min(shape) <= 0:
         raise MalformedHeader(f"bad {what} dimensions {'x'.join(map(str, shape))}")
-    dtype = np.dtype(dtype)
-    expected = math.prod(shape) * dtype.itemsize
-    if len(buf) - offset < expected:
-        raise TruncatedPayload(f"{what} payload has {len(buf) - offset} bytes, expected {expected}")
+    expected = math.prod(shape) * np.dtype(dtype).itemsize
+    if available < expected:
+        raise TruncatedPayload(f"{what} payload has {available} bytes, expected {expected}")
+
+
+def _payload(buf: bytes, offset: int, dtype, shape: tuple[int, ...], what: str) -> np.ndarray:
+    """The ``shape`` array of ``dtype`` stored at ``buf[offset:]``: a read-only view of ``buf``."""
+    _check_payload(len(buf) - offset, dtype, shape, what)
     return np.frombuffer(buf, dtype=dtype, count=math.prod(shape), offset=offset).reshape(shape)
 
 
@@ -261,20 +266,27 @@ def write_cost_volume(path: str | Path, cv: CostVolume, planes: DepthPlaneSet) -
 
 @_names_its_file
 def read_cost_volume(path: str | Path) -> tuple[CostVolume, DepthPlaneSet]:
-    """Read an SWPCV1 (linear planes) or SWPCV2 (spacing recorded) dump."""
-    buf = Path(path).read_bytes()
-    newline = buf.find(b"\n")
-    if newline < 0:
-        raise MalformedHeader("cost volume dump has no header line")
-    fields = buf[:newline].decode("ascii", errors="replace").split()
-    if fields[:1] == [_CV_MAGIC_LINEAR] and len(fields) == 6:
-        spacing = "linear"
-    elif fields[:1] == [_CV_MAGIC_SPACED] and len(fields) == 7:
-        spacing = fields[6]
-    else:
-        raise MalformedHeader(f"bad cost volume header {fields!r}")
-    h, w, p, d_min, d_max = _fields(fields[1:6], (int, int, int, float, float), "cost volume")
-    stored = _payload(buf, newline + 1, "<f4", (p, h, w), "cost volume")
-    costs = np.moveaxis(stored.astype(np.float64), 0, 2)
-    valid = np.isfinite(costs).astype(np.uint8)
-    return CostVolume(costs=costs, valid_count=valid), DepthPlaneSet(d_min, d_max, p, spacing)
+    """Read an SWPCV1 (linear planes) or SWPCV2 (spacing recorded) dump, one plane at
+    a time: besides the returned volume it holds one float32 plane of the file."""
+    with open(path, "rb") as file:
+        line = file.readline()
+        if not line.endswith(b"\n"):
+            raise MalformedHeader("cost volume dump has no header line")
+        fields = line[:-1].decode("ascii", errors="replace").split()
+        if fields[:1] == [_CV_MAGIC_LINEAR] and len(fields) == 6:
+            spacing = "linear"
+        elif fields[:1] == [_CV_MAGIC_SPACED] and len(fields) == 7:
+            spacing = fields[6]
+        else:
+            raise MalformedHeader(f"bad cost volume header {fields!r}")
+        h, w, p, d_min, d_max = _fields(fields[1:6], (int, int, int, float, float), "cost volume")
+        _check_payload(os.fstat(file.fileno()).st_size - file.tell(), "<f4", (p, h, w), "cost volume")
+        costs, valid = np.empty((p, h, w)), np.empty((p, h, w), np.uint8)  # plane-major, as stored
+        plane = np.empty((h, w), "<f4")
+        for k in range(p):
+            if file.readinto(plane) != plane.nbytes:
+                raise TruncatedPayload(f"cost volume payload ended in plane {k}")
+            costs[k] = plane
+            np.isfinite(plane, out=valid[k])
+    volume = CostVolume(costs=np.moveaxis(costs, 0, 2), valid_count=np.moveaxis(valid, 0, 2))
+    return volume, DepthPlaneSet(d_min, d_max, p, spacing)

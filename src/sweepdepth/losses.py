@@ -9,6 +9,7 @@ of an L1 pull toward the teacher.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -189,7 +190,7 @@ def total_loss(
     synthesized: list[tuple[np.ndarray, np.ndarray]],
     d_t: np.ndarray,
     d_hat: np.ndarray,
-    d_cv: np.ndarray,
+    d_cv: np.ndarray | Callable[[], np.ndarray],
 ) -> LossReport:
     """Assemble the full training loss for one frame.
 
@@ -197,12 +198,14 @@ def total_loss(
     where it is set, the consistency term pulls the student toward the
     teacher there, and the smoothness term regularizes the student against
     the edges of ``target``, weighted by SMOOTHNESS_WEIGHT. All depth maps
-    must be at image resolution.
+    must be at image resolution. ``d_cv`` may come deferred, as a callable
+    that returns it: it is called once, after the reprojection and
+    smoothness terms, so the cost-volume depth can be computed meanwhile.
     """
-    mask = consistency_mask(d_cv, d_hat)
     lp, per_pixel = min_reprojection_loss(target, synthesized)
-    lc = consistency_loss(d_t, d_hat, mask)
     ls = smoothness_loss(d_t, target)
+    mask = consistency_mask(d_cv() if callable(d_cv) else d_cv, d_hat)
+    lc = consistency_loss(d_t, d_hat, mask)
     total = float(((1.0 - mask) * per_pixel).mean() + lc + SMOOTHNESS_WEIGHT * ls)
     return LossReport(
         lp=lp,

@@ -8,6 +8,7 @@ import os
 import shutil
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -19,6 +20,7 @@ import sweepdepth
 from sweepdepth import cli, costvolume
 from sweepdepth.augment import Augmentation, AugmentConfig, draw_augmentation
 from sweepdepth.cli import main
+from sweepdepth.errors import SweepDepthError
 from sweepdepth.costvolume import inverse_depth_planes
 from sweepdepth.io import read_cost_volume, read_pfm, read_ppm, write_pfm, write_ppm
 from sweepdepth.synth import PRESETS
@@ -384,6 +386,42 @@ class TestLoss:
         code, stdout, err = run(capsys, *argv)
         assert code == 0, err
         assert stdout == (tmp_path / "r.json").read_text() == json.dumps(LOSS_REPORTS[case], indent=2) + "\n"
+
+    @pytest.mark.parametrize("threads", [None, "2"])
+    def test_no_thread_outlives_the_command(self, box_dataset, tmp_path, capsys, monkeypatch,
+                                            threads):
+        # the sweep runs on a pool thread beside the photometric terms; on success, on a bad
+        # student while the sweep runs, and on an error inside the sweep, the pool is gone
+        # before `loss` returns
+        if threads:
+            monkeypatch.setenv("SWEEPDEPTH_THREADS", threads)
+        gt = box_dataset / "depth_0001.pfm"
+        negative = tmp_path / "negative.pfm"
+        write_pfm(negative, -read_pfm(gt))
+        argv = ["loss", "--data", str(box_dataset), "--teacher", str(gt), "--d-min", "1",
+                "--d-max", "10", "--planes", "32", "--feature-scale", "1"]
+        before = threading.active_count()
+        assert run(capsys, *argv, "--student", str(gt))[0] == 0
+        assert threading.active_count() == before
+        code, _, err = run(capsys, *argv, "--student", str(negative))
+        assert code == 1 and err.startswith("error: reprojection needs finite positive depths")
+        assert threading.active_count() == before
+
+        def fail(*args):
+            raise SweepDepthError("the sweep failed")
+
+        monkeypatch.setattr(costvolume, "_argmin_rows", fail)
+        code, _, err = run(capsys, *argv, "--student", str(gt))
+        assert (code, err) == (1, "error: the sweep failed\n")
+        assert threading.active_count() == before
+
+    def test_sweep_options_are_checked_before_the_student(self, box_dataset, tmp_path, capsys):
+        gt = box_dataset / "depth_0001.pfm"
+        negative = tmp_path / "negative.pfm"
+        write_pfm(negative, -read_pfm(gt))
+        code, _, err = run(capsys, "loss", "--data", str(box_dataset), "--student", str(negative),
+                           "--teacher", str(gt), "--d-min", "5", "--d-max", "1")
+        assert code == 1 and err.startswith("error: need ") and "got (5.0, 1.0)" in err, err
 
     def test_zero_cv_at_the_first_frame(self, lateral_dataset, capsys):
         gt = str(lateral_dataset / "depth_0000.pfm")

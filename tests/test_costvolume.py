@@ -4,6 +4,7 @@ import os
 import sys
 import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -353,6 +354,50 @@ def test_thread_count_falls_back_on_a_setting_that_is_not_an_integer(monkeypatch
     monkeypatch.setenv("SWEEPDEPTH_THREADS", "two")
     assert costvolume._thread_count(1000) == min(os.cpu_count() or 1, 4)
     assert costvolume._thread_count(1) == 1  # never wider than the number of runs
+
+
+class TestDefaultWidth:
+    """At the default width, a sweep whose runs hold fewer than _TILE // 2 cells is one
+    slab on the calling thread; SWEEPDEPTH_THREADS still sets the width."""
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """The width of each pool a sweep starts, in order."""
+        widths = []
+
+        class RecordedPool(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                widths.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(costvolume, "ThreadPoolExecutor", RecordedPool)
+        return widths
+
+    def test_small_runs_sweep_without_a_pool(self, rendered_presets, monkeypatch, pools):
+        # 64x48 pixels with 32 planes, two sources: runs of 256 pixels, 8192 cells
+        setup, frames = rendered_presets["moving_box"]
+        f_t = extract_features(frames[1].image, "gradient", 1)
+        sources = [(extract_features(frames[i].image, "gradient", 1),
+                    relative_pose(frames[1].pose, frames[i].pose)) for i in (0, 2)]
+        planes = linear_planes(1.0, 10.0, 32)
+        monkeypatch.delenv("SWEEPDEPTH_THREADS", raising=False)
+        one = build_cost_volume(f_t, sources, setup.K, planes), sweep_argmin(f_t, sources, setup.K, planes)
+        assert pools == []
+        monkeypatch.setenv("SWEEPDEPTH_THREADS", "2")
+        two = build_cost_volume(f_t, sources, setup.K, planes), sweep_argmin(f_t, sources, setup.K, planes)
+        assert pools == [2, 2]
+        for a, b in [(one[0].costs, two[0].costs), (one[0].valid_count, two[0].valid_count),
+                     *zip(one[1], two[1])]:
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    def test_width_follows_the_run_size(self, monkeypatch):
+        monkeypatch.delenv("SWEEPDEPTH_THREADS", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert costvolume._thread_count(1000) == 2  # perfbench/envinfo.py passes one count
+        assert costvolume._thread_count(1000, costvolume._TILE // 2) == 2
+        assert costvolume._thread_count(1000, costvolume._TILE // 2 - 1) == 1
+        monkeypatch.setenv("SWEEPDEPTH_THREADS", "3")
+        assert costvolume._thread_count(1000, 1) == 3
 
 
 class TestArgminDepth:

@@ -235,6 +235,26 @@ class TestCostVolumeDump:
             tracemalloc.stop()
         assert peak < 1.25 * costs.size * 4
 
+    def test_read_holds_no_copy_of_the_file(self, rng, tmp_path):
+        # numpy reports its buffers to tracemalloc: besides the float64 costs and uint8
+        # counts it returns, the reader holds one float32 plane, not the file's bytes
+        # and no boolean volume
+        costs = rng.random((48, 160, 96)).astype(np.float32).astype(np.float64)
+        costs[rng.random(costs.shape) < 0.1] = np.inf
+        path = tmp_path / "v.swpcv"
+        write_cost_volume(path, CostVolume(costs, np.ones(costs.shape, np.uint8)),
+                          linear_planes(1.0, 10.0, 96))
+        tracemalloc.start()
+        try:
+            cv, _ = read_cost_volume(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.2 * (cv.costs.nbytes + cv.valid_count.nbytes)
+        assert np.array_equal(cv.costs, costs)
+        assert cv.valid_count.dtype == np.uint8
+        assert np.array_equal(cv.valid_count, np.isfinite(costs))
+
     def test_truncation(self, tmp_path):
         path = tmp_path / "v.swpcv"
         path.write_bytes(b"SWPCV1 2 2 2 1.0 2.0\n" + bytes(10))

@@ -16,6 +16,7 @@ from oracles import (
     smoothness_ref,
     ssim_ref,
 )
+from sweepdepth import losses
 from sweepdepth.errors import EmptySources, NonPositiveDepth, ShapeMismatch
 from sweepdepth.losses import (
     SMOOTHNESS_WEIGHT,
@@ -293,6 +294,29 @@ class TestTotalLoss:
             "total": 0.6149965947244462,
             "mask_fraction": 0.20833333333333334,
         }
+
+    def test_deferred_cost_volume_depth(self, monkeypatch):
+        # `loss` passes the cost-volume depth as a callable that joins the sweep: it is
+        # asked for only after the photometric terms, and the report is the array's
+        r = np.random.default_rng(1)
+        target, src = r.random((6, 8, 3)), r.random((6, 8, 3))
+        valid = r.random((6, 8)) > 0.2
+        d_t, d_hat, d_cv = (r.uniform(1, 4, (6, 8)) for _ in range(3))
+        synthesized = [(src, valid), (target[::-1], ~valid)]
+        want = total_loss(target, synthesized, d_t, d_hat, d_cv)
+        calls = []
+        scored = losses.photometric_error
+        monkeypatch.setattr(losses, "photometric_error",
+                            lambda *args: calls.append("photometric_error") or scored(*args))
+
+        def deferred():
+            calls.append("d_cv")
+            return d_cv
+
+        got = total_loss(target, synthesized, d_t, d_hat, deferred)
+        assert calls == ["photometric_error", "photometric_error", "d_cv"]
+        assert got.to_json_dict() == want.to_json_dict()
+        assert got.per_pixel_lp.tobytes() == want.per_pixel_lp.tobytes()
 
 
 # The photometric error is computed in row bands of up to 16384 pixels
