@@ -49,8 +49,7 @@ MAX_VOLUME_CELLS = 2**26
 # Cells (pixels x planes) per tile of the sweep kernel; each pool thread gets
 # work arrays for one tile, about 6 MB with 3 channels. Smaller tiles spend
 # more of the sweep holding the GIL between numpy calls (at 4096 a pool of two
-# is no faster than one thread); larger ones cost memory and gain nothing. So
-# at the default width, runs of fewer than _TILE // 2 cells sweep as one slab.
+# is no faster than one thread); larger ones cost memory and gain nothing.
 _TILE = 32768
 
 
@@ -148,17 +147,17 @@ def inverse_depth_planes(d_min: float, d_max: float, count: int = DEFAULT_PLANE_
     return DepthPlaneSet(d_min, d_max, count, "inverse")
 
 
-def _thread_count(run_count: int, run_cells: int = _TILE) -> int:
-    """Sweep pool width for ``run_count`` whole runs of ``run_cells`` cells each, at most
-    one thread per run: SWEEPDEPTH_THREADS, or when that is 0, unset or not an integer,
-    min(cores, 4) for runs of at least _TILE // 2 cells and 1 for smaller ones."""
+def _thread_count(run_count: int, default: int | None = None) -> int:
+    """Sweep pool width for ``run_count`` whole runs: SWEEPDEPTH_THREADS (0, unset
+    or not an integer: ``default``, or min(cores, 4) when that is None), at most
+    one thread per run."""
     raw = os.environ.get("SWEEPDEPTH_THREADS", "0")
     try:
         n = int(raw)
     except ValueError:
         n = 0
     if n <= 0:
-        n = min(os.cpu_count() or 1, 4) if run_cells >= _TILE // 2 else 1
+        n = default or min(os.cpu_count() or 1, 4)
     return max(1, min(n, run_count))
 
 
@@ -178,15 +177,14 @@ def build_cost_volume(
     was in bounds. Cells with no valid source get cost +inf.
 
     The pixels are split into contiguous slabs, one per thread of a pool
-    whose width SWEEPDEPTH_THREADS sets (0 or unset: min(cores, 4), or a
-    single slab on the calling thread when a run holds fewer than
-    _TILE // 2 cells), and each slab is swept in runs of whole pixels with
-    all their planes. A run holds up to min(_TILE, max(H'W', _TILE // 4))
-    cells, and at least one pixel with all its planes; every slab holds at
-    least one whole run. A run scores into a run-sized block of its slab,
-    with that slab's work arrays, both allocated once per sweep on the
-    calling thread, and is then copied into its own rows of ``costs`` and
-    ``valid_count``. A slab's last run
+    whose width SWEEPDEPTH_THREADS sets (0 or unset: min(cores, 4); a single
+    slab runs on the calling thread), and each slab is swept in runs of
+    whole pixels with all their planes. A run holds up to
+    min(_TILE, max(H'W', _TILE // 4)) cells, and at least one pixel with all
+    its planes; every slab holds at least one whole run. A run scores into a
+    run-sized block of its slab, with that slab's work arrays, both
+    allocated once per sweep on the calling thread, and is then copied into
+    its own rows of ``costs`` and ``valid_count``. A slab's last run
     ends at the slab's last pixel and may overlap the run before it, on the
     same thread, so no two threads write one cell. Every cell takes the same
     arithmetic in any run, so the result is bit-identical whatever the pool
@@ -220,8 +218,7 @@ def sweep_argmin(
     cheapest plane and validity instead of copied into a volume.
     """
     slabs, depth = _argmin_sweep(target, sources, K, planes)
-    _run(slabs)
-    del slabs  # and with them their work arrays, before the depth map is built
+    _run(slabs)  # which drops the slabs, and their work arrays, before the depth map is built
     return depth()
 
 
@@ -235,19 +232,18 @@ def started_sweep_argmin(
     """``sweep_argmin`` on threads of its own while the caller works on.
 
     The checks and every allocation of the sweep happen here, on the calling
-    thread; only the slabs' run loops go to the pool, one thread each. Yields
-    ``join``, which waits for the sweep, raises its first error, and returns
+    thread; only the slabs' run loops go to the pool, one thread each. Beside
+    the caller's work, a sweep whose runs hold fewer than _TILE // 2 cells
+    is one slab unless SWEEPDEPTH_THREADS sets the width. Yields ``join``,
+    which waits for the sweep, raises its first error, and returns
     ``sweep_argmin``'s (depth, valid). Leaving the block waits for every pool
     thread, also when the block raises.
     """
-    slabs, depth = _argmin_sweep(target, sources, K, planes)
-    with ThreadPoolExecutor(max_workers=len(slabs)) as pool:
-        futures = [pool.submit(slab) for slab in slabs]
-        del slabs  # so that each slab's work arrays go when it ends, not when the block does
+    slabs, depth = _argmin_sweep(target, sources, K, planes, beside_caller=True)
+    with _started(slabs) as join_slabs:
 
         def join() -> tuple[np.ndarray, np.ndarray]:
-            for future in futures:
-                future.result()
+            join_slabs()
             return depth()
 
         yield join
@@ -258,6 +254,7 @@ def _argmin_sweep(
     sources: list[tuple[FeatureMap, Pose]],
     K: Intrinsics,
     planes: DepthPlaneSet,
+    beside_caller: bool = False,
 ) -> tuple[list[Callable[[], None]], Callable[[], tuple[np.ndarray, np.ndarray]]]:
     """The checked, allocated slabs of ``sweep_argmin``'s sweep, and the function
     that reads its (depth, valid) once they have all run."""
@@ -271,7 +268,7 @@ def _argmin_sweep(
     def depth() -> tuple[np.ndarray, np.ndarray]:
         return _plane_depths(best, valid, planes).reshape(h, w), valid.reshape(h, w)
 
-    return _sweep(target, sources, K, planes, reduce), depth
+    return _sweep(target, sources, K, planes, reduce, beside_caller), depth
 
 
 def _check_sweep(
@@ -301,13 +298,15 @@ def _sweep(
     K: Intrinsics,
     planes: DepthPlaneSet,
     reduce: Callable[[slice, np.ndarray, np.ndarray], None],
+    beside_caller: bool = False,
 ) -> list[Callable[[], None]]:
     """The slabs of a sweep that passed ``_check_sweep``, as ``build_cost_volume``
     describes: each, when called, scores its runs in turn into one run-sized
     block of its own, the (pixels, P) costs and source counts of the run's
     pixels ``run`` of the flattened target. ``reduce(run, costs, counts)``,
     called on the slab's thread, takes what it needs from the block before the
-    slab's next run reuses it.
+    slab's next run reuses it. ``beside_caller``: the slabs will run while the
+    calling thread does work of its own.
     """
     h, w, channels = target.shape
     n_planes = len(planes)
@@ -320,7 +319,9 @@ def _sweep(
     count_dtype = np.min_scalar_type(len(sources))
     per_run = min(n, max(1, min(_TILE, max(n, _TILE // 4)) // n_planes))
     cells = per_run * n_planes
-    workers = _thread_count(n // per_run, cells)
+    # Beside the caller's numpy work, one thread sweeps runs this small faster
+    # than a pool of two (ROADMAP "Settled"), so such a sweep is one slab.
+    workers = _thread_count(n // per_run, 1 if beside_caller and cells < _TILE // 2 else None)
     bounds = [n * k // workers for k in range(workers + 1)]  # each slab holds a whole run
 
     # Each slab's work arrays, count row and run block are allocated here:
@@ -360,14 +361,31 @@ def _sweep(
             for lo, hi, arrays in zip(bounds[:-1], bounds[1:], per_slab)]
 
 
-def _run(slabs: list[Callable[[], None]]) -> None:
-    """Run a sweep's slabs to the end: one on the calling thread, several on a pool."""
-    if len(slabs) == 1:
-        slabs[0]()
-        return
+@contextmanager
+def _started(slabs: list[Callable[[], None]]) -> Iterator[Callable[[], None]]:
+    """Start each of a sweep's slabs on a thread of its own, and take them out of
+    ``slabs``, so that a slab's work arrays go when it ends. Yields ``join``, which
+    waits for the slabs and raises the first error; leaving the block waits for
+    every thread, also when the block raises."""
     with ThreadPoolExecutor(max_workers=len(slabs)) as pool:
-        for future in [pool.submit(slab) for slab in slabs]:
-            future.result()
+        futures = [pool.submit(slab) for slab in slabs]
+        slabs.clear()
+
+        def join() -> None:
+            for future in futures:
+                future.result()
+
+        yield join
+
+
+def _run(slabs: list[Callable[[], None]]) -> None:
+    """Run a sweep's slabs to the end, one on the calling thread, several on a pool,
+    and take them out of ``slabs`` as ``_started`` does."""
+    if len(slabs) == 1:
+        slabs.pop()()
+        return
+    with _started(slabs) as join:
+        join()
 
 
 def argmin_depth(cv: CostVolume, planes: DepthPlaneSet) -> tuple[np.ndarray, np.ndarray]:

@@ -356,9 +356,10 @@ def test_thread_count_falls_back_on_a_setting_that_is_not_an_integer(monkeypatch
     assert costvolume._thread_count(1) == 1  # never wider than the number of runs
 
 
-class TestDefaultWidth:
-    """At the default width, a sweep whose runs hold fewer than _TILE // 2 cells is one
-    slab on the calling thread; SWEEPDEPTH_THREADS still sets the width."""
+class TestStartedSweep:
+    """``started_sweep_argmin`` runs the sweep on a pool beside the caller: one slab when its
+    runs hold fewer than _TILE // 2 cells, unless SWEEPDEPTH_THREADS sets the width. Every
+    other sweep keeps the default width of min(cores, 4)."""
 
     @pytest.fixture
     def pools(self, monkeypatch):
@@ -371,31 +372,54 @@ class TestDefaultWidth:
                 super().__init__(max_workers)
 
         monkeypatch.setattr(costvolume, "ThreadPoolExecutor", RecordedPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.delenv("SWEEPDEPTH_THREADS", raising=False)
         return widths
 
-    def test_small_runs_sweep_without_a_pool(self, rendered_presets, monkeypatch, pools):
+    @staticmethod
+    def _started(*args):
+        with costvolume.started_sweep_argmin(*args) as join:
+            return join()
+
+    @staticmethod
+    def _same(a, b):
+        for x, y in zip(a, b):
+            assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+    def test_small_runs_beside_the_caller_are_one_slab(self, rendered_presets, monkeypatch, pools):
         # 64x48 pixels with 32 planes, two sources: runs of 256 pixels, 8192 cells
         setup, frames = rendered_presets["moving_box"]
         f_t = extract_features(frames[1].image, "gradient", 1)
         sources = [(extract_features(frames[i].image, "gradient", 1),
                     relative_pose(frames[1].pose, frames[i].pose)) for i in (0, 2)]
-        planes = linear_planes(1.0, 10.0, 32)
-        monkeypatch.delenv("SWEEPDEPTH_THREADS", raising=False)
-        one = build_cost_volume(f_t, sources, setup.K, planes), sweep_argmin(f_t, sources, setup.K, planes)
-        assert pools == []
-        monkeypatch.setenv("SWEEPDEPTH_THREADS", "2")
-        two = build_cost_volume(f_t, sources, setup.K, planes), sweep_argmin(f_t, sources, setup.K, planes)
+        args = (f_t, sources, setup.K, linear_planes(1.0, 10.0, 32))
+        cv, alone = build_cost_volume(*args), sweep_argmin(*args)
         assert pools == [2, 2]
-        for a, b in [(one[0].costs, two[0].costs), (one[0].valid_count, two[0].valid_count),
-                     *zip(one[1], two[1])]:
-            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+        beside = self._started(*args)
+        assert pools == [2, 2, 1]
+        monkeypatch.setenv("SWEEPDEPTH_THREADS", "2")
+        beside_two = self._started(*args)
+        assert pools == [2, 2, 1, 2]
+        self._same(alone, argmin_depth(cv, args[3]))
+        self._same(alone, beside)
+        self._same(alone, beside_two)
 
-    def test_width_follows_the_run_size(self, monkeypatch):
+    def test_large_runs_beside_the_caller_keep_the_pool(self, rng, pools):
+        # 128x128 pixels with 2 planes: runs of 8192 pixels, 16384 cells
+        K = Intrinsics(fx=100.0, fy=100.0, cx=63.5, cy=63.5, width=128, height=128)
+        target = FeatureMap(data=rng.random((128, 128, 1)), scale=1)
+        sources = [(FeatureMap(data=rng.random((128, 128, 1)), scale=1),
+                    Pose.from_translation(0.2, 0, 0))]
+        args = (target, sources, K, linear_planes(1.0, 10.0, 2))
+        self._same(sweep_argmin(*args), self._started(*args))
+        assert pools == [2, 2]
+
+    def test_thread_count_takes_one_count(self, monkeypatch):
+        # perfbench/envinfo.py passes the run count alone
         monkeypatch.delenv("SWEEPDEPTH_THREADS", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        assert costvolume._thread_count(1000) == 2  # perfbench/envinfo.py passes one count
-        assert costvolume._thread_count(1000, costvolume._TILE // 2) == 2
-        assert costvolume._thread_count(1000, costvolume._TILE // 2 - 1) == 1
+        assert costvolume._thread_count(1000) == 2
+        assert costvolume._thread_count(1000, 1) == 1
         monkeypatch.setenv("SWEEPDEPTH_THREADS", "3")
         assert costvolume._thread_count(1000, 1) == 3
 
