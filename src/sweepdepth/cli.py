@@ -78,18 +78,17 @@ from .synth import (
 
 class _Frames(Sequence):
     """A dataset's images, indexed by frame: each is held as its checked uint8 samples
-    and decoded to floats in [0, 1] by ``io.unit_floats`` the first time it is read."""
+    and decoded to floats in [0, 1] by ``io.unit_floats`` each time it is read. No
+    decoded copy is kept, so a frame's floats live only as long as its reader holds them."""
 
     def __init__(self, samples: list[np.ndarray]):
-        self._frames = samples
+        self._samples = samples
 
     def __len__(self) -> int:
-        return len(self._frames)
+        return len(self._samples)
 
     def __getitem__(self, t: int) -> np.ndarray:
-        if self._frames[t].dtype == np.uint8:
-            self._frames[t] = sdio.unit_floats(self._frames[t])
-        return self._frames[t]
+        return sdio.unit_floats(self._samples[t])
 
 
 @dataclass
@@ -107,7 +106,7 @@ def _frame_files(root: Path, t: int) -> tuple[Path, Path, Path]:
 def load_dataset(root: str | Path) -> Dataset:
     """The dataset under ``root``. Every frame's header, payload length and size against
     intrinsics.json are checked here, and a bad one raises naming its file; a frame is
-    decoded to floats only when a command first reads it."""
+    decoded to floats each time a command reads it."""
     root = Path(root)
     K = sdio.read_intrinsics(root / "intrinsics.json")
     samples, poses = [], []
@@ -175,10 +174,14 @@ class _Sweep:
         return started_sweep_argmin(*self.inputs, self.planes)
 
 
-def _sweep_for(args, data: Dataset, source_idxs: list[int] | None) -> _Sweep:
+def _sweep_for(
+    args, data: Dataset, source_idxs: list[int] | None, _target_image: np.ndarray | None = None
+) -> _Sweep:
     """The plane sweep for ``args.target``, honoring --zero-cv and augmentation. The
     default source, the frame before the target, is needed only when a sweep runs: the
-    zero volume stands in at the first frame too."""
+    zero volume stands in at the first frame too. ``_target_image``: the target frame as
+    the caller already decoded it. Each frame is decoded at most once and dropped once
+    its features exist: only the features outlive this call."""
     target = args.target
     _check_frames(target, source_idxs or [], len(data.images))
     K_f = data.K.scaled(args.feature_scale)
@@ -198,17 +201,21 @@ def _sweep_for(args, data: Dataset, source_idxs: list[int] | None) -> _Sweep:
                                   "name its sources, or use --zero-cv")
         source_idxs = [target - 1]
 
-    source_images = {i: data.images[i] for i in source_idxs}
-    if args.augment_sample is not None:
-        source_images[source_idxs[0]] = apply_augmentation(
-            decision, data.images[target], data.images[source_idxs[0]], cfg, args.augment_sample
-        )
+    def features(image: np.ndarray) -> FeatureMap:
+        return extract_features(image, args.features, args.feature_scale)
 
-    f_target = extract_features(data.images[target], args.features, args.feature_scale)
-    sources = []
-    for i in source_idxs:
-        fmap = extract_features(source_images[i], args.features, args.feature_scale)
-        sources.append((fmap, relative_pose(data.poses[target], data.poses[i])))
+    # The target is held past its features only for an augmentation draw, which may
+    # substitute it, jittered, for the first source.
+    target_image = data.images[target] if _target_image is None else _target_image
+    f_target = features(target_image)
+    fmaps = {}
+    if args.augment_sample is not None:
+        first = source_idxs[0]
+        fmaps[first] = features(apply_augmentation(
+            decision, target_image, data.images[first], cfg, args.augment_sample))
+    del target_image
+    sources = [(fmaps[i] if i in fmaps else features(data.images[i]),
+                relative_pose(data.poses[target], data.poses[i])) for i in source_idxs]
     return _Sweep(planes, shape, (f_target, sources, K_f))
 
 
@@ -307,7 +314,8 @@ def cmd_loss(args) -> dict:
 
     student = sdio.read_pfm(args.student)
     teacher = sdio.read_pfm(args.teacher)
-    sweep = _sweep_for(args, data, args.cv_sources)
+    target_image = data.images[target]
+    sweep = _sweep_for(args, data, args.cv_sources, target_image)
 
     # Only the mask reads the sweep's depth: this thread warps the sources and scores the
     # photometric and smoothness terms while the sweep runs, and joins it for the mask.
@@ -321,7 +329,7 @@ def cmd_loss(args) -> dict:
             depth_f, _valid = join()
             return upsample_nearest(depth_f, args.feature_scale, data.K.height, data.K.width)
 
-        report = total_loss(data.images[target], synthesized, student, teacher, d_cv)
+        report = total_loss(target_image, synthesized, student, teacher, d_cv)
     return _report(report, args.out)
 
 

@@ -3,7 +3,9 @@
 Classical stand-ins for a learned encoder: each extractor turns an (H, W, C)
 image into a coarser (H', W', F) descriptor grid, where H' = ceil(H/scale).
 Downsampling is box averaging so results are deterministic and exactly
-checkable by hand.
+checkable by hand. Gradient features are an (H', W', 3) view over
+channel-major (3, H', W') memory, the layout the plane sweep reads, so the
+sweep takes them without a copy.
 """
 
 from __future__ import annotations
@@ -83,7 +85,7 @@ def extract_features(img: np.ndarray, kind: str = "gradient", scale: int = 4) ->
         data = _box_downsample(img if img.ndim == 3 else img[..., None], scale)
     elif kind == "gradient":
         gray = _box_downsample(_to_gray(img), scale)
-        data = np.stack([gray, _central_diff_x(gray), _central_diff_y(gray)], axis=-1)
+        data = np.moveaxis(np.stack([gray, _central_diff_x(gray), _central_diff_y(gray)]), 0, -1)
     else:
         raise UnknownExtractor(f"unknown extractor kind {kind!r}")
     return FeatureMap(data=data, scale=scale)

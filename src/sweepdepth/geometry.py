@@ -245,7 +245,9 @@ def _homography_grid(proj: _PlaneProjection, d: float | np.ndarray, K: Intrinsic
 
 
 def _channel_major(img: np.ndarray) -> np.ndarray:
-    """An (H, W) or (H, W, C) image as a contiguous (C, H*W) float64 array."""
+    """An (H, W) or (H, W, C) image as a contiguous (C, H*W) float64 array: a view
+    when its memory is already channel-major float64, as gradient features are,
+    and a copy otherwise."""
     img = np.asarray(img, dtype=float)
     if img.ndim == 2:
         img = img[..., None]

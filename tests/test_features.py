@@ -5,7 +5,8 @@ import pytest
 from oracles import box_downsample_ref
 
 from sweepdepth.errors import UnknownExtractor
-from sweepdepth.features import _box_downsample, extract_features
+from sweepdepth.features import _box_downsample, _central_diff_x, _central_diff_y, extract_features
+from sweepdepth.geometry import _channel_major
 
 
 def test_constant_image_has_zero_gradients():
@@ -50,6 +51,19 @@ def test_gradient_locality_3x3(rng):
     b = extract_features(poked, "gradient", 1).data
     changed = np.argwhere(np.any(a != b, axis=2))
     assert (np.abs(changed - [4, 4]).max(axis=1) <= 1).all()
+
+
+@pytest.mark.parametrize("scale", [1, 2, 4])
+def test_gradient_features_are_channel_major(rng, scale):
+    # The sweep reads (C, H'W') rows: gradient features are a view over that
+    # memory, so it takes them without a copy, with the values of a channel-last stack.
+    img = rng.random((13, 17, 3))
+    fmap = extract_features(img, "gradient", scale)
+    assert np.shares_memory(_channel_major(fmap.data), fmap.data)
+    gray = _box_downsample(img.mean(axis=2), scale)
+    want = np.stack([gray, _central_diff_x(gray), _central_diff_y(gray)], axis=-1)
+    assert fmap.shape == want.shape
+    assert np.array_equal(fmap.data, want)
 
 
 def test_finite_output(rng):
