@@ -182,8 +182,8 @@ class TestDepth:
     def test_full_resolution_sweep_holds_each_image_once(self, tmp_path, capsys):
         # numpy reports its buffers to tracemalloc. At 640x192 a decoded frame and a
         # gradient feature map are 2.9 MB each. The sweep reads its features without a
-        # channel-major copy, and no decoded frame outlives its features: the peak was
-        # 45.8 MB with both copies held and is 29.1 MB without them.
+        # channel-major copy, and no decoded frame outlives its features: the peak is
+        # 29.1 MB, and 45.8 MB with both copies held.
         write_noise_dataset(tmp_path, width=640, height=192)
         tracemalloc.start()
         try:
