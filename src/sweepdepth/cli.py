@@ -174,14 +174,11 @@ class _Sweep:
         return started_sweep_argmin(*self.inputs, self.planes)
 
 
-def _sweep_for(
-    args, data: Dataset, source_idxs: list[int] | None, _target_image: np.ndarray | None = None
-) -> _Sweep:
+def _sweep_for(args, data: Dataset, source_idxs: list[int] | None) -> _Sweep:
     """The plane sweep for ``args.target``, honoring --zero-cv and augmentation. The
     default source, the frame before the target, is needed only when a sweep runs: the
-    zero volume stands in at the first frame too. ``_target_image``: the target frame as
-    the caller already decoded it. Each frame is decoded at most once and dropped once
-    its features exist: only the features outlive this call."""
+    zero volume stands in at the first frame too. Each frame is decoded at most once and
+    dropped once its features exist: only the features outlive this call."""
     target = args.target
     _check_frames(target, source_idxs or [], len(data.images))
     K_f = data.K.scaled(args.feature_scale)
@@ -206,7 +203,7 @@ def _sweep_for(
 
     # The target is held past its features only for an augmentation draw, which may
     # substitute it, jittered, for the first source.
-    target_image = data.images[target] if _target_image is None else _target_image
+    target_image = data.images[target]
     f_target = features(target_image)
     fmaps = {}
     if args.augment_sample is not None:
@@ -314,8 +311,8 @@ def cmd_loss(args) -> dict:
 
     student = sdio.read_pfm(args.student)
     teacher = sdio.read_pfm(args.teacher)
+    sweep = _sweep_for(args, data, args.cv_sources)
     target_image = data.images[target]
-    sweep = _sweep_for(args, data, args.cv_sources, target_image)
 
     # Only the mask reads the sweep's depth: this thread warps the sources and scores the
     # photometric and smoothness terms while the sweep runs, and joins it for the mask.

@@ -179,11 +179,13 @@ class TestSynth:
 
 
 class TestDepth:
-    def test_full_resolution_sweep_holds_each_image_once(self, tmp_path, capsys):
+    def test_full_resolution_sweep_holds_each_image_once(self, tmp_path, capsys, monkeypatch):
         # numpy reports its buffers to tracemalloc. At 640x192 a decoded frame and a
         # gradient feature map are 2.9 MB each. The sweep reads its features without a
         # channel-major copy, and no decoded frame outlives its features: the peak is
-        # 29.1 MB, and 45.8 MB with both copies held.
+        # 29.2 MB, and 45.8 MB with both copies held. Each slab adds about 6 MB of work
+        # arrays (23.1 MB at width 1, 41.1 MB at width 4), so the width is pinned.
+        monkeypatch.setenv("SWEEPDEPTH_THREADS", "2")
         write_noise_dataset(tmp_path, width=640, height=192)
         tracemalloc.start()
         try:
