@@ -29,7 +29,7 @@ import itertools
 import json
 import os
 import sys
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from contextlib import AbstractContextManager, nullcontext
 from dataclasses import dataclass
 from pathlib import Path
@@ -64,7 +64,7 @@ from .evaluation import (
 )
 from .features import EXTRACTOR_KINDS, VALID_SCALES, FeatureMap, extract_features
 from .geometry import Intrinsics, Pose, bilinear_sample, reproject_grid
-from .losses import consistency_mask, total_loss
+from .losses import _smoothness_out, consistency_mask, smoothness_loss, total_loss
 from .synth import (
     PRESET_NAMES,
     SceneSetup,
@@ -166,12 +166,17 @@ class _Sweep:
             return np.full(self.shape[:2], self.planes.depths[0]), np.ones(self.shape[:2], bool)
         return sweep_argmin(*self.inputs, self.planes)
 
-    def started(self) -> AbstractContextManager:
-        """``self.argmin`` as ``costvolume.started_sweep_argmin`` runs it: the sweep on
-        threads of its own while the block runs, joined by the callable the block gets."""
+    def started(self, task: Callable[[], None]) -> AbstractContextManager:
+        """``self.argmin`` as ``costvolume.started_sweep_argmin`` runs it: the sweep, then
+        ``task``, on threads of their own while the block runs, joined by the callable the
+        block gets. With no sweep, that callable runs ``task`` on the calling thread."""
         if self.inputs is None:
-            return nullcontext(self.argmin)
-        return started_sweep_argmin(*self.inputs, self.planes)
+            def join() -> tuple[np.ndarray, np.ndarray]:
+                task()
+                return self.argmin()
+
+            return nullcontext(join)
+        return started_sweep_argmin(*self.inputs, self.planes, task)
 
 
 def _sweep_for(args, data: Dataset, source_idxs: list[int] | None) -> _Sweep:
@@ -313,10 +318,18 @@ def cmd_loss(args) -> dict:
     teacher = sdio.read_pfm(args.teacher)
     sweep = _sweep_for(args, data, args.cv_sources)
     target_image = data.images[target]
+    # Allocated here, not on the sweep's thread, where they would land in its own malloc
+    # arena and raise the peak RSS (ROADMAP "Settled").
+    smoothness_out = _smoothness_out(student, target_image)
+    ls = []  # the smoothness term, handed over once the sweep is joined
 
-    # Only the mask reads the sweep's depth: this thread warps the sources and scores the
-    # photometric and smoothness terms while the sweep runs, and joins it for the mask.
-    with sweep.started() as join:
+    def smoothness() -> None:
+        ls.append(smoothness_loss(student, target_image, out=smoothness_out))
+
+    # Only the mask reads the sweep's depth: the sweep's thread scores the smoothness term
+    # after its slab while this thread warps the sources and scores the photometric term,
+    # and joins both for the mask.
+    with sweep.started(smoothness) as join:
         synthesized = []
         for i in loss_sources:
             grid = reproject_grid(student, relative_pose(data.poses[target], data.poses[i]), data.K)
@@ -326,7 +339,7 @@ def cmd_loss(args) -> dict:
             depth_f, _valid = join()
             return upsample_nearest(depth_f, args.feature_scale, data.K.height, data.K.width)
 
-        report = total_loss(target_image, synthesized, student, teacher, d_cv)
+        report = total_loss(target_image, synthesized, student, teacher, d_cv, ls.pop)
     return _report(report, args.out)
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import os
 from collections.abc import Callable, Iterator
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
@@ -228,19 +228,22 @@ def started_sweep_argmin(
     sources: list[tuple[FeatureMap, Pose]],
     K: Intrinsics,
     planes: DepthPlaneSet,
+    task: Callable[[], None] | None = None,
 ) -> Iterator[Callable[[], tuple[np.ndarray, np.ndarray]]]:
     """``sweep_argmin`` on threads of its own while the caller works on.
 
     The checks and every allocation of the sweep happen here, on the calling
     thread; only the slabs' run loops go to the pool, one thread each. Beside
     the caller's work, a sweep whose runs hold fewer than _TILE // 2 cells
-    is one slab unless SWEEPDEPTH_THREADS sets the width. Yields ``join``,
-    which waits for the sweep, raises its first error, and returns
+    is one slab unless SWEEPDEPTH_THREADS sets the width. ``task``, when
+    given, runs once on a thread of that pool after every slab has ended,
+    also when a slab raises. Yields ``join``, which waits for the sweep and
+    the task, raises the first error (a slab's before the task's), and returns
     ``sweep_argmin``'s (depth, valid). Leaving the block waits for every pool
     thread, also when the block raises.
     """
     slabs, depth = _argmin_sweep(target, sources, K, planes, beside_caller=True)
-    with _started(slabs) as join_slabs:
+    with _started(slabs, task) as join_slabs:
 
         def join() -> tuple[np.ndarray, np.ndarray]:
             join_slabs()
@@ -362,14 +365,25 @@ def _sweep(
 
 
 @contextmanager
-def _started(slabs: list[Callable[[], None]]) -> Iterator[Callable[[], None]]:
+def _started(slabs: list[Callable[[], None]],
+             task: Callable[[], None] | None = None) -> Iterator[Callable[[], None]]:
     """Start each of a sweep's slabs on a thread of its own, and take them out of
-    ``slabs``, so that a slab's work arrays go when it ends. Yields ``join``, which
-    waits for the slabs and raises the first error; leaving the block waits for
-    every thread, also when the block raises."""
+    ``slabs``, so that a slab's work arrays go when it ends. ``task``, when given, is
+    queued behind the slabs: the first thread to finish its slab takes it, waits for
+    the other slabs to end, failed or not, and runs it. Yields ``join``, which waits
+    for the slabs and the task and raises the first error, in that order; leaving the
+    block waits for every thread, also when the block raises."""
     with ThreadPoolExecutor(max_workers=len(slabs)) as pool:
         futures = [pool.submit(slab) for slab in slabs]
         slabs.clear()
+        if task is not None:
+            slab_futures = futures[:]
+
+            def after_slabs() -> None:
+                wait(slab_futures)
+                task()
+
+            futures.append(pool.submit(after_slabs))
 
         def join() -> None:
             for future in futures:

@@ -163,26 +163,57 @@ def consistency_loss(d_t: np.ndarray, d_hat: np.ndarray, mask: np.ndarray) -> fl
     return float((mask * np.abs(d_t - d_hat)).mean())
 
 
-def smoothness_loss(depth: np.ndarray, img: np.ndarray) -> float:
+def _smoothness_out(depth: np.ndarray, img: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The arrays ``smoothness_loss(depth, img, out=...)`` fills: the normalized disparity
+    (H, W), the x terms (H, W-1) and the y terms (H-1, W), uninitialized. Raises
+    ShapeMismatch unless the image is the depth map's size."""
+    if np.shape(img)[:2] != np.shape(depth):
+        raise ShapeMismatch(f"image {np.shape(img)[:2]} does not match depth {np.shape(depth)}")
+    h, w = np.shape(depth)
+    return np.empty((h, w)), np.empty((h, max(w - 1, 0))), np.empty((max(h - 1, 0), w))
+
+
+def _edge_aware(disp: np.ndarray, disp_next: np.ndarray, img: np.ndarray, img_next: np.ndarray,
+                out: np.ndarray) -> None:
+    """Into ``out``: |disp_next - disp| * exp(-channel mean of |img_next - img|)."""
+    np.multiply(np.abs(disp_next - disp), np.exp(-np.abs(img_next - img).mean(axis=2)), out=out)
+
+
+def _mean_or_zero(terms: np.ndarray) -> float:
+    """The mean of a term grid, or 0 when it is empty: a one-row or one-column image has
+    no neighbour pairs to smooth across in that direction."""
+    return terms.mean() if terms.size else 0.0
+
+
+def smoothness_loss(depth: np.ndarray, img: np.ndarray, *,
+                    out: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None) -> float:
     """Edge-aware first-order smoothness of mean-normalized inverse depth.
 
     The x term averages |d/dx of normalized disparity| * exp(-|d/dx image|)
     over the H x (W-1) forward-difference grid, the y term likewise over
-    (H-1) x W, and the loss is their sum. Image gradients average over
-    channels. Invariant to scaling the depth map by any positive constant.
+    (H-1) x W, and the loss is their sum; an empty grid's term is 0. Image
+    gradients average over channels. Invariant to scaling the depth map by
+    any positive constant.
+
+    The per-pixel terms are computed in the row bands of ``ssim`` and each
+    term's mean is taken once, over its whole grid, so the result has the
+    bits of a whole-image computation. ``out``, when given, is
+    ``_smoothness_out(depth, img)``: the three full-size arrays this call
+    fills, allocated by a caller that runs the call on another thread.
     """
     depth = np.asarray(depth, dtype=float)
     require_positive_depth(depth, "smoothness loss")
     img = _as_hwc(img)
-    if img.shape[:2] != depth.shape:
-        raise ShapeMismatch(f"image {img.shape[:2]} does not match depth {depth.shape}")
-    disp = 1.0 / depth
-    disp = disp / disp.mean()
-    dx = np.abs(disp[:, 1:] - disp[:, :-1])
-    dy = np.abs(disp[1:, :] - disp[:-1, :])
-    ix = np.abs(img[:, 1:] - img[:, :-1]).mean(axis=2)
-    iy = np.abs(img[1:, :] - img[:-1, :]).mean(axis=2)
-    return float((dx * np.exp(-ix)).mean() + (dy * np.exp(-iy)).mean())
+    disp, x_terms, y_terms = _smoothness_out(depth, img) if out is None else out
+    np.divide(1.0, depth, out=disp)
+    disp /= disp.mean()
+    h, w = depth.shape
+    for rows in _row_bands(h, w):
+        _edge_aware(disp[rows, :-1], disp[rows, 1:], img[rows, :-1], img[rows, 1:], x_terms[rows])
+        above = slice(rows.start, min(rows.stop, h - 1))  # the band's rows of the (H-1) x W grid
+        below = slice(above.start + 1, above.stop + 1)
+        _edge_aware(disp[above], disp[below], img[above], img[below], y_terms[above])
+    return float(_mean_or_zero(x_terms) + _mean_or_zero(y_terms))
 
 
 def total_loss(
@@ -191,6 +222,7 @@ def total_loss(
     d_t: np.ndarray,
     d_hat: np.ndarray,
     d_cv: np.ndarray | Callable[[], np.ndarray],
+    ls: Callable[[], float] | None = None,
 ) -> LossReport:
     """Assemble the full training loss for one frame.
 
@@ -199,12 +231,16 @@ def total_loss(
     teacher there, and the smoothness term regularizes the student against
     the edges of ``target``, weighted by SMOOTHNESS_WEIGHT. All depth maps
     must be at image resolution. ``d_cv`` may come deferred, as a callable
-    that returns it: it is called once, after the reprojection and
-    smoothness terms, so the cost-volume depth can be computed meanwhile.
+    that returns it, and the smoothness term ``ls`` may too, as a callable
+    that returns ``smoothness_loss(d_t, target)``; without ``ls`` it is
+    computed here. Each callable is called once, after the reprojection
+    term, ``d_cv`` first, so both can be computed meanwhile: ``loss`` joins
+    its sweep, whose thread computes the smoothness term, in ``d_cv``.
     """
     lp, per_pixel = min_reprojection_loss(target, synthesized)
-    ls = smoothness_loss(d_t, target)
-    mask = consistency_mask(d_cv() if callable(d_cv) else d_cv, d_hat)
+    d_cv = d_cv() if callable(d_cv) else d_cv
+    ls = smoothness_loss(d_t, target) if ls is None else ls()
+    mask = consistency_mask(d_cv, d_hat)
     lc = consistency_loss(d_t, d_hat, mask)
     total = float(((1.0 - mask) * per_pixel).mean() + lc + SMOOTHNESS_WEIGHT * ls)
     return LossReport(

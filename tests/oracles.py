@@ -119,7 +119,8 @@ def smoothness_ref(depth, img):
             gi = sum(abs(img[i + 1, j, k] - img[i, j, k]) for k in range(c)) / c
             sy += abs(disp[i + 1, j] - disp[i, j]) * math.exp(-gi)
             ny += 1
-    return sx / nx + sy / ny
+    # a grid with no neighbour pairs (one row, or one column) contributes 0
+    return (sx / nx if nx else 0.0) + (sy / ny if ny else 0.0)
 
 
 def depth_metrics_ref(pred, gt, cap=80.0):

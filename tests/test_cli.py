@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import sweepdepth
-from sweepdepth import cli, costvolume
+from sweepdepth import cli, costvolume, losses
 from sweepdepth.augment import Augmentation, AugmentConfig, draw_augmentation
 from sweepdepth.cli import main
 from sweepdepth.errors import SweepDepthError
@@ -433,9 +433,24 @@ class TestLoss:
         def fail(*args):
             raise SweepDepthError("the sweep failed")
 
+        argmin_rows = costvolume._argmin_rows
         monkeypatch.setattr(costvolume, "_argmin_rows", fail)
         code, _, err = run(capsys, *argv, "--student", str(gt))
         assert (code, err) == (1, "error: the sweep failed\n")
+        assert threading.active_count() == before
+
+        # the smoothness term runs on the sweep's thread once its slabs have ended
+        monkeypatch.setattr(costvolume, "_argmin_rows", argmin_rows)
+        threads = []
+
+        def fail_smoothness(*args):
+            threads.append(threading.current_thread())
+            raise SweepDepthError("the smoothness term failed")
+
+        monkeypatch.setattr(losses, "_edge_aware", fail_smoothness)
+        code, _, err = run(capsys, *argv, "--student", str(gt))
+        assert (code, err) == (1, "error: the smoothness term failed\n")
+        assert threads and threading.main_thread() not in threads
         assert threading.active_count() == before
 
     def test_sweep_options_are_checked_before_the_student(self, box_dataset, tmp_path, capsys):
@@ -445,6 +460,25 @@ class TestLoss:
         code, _, err = run(capsys, "loss", "--data", str(box_dataset), "--student", str(negative),
                            "--teacher", str(gt), "--d-min", "5", "--d-max", "1")
         assert code == 1 and err.startswith("error: need ") and "got (5.0, 1.0)" in err, err
+
+    @pytest.mark.parametrize("zero_cv", [False, True], ids=["sweep", "zero_cv"])
+    @pytest.mark.parametrize("width, height", [(32, 1), (1, 24)], ids=["one_row", "one_column"])
+    def test_one_row_or_column_scores_finite_terms(self, tmp_path, capsys, width, height, zero_cv):
+        # a one-row image has no vertical neighbour pairs and a one-column image no horizontal
+        # ones: that smoothness term is 0, not the NaN mean of an empty grid
+        write_noise_dataset(tmp_path, width=width, height=height)
+        gt = str(tmp_path / "depth_0001.pfm")
+        argv = ["loss", "--data", str(tmp_path), "--student", gt, "--teacher", gt, *_SWEEP]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, stdout, err = run(capsys, *argv, *(["--zero-cv"] if zero_cv else []))
+        assert (code, err) == (0, "")
+
+        def refuse(constant):
+            raise AssertionError(f"{constant} is not strict JSON")
+
+        report = json.loads(stdout, parse_constant=refuse)
+        assert all(math.isfinite(value) for value in report.values()), report
 
     def test_zero_cv_at_the_first_frame(self, lateral_dataset, capsys):
         gt = str(lateral_dataset / "depth_0000.pfm")

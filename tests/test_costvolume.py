@@ -2,6 +2,7 @@
 
 import os
 import sys
+import threading
 import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -33,6 +34,7 @@ from sweepdepth.errors import (
     InvalidRange,
     NonPositiveDepth,
     ShapeMismatch,
+    SweepDepthError,
     VolumeTooLarge,
 )
 from sweepdepth.features import FeatureMap, extract_features
@@ -359,7 +361,8 @@ def test_thread_count_falls_back_on_a_setting_that_is_not_an_integer(monkeypatch
 class TestStartedSweep:
     """``started_sweep_argmin`` runs the sweep on a pool beside the caller: one slab when its
     runs hold fewer than _TILE // 2 cells, unless SWEEPDEPTH_THREADS sets the width. Every
-    other sweep keeps the default width of min(cores, 4)."""
+    other sweep keeps the default width of min(cores, 4). A task given to it runs once on
+    that pool after every slab has ended."""
 
     @pytest.fixture
     def pools(self, monkeypatch):
@@ -386,13 +389,17 @@ class TestStartedSweep:
         for x, y in zip(a, b):
             assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
 
-    def test_small_runs_beside_the_caller_are_one_slab(self, rendered_presets, monkeypatch, pools):
-        # 64x48 pixels with 32 planes, two sources: runs of 256 pixels, 8192 cells
+    @staticmethod
+    def _box_sweep(rendered_presets):
+        """64x48 pixels with 32 planes, two sources: 12 runs of 256 pixels, 8192 cells."""
         setup, frames = rendered_presets["moving_box"]
         f_t = extract_features(frames[1].image, "gradient", 1)
         sources = [(extract_features(frames[i].image, "gradient", 1),
                     relative_pose(frames[1].pose, frames[i].pose)) for i in (0, 2)]
-        args = (f_t, sources, setup.K, linear_planes(1.0, 10.0, 32))
+        return f_t, sources, setup.K, linear_planes(1.0, 10.0, 32)
+
+    def test_small_runs_beside_the_caller_are_one_slab(self, rendered_presets, monkeypatch, pools):
+        args = self._box_sweep(rendered_presets)
         cv, alone = build_cost_volume(*args), sweep_argmin(*args)
         assert pools == [2, 2]
         beside = self._started(*args)
@@ -413,6 +420,59 @@ class TestStartedSweep:
         args = (target, sources, K, linear_planes(1.0, 10.0, 2))
         self._same(sweep_argmin(*args), self._started(*args))
         assert pools == [2, 2]
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_task_runs_once_after_every_slab(self, rendered_presets, monkeypatch, pools, threads):
+        monkeypatch.setenv("SWEEPDEPTH_THREADS", str(threads))
+        args = self._box_sweep(rendered_presets)
+        alone = sweep_argmin(*args)
+        events = []  # (what, thread) for every run a slab reduces, and for the task
+        argmin_rows = costvolume._argmin_rows
+
+        def reduce_run(*arrays):
+            events.append(("run", threading.get_ident()))
+            argmin_rows(*arrays)
+
+        monkeypatch.setattr(costvolume, "_argmin_rows", reduce_run)
+        with costvolume.started_sweep_argmin(
+                *args, lambda: events.append(("task", threading.get_ident()))) as join:
+            beside = join()
+        assert pools[-1] == threads
+        assert [what for what, _ in events] == ["run"] * 12 + ["task"]
+        assert events[-1][1] != threading.get_ident()  # on the sweep's thread, not the caller's
+        self._same(alone, beside)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("task_fails", [False, True])
+    def test_task_runs_when_a_slab_raises(self, rendered_presets, monkeypatch, pools, threads,
+                                          task_fails):
+        monkeypatch.setenv("SWEEPDEPTH_THREADS", str(threads))
+        ran = []
+
+        def task():
+            ran.append(threading.get_ident())
+            if task_fails:
+                raise SweepDepthError("the task failed")
+
+        def fail(*arrays):
+            raise SweepDepthError("the slab failed")
+
+        monkeypatch.setattr(costvolume, "_argmin_rows", fail)
+        with pytest.raises(SweepDepthError, match="the slab failed"):
+            with costvolume.started_sweep_argmin(*self._box_sweep(rendered_presets), task) as join:
+                join()
+        assert len(ran) == 1  # a slab's error comes first, and the task still ran
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_join_raises_the_tasks_error(self, rendered_presets, monkeypatch, pools, threads):
+        monkeypatch.setenv("SWEEPDEPTH_THREADS", str(threads))
+
+        def task():
+            raise SweepDepthError("the task failed")
+
+        with pytest.raises(SweepDepthError, match="the task failed"):
+            with costvolume.started_sweep_argmin(*self._box_sweep(rendered_presets), task) as join:
+                join()
 
     def test_thread_count_takes_one_count(self, monkeypatch):
         # perfbench/envinfo.py passes the run count alone
