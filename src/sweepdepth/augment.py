@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameter
+from .features import channel_mean
 
 
 # Uniform ranges of the static-substitute colour jitter: an additive brightness delta, then
@@ -79,7 +80,7 @@ def color_jitter(img: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     out = img + rng.uniform(*BRIGHTNESS)
     out = (out - out.mean()) * rng.uniform(*CONTRAST) + out.mean()
     if img.ndim == 3 and img.shape[2] > 1:
-        gray = out.mean(axis=2, keepdims=True)
+        gray = channel_mean(out)[..., None]
         out = gray + (out - gray) * rng.uniform(*SATURATION)
     else:
         rng.uniform(*SATURATION)  # keep the stream layout channel-independent

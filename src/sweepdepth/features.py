@@ -49,10 +49,29 @@ def _box_downsample(img: np.ndarray, scale: int) -> np.ndarray:
     return blocks.sum(axis=2) / counts
 
 
+# What numpy's sums start from: 0.0, so that all -0.0 sums to +0.0, or in a numpy that keeps
+# the sign, -0.0, which adds to the first value as a copy of it would.
+_SUM_START = np.add.reduce(np.array([-0.0]))
+
+
+def channel_mean(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``x.mean(axis=-1)``, bit for bit, in whole-array passes instead of a reduction
+    along a short axis: numpy adds fewer than 8 values in order onto _SUM_START and
+    divides by their count. Longer axes it sums pairwise, so they take numpy's own mean."""
+    channels = x.shape[-1]
+    if not 0 < channels < 8:
+        return np.mean(x, axis=-1, out=out)
+    out = np.add(x[..., 0], _SUM_START, out=out)
+    for c in range(1, channels):
+        out += x[..., c]
+    out /= channels
+    return out
+
+
 def _to_gray(img: np.ndarray) -> np.ndarray:
     if img.ndim == 2:
         return img
-    return img.mean(axis=2)
+    return channel_mean(img)
 
 
 def _central_diff_x(img: np.ndarray) -> np.ndarray:

@@ -15,6 +15,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import EmptySources, ShapeMismatch
+from .features import channel_mean
 from .geometry import _TILE_PIXELS, require_positive_depth
 
 SSIM_C1 = 0.01**2
@@ -51,34 +52,86 @@ def _as_hwc(img: np.ndarray) -> np.ndarray:
     return img[..., None] if img.ndim == 2 else img
 
 
+def _band_rows(width: int) -> int:
+    """Rows per band of an image ``width`` pixels wide: as many as fit _TILE_PIXELS pixels,
+    and at least one."""
+    return max(1, _TILE_PIXELS // max(width, 1))
+
+
 def _row_bands(height: int, width: int) -> list[slice]:
-    """Consecutive row slices covering ``height`` rows, each of at most _TILE_PIXELS pixels
-    (and at least one row)."""
-    rows = max(1, _TILE_PIXELS // width)
+    """Consecutive row slices of ``_band_rows`` rows covering ``height`` rows; none for an
+    image with no pixels."""
+    if not width:
+        return []
+    rows = _band_rows(width)
     return [slice(start, min(start + rows, height)) for start in range(0, height, rows)]
 
 
-def _window_mean(band: np.ndarray) -> np.ndarray:
-    """3x3 box mean per channel of a band with one halo row and column on every side,
-    (R + 2, W + 2, C) -> (R, W, C), summed as rows of 3 then columns of 3."""
-    rows = band[:-2] + band[1:-1] + band[2:]
-    return (rows[:, :-2] + rows[:, 1:-1] + rows[:, 2:]) / 9.0
+def _ssim_work(shape: tuple[int, int, int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The work arrays of ``_ssim_band`` for an (H, W, C) image, sized for its largest band
+    of R rows: three padded (R + 2, W + 2, C) buffers, one (R, W + 2, C) row-sum buffer and
+    seven (R, W, C) buffers. Each band uses its leading rows."""
+    h, w, c = shape
+    rows = min(h, _band_rows(w))
+    return np.empty((3, rows + 2, w + 2, c)), np.empty((rows, w + 2, c)), np.empty((7, rows, w, c))
 
 
-def _ssim_band(a: np.ndarray, b: np.ndarray, rows: slice) -> np.ndarray:
-    """SSIM of rows ``rows`` of two same-shape (H, W, C) images. The halo is the images'
-    own neighbouring rows, and replicated edge pixels only at their borders."""
-    lo, hi = max(rows.start - 1, 0), min(rows.stop + 1, len(a))
-    pad = ((lo - rows.start + 1, rows.stop + 1 - hi), (1, 1), (0, 0))
-    a, b = np.pad(a[lo:hi], pad, mode="edge"), np.pad(b[lo:hi], pad, mode="edge")
-    mu_a = _window_mean(a)
-    mu_b = _window_mean(b)
-    var_a = _window_mean(a * a) - mu_a**2
-    var_b = _window_mean(b * b) - mu_b**2
-    cov = _window_mean(a * b) - mu_a * mu_b
-    num = (2 * mu_a * mu_b + SSIM_C1) * (2 * cov + SSIM_C2)
-    den = (mu_a**2 + mu_b**2 + SSIM_C1) * (var_a + var_b + SSIM_C2)
-    return num / den
+def _pad_band(img: np.ndarray, rows: slice, out: np.ndarray) -> None:
+    """Into ``out`` (R + 2, W + 2, C): rows ``rows`` of an (H, W, C) ``img`` with a one-pixel
+    halo, which is the image's own neighbouring rows and, at its borders, the replicated
+    edge pixels that ``np.pad`` with mode "edge" gives the whole image."""
+    out[1:-1, 1:-1] = img[rows]
+    out[0, 1:-1] = img[max(rows.start - 1, 0)]
+    out[-1, 1:-1] = img[min(rows.stop, len(img) - 1)]
+    out[:, 0] = out[:, 1]
+    out[:, -1] = out[:, -2]
+
+
+def _window_mean(band: np.ndarray, line: np.ndarray, out: np.ndarray) -> None:
+    """Into ``out`` (R, W, C): the 3x3 box mean per channel of a padded (R + 2, W + 2, C)
+    band, summed as rows of 3 into ``line`` (R, W + 2, C), then columns of 3, then / 9."""
+    np.add(band[:-2], band[1:-1], out=line)
+    line += band[2:]
+    np.add(line[:, :-2], line[:, 1:-1], out=out)
+    out += line[:, 2:]
+    out /= 9.0
+
+
+def _ssim_band(a: np.ndarray, b: np.ndarray, rows: slice, work: tuple[np.ndarray, np.ndarray, np.ndarray],
+               out: np.ndarray | None = None) -> np.ndarray:
+    """SSIM of rows ``rows`` of two same-shape (H, W, C) images, into ``out`` or else a work
+    array, which the next band overwrites. ``work`` is ``_ssim_work(a.shape)``. Every
+    product and sum is the one the formula writes, in its order, so the bits do not depend
+    on the band."""
+    n = rows.stop - rows.start
+    padded, line, band = work
+    pad_a, pad_b, prod = padded[:, :n + 2]
+    line = line[:n]
+    mu_a, mu_b, var_a, var_b, cov, sq, tmp = band[:, :n]
+    _pad_band(a, rows, pad_a)
+    _pad_band(b, rows, pad_b)
+    _window_mean(pad_a, line, mu_a)
+    _window_mean(pad_b, line, mu_b)
+    # var_a = E[a a] - mu_a**2, var_b likewise, cov = E[a b] - mu_a mu_b
+    _window_mean(np.multiply(pad_a, pad_a, out=prod), line, var_a)
+    var_a -= np.multiply(mu_a, mu_a, out=sq)
+    _window_mean(np.multiply(pad_b, pad_b, out=prod), line, var_b)
+    var_b -= np.multiply(mu_b, mu_b, out=tmp)
+    sq += tmp  # mu_a**2 + mu_b**2
+    _window_mean(np.multiply(pad_a, pad_b, out=prod), line, cov)
+    cov -= np.multiply(mu_a, mu_b, out=tmp)
+    # num = (2 mu_a mu_b + C1)(2 cov + C2), den = (mu_a**2 + mu_b**2 + C1)(var_a + var_b + C2)
+    np.multiply(mu_a, 2, out=tmp)
+    tmp *= mu_b
+    tmp += SSIM_C1
+    cov *= 2
+    cov += SSIM_C2
+    tmp *= cov
+    sq += SSIM_C1
+    var_a += var_b
+    var_a += SSIM_C2
+    sq *= var_a
+    return np.divide(tmp, sq, out=tmp if out is None else out)
 
 
 def ssim(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -86,15 +139,16 @@ def ssim(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     Output is (H, W, C), per channel, with C = 1 for an (H, W) input, and
     lies in [-1, 1]. It is computed in row bands of up to _TILE_PIXELS
-    pixels, each with its halo rows, and every pixel gets the bits a
-    whole-image computation gives it.
+    pixels, each with its halo rows, through one set of band-sized work
+    arrays, and every pixel gets the bits a whole-image computation gives it.
     """
     a, b = _as_hwc(a), _as_hwc(b)
     if a.shape != b.shape:
         raise ShapeMismatch(f"ssim inputs differ: {a.shape} vs {b.shape}")
     out = np.empty(a.shape)
+    work = _ssim_work(a.shape)
     for rows in _row_bands(*a.shape[:2]):
-        out[rows] = _ssim_band(a, b, rows)
+        _ssim_band(a, b, rows, work, out[rows])
     return out
 
 
@@ -102,15 +156,23 @@ def photometric_error(pred: np.ndarray, target: np.ndarray) -> np.ndarray:
     """Blend of SSIM dissimilarity and L1, channel-averaged to (H, W).
 
     pe = ALPHA/2 * (1 - SSIM) + (1 - ALPHA) * |pred - target|, computed in
-    the row bands of ``ssim``.
+    the row bands of ``ssim``, through its work arrays.
     """
     pred, target = _as_hwc(pred), _as_hwc(target)
     if pred.shape != target.shape:
         raise ShapeMismatch(f"photometric inputs differ: {pred.shape} vs {target.shape}")
     out = np.empty(pred.shape[:2])
+    work = _ssim_work(pred.shape)
     for rows in _row_bands(*pred.shape[:2]):
-        dissim = ALPHA / 2.0 * (1.0 - _ssim_band(pred, target, rows))
-        out[rows] = (dissim + (1.0 - ALPHA) * np.abs(pred[rows] - target[rows])).mean(axis=2)
+        dissim = _ssim_band(pred, target, rows, work)
+        np.subtract(1.0, dissim, out=dissim)
+        dissim *= ALPHA / 2.0
+        l1 = work[2][0, :len(dissim)]  # mu_a's array, which _ssim_band is done with
+        np.subtract(pred[rows], target[rows], out=l1)
+        np.abs(l1, out=l1)
+        l1 *= 1.0 - ALPHA
+        dissim += l1
+        channel_mean(dissim, out=out[rows])
     return out
 
 
@@ -128,10 +190,9 @@ def min_reprojection_loss(
     h, w = np.asarray(target).shape[:2]
     best = np.full((h, w), np.inf)
     for img, valid in synthesized:
-        pe = photometric_error(img, target)
-        if pe.shape != (h, w) or valid.shape != (h, w):
+        if np.shape(img)[:2] != (h, w) or np.shape(valid) != (h, w):
             raise ShapeMismatch("synthesized view shape does not match target")
-        best = np.where(valid, np.minimum(best, pe), best)
+        np.minimum(best, photometric_error(img, target), out=best, where=valid)
     covered = np.isfinite(best)
     per_pixel = np.where(covered, best, 0.0)
     scalar = float(per_pixel[covered].mean()) if covered.any() else 0.0
@@ -176,7 +237,11 @@ def _smoothness_out(depth: np.ndarray, img: np.ndarray) -> tuple[np.ndarray, np.
 def _edge_aware(disp: np.ndarray, disp_next: np.ndarray, img: np.ndarray, img_next: np.ndarray,
                 out: np.ndarray) -> None:
     """Into ``out``: |disp_next - disp| * exp(-channel mean of |img_next - img|)."""
-    np.multiply(np.abs(disp_next - disp), np.exp(-np.abs(img_next - img).mean(axis=2)), out=out)
+    diff = np.subtract(img_next, img)
+    weight = channel_mean(np.abs(diff, out=diff))
+    np.exp(np.negative(weight, out=weight), out=weight)
+    np.abs(np.subtract(disp_next, disp, out=out), out=out)
+    out *= weight
 
 
 def _mean_or_zero(terms: np.ndarray) -> float:
@@ -206,7 +271,7 @@ def smoothness_loss(depth: np.ndarray, img: np.ndarray, *,
     img = _as_hwc(img)
     disp, x_terms, y_terms = _smoothness_out(depth, img) if out is None else out
     np.divide(1.0, depth, out=disp)
-    disp /= disp.mean()
+    disp /= _mean_or_zero(disp)  # an empty map has nothing to divide
     h, w = depth.shape
     for rows in _row_bands(h, w):
         _edge_aware(disp[rows, :-1], disp[rows, 1:], img[rows, :-1], img[rows, 1:], x_terms[rows])

@@ -5,7 +5,13 @@ import pytest
 from oracles import box_downsample_ref
 
 from sweepdepth.errors import UnknownExtractor
-from sweepdepth.features import _box_downsample, _central_diff_x, _central_diff_y, extract_features
+from sweepdepth.features import (
+    _box_downsample,
+    _central_diff_x,
+    _central_diff_y,
+    channel_mean,
+    extract_features,
+)
 from sweepdepth.geometry import _channel_major
 
 
@@ -93,3 +99,25 @@ def test_box_downsample_matches_oracle(rng, scale, channels):
             assert np.array_equal(got, want)
         else:
             assert np.abs(got - want).max() <= 1e-15
+
+
+def channel_mean_inputs(rng, channels):
+    """Noise with +-inf, NaN and -0.0 entries and one pixel of all -0.0, whose mean numpy
+    gives as +0.0, as a contiguous array and as four strided views."""
+    x = rng.standard_normal((9, 14, channels)) * rng.choice([1.0, 1e8, 1e-300], (9, 14, channels))
+    flat = x.reshape(-1)
+    for value, at in zip((np.inf, -np.inf, np.nan, -0.0), np.array_split(rng.permutation(flat.size)[:24], 4)):
+        flat[at] = value
+    x[0, 0] = -0.0
+    wide = np.repeat(x, 2, axis=-1)
+    return x, x[::2, ::3], x[:, ::-1], np.asfortranarray(x), wide[..., ::2]
+
+
+@pytest.mark.parametrize("channels", range(1, 10))
+def test_channel_mean_has_the_bits_of_mean(rng, channels):
+    for x in channel_mean_inputs(rng, channels):
+        with np.errstate(invalid="ignore"):  # inf - inf
+            want = x.mean(axis=-1)
+            assert channel_mean(x).tobytes() == want.tobytes()
+            out = np.empty(x.shape[:-1])
+            assert channel_mean(x, out=out) is out and out.tobytes() == want.tobytes()

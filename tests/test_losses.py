@@ -20,6 +20,7 @@ from oracles import (
 from sweepdepth import losses
 from sweepdepth.errors import EmptySources, NonPositiveDepth, ShapeMismatch
 from sweepdepth.losses import (
+    ALPHA,
     SMOOTHNESS_WEIGHT,
     consistency_loss,
     consistency_mask,
@@ -60,6 +61,59 @@ class TestSsim:
             ssim(np.zeros((4, 4)), np.zeros((4, 5)))
         with pytest.raises(ShapeMismatch):
             photometric_error(np.zeros((4, 4, 3)), np.zeros((4, 4)))
+
+
+    @pytest.mark.parametrize("shape", [(4, 0), (0, 4), (0, 0), (3, 0, 3)])
+    def test_empty_image(self, shape):
+        # no pixels, no bands: an empty result, with no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = ssim(np.zeros(shape), np.zeros(shape))
+            pe = photometric_error(np.zeros(shape), np.zeros(shape))
+        assert got.shape == (*shape[:2], 3 if len(shape) == 3 else 1)
+        assert pe.shape == shape[:2]
+
+
+def whole_image_ssim(a, b):
+    """``ssim`` as one whole-image expression over an ``np.pad`` of each image."""
+    a, b = (np.pad(x[..., None] if x.ndim == 2 else x, ((1, 1), (1, 1), (0, 0)), mode="edge")
+            for x in (a, b))
+
+    def window_mean(x):
+        rows = x[:-2] + x[1:-1] + x[2:]
+        return (rows[:, :-2] + rows[:, 1:-1] + rows[:, 2:]) / 9.0
+
+    mu_a, mu_b = window_mean(a), window_mean(b)
+    var_a = window_mean(a * a) - mu_a**2
+    var_b = window_mean(b * b) - mu_b**2
+    cov = window_mean(a * b) - mu_a * mu_b
+    num = (2 * mu_a * mu_b + losses.SSIM_C1) * (2 * cov + losses.SSIM_C2)
+    den = (mu_a**2 + mu_b**2 + losses.SSIM_C1) * (var_a + var_b + losses.SSIM_C2)
+    return num / den
+
+
+def whole_image_photometric_error(pred, target):
+    """``photometric_error`` as one whole-image expression, averaged by ``mean(axis=2)``."""
+    pred, target = (x[..., None] if x.ndim == 2 else x for x in (pred, target))
+    dissim = ALPHA / 2.0 * (1.0 - whole_image_ssim(pred, target))
+    return (dissim + (1.0 - ALPHA) * np.abs(pred - target)).mean(axis=2)
+
+
+class TestWholeImageBits:
+    # bands of max(1, tile // W) rows: (13, 5) at 15 pixels is 4 bands of 3 rows and a last
+    # band of one, (9, 1) at 4 pixels two of 4 rows and one of one, (7, 2) at 6 pixels two of
+    # 3 and one of one; the default budget makes each image one band
+    @pytest.mark.parametrize("shape, tile", [((5, 1), None), ((6, 2), None), ((13, 5), 15),
+                                             ((9, 1), 4), ((7, 2), 6), ((40, 33), 99)])
+    @pytest.mark.parametrize("channels", [None, 3])
+    def test_bands_equal_the_padded_formula(self, rng, monkeypatch, shape, tile, channels):
+        if tile is not None:
+            monkeypatch.setattr(losses, "_TILE_PIXELS", tile)
+            assert shape[0] % losses._band_rows(shape[1]) == 1  # the last band is one row
+        full = shape if channels is None else (*shape, channels)
+        a, b = rng.random(full), rng.random(full)
+        assert ssim(a, b).tobytes() == whole_image_ssim(a, b).tobytes()
+        assert photometric_error(a, b).tobytes() == whole_image_photometric_error(a, b).tobytes()
 
 
 class TestPhotometricError:
@@ -120,6 +174,25 @@ class TestMinReprojection:
         img = rng.random((4, 4))
         with pytest.raises(ShapeMismatch):  # a valid mask of another shape
             min_reprojection_loss(img, [(img, np.ones((4, 5), dtype=bool))])
+
+    @pytest.mark.parametrize("bad", ["image", "mask"])
+    def test_bad_entry_is_refused_before_it_is_scored(self, rng, monkeypatch, bad):
+        scored = []
+        monkeypatch.setattr(losses, "photometric_error",
+                            lambda *args: scored.append(args) or photometric_error(*args))
+        img, ones = rng.random((4, 4, 3)), np.ones((4, 4), dtype=bool)
+        entry = (rng.random((4, 5, 3)), ones) if bad == "image" else (img, np.ones((5, 4), dtype=bool))
+        with pytest.raises(ShapeMismatch, match="synthesized view shape does not match target"):
+            min_reprojection_loss(img, [(img, ones), entry])
+        assert len(scored) == 1  # the good first entry only
+
+    @pytest.mark.parametrize("shape", [(3, 0), (0, 3), (0, 0)])
+    def test_empty_image(self, shape):
+        img = np.zeros((*shape, 3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scalar, per_pixel = min_reprojection_loss(img, [(img, np.ones(shape, dtype=bool))])
+        assert (scalar, per_pixel.shape) == (0.0, shape)
 
     def test_memory_stays_in_row_bands(self, rng):
         # numpy reports its buffers to tracemalloc. At 640x192x3 one full-image
@@ -249,6 +322,14 @@ class TestSmoothness:
         assert got == pytest.approx(smoothness_ref(depth, img), abs=1e-12)
         assert got == whole_image_smoothness(depth, img)
         assert (got == 0.0) == (shape == (1, 1))
+
+    @pytest.mark.parametrize("shape", [(3, 0), (0, 3), (0, 0)])
+    @pytest.mark.parametrize("channels", [None, 3])
+    def test_empty_image_scores_zero(self, shape, channels):
+        img = np.zeros(shape if channels is None else (*shape, channels))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert smoothness_loss(np.ones(shape), img) == 0.0
 
     @pytest.mark.parametrize("tile", [7, 64, 1000])
     @pytest.mark.parametrize("shape", [(1, 9), (9, 1), (25, 13), (48, 64)])
