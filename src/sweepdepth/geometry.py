@@ -171,7 +171,8 @@ _BOUNDARY_SNAP = 1e-9
 # Pixels per tile of ``bilinear_sample`` and per row band of the photometric
 # loss (``losses``), half the sweep's _TILE cells: their work arrays stay a few
 # MB at any image size, and a 64x48 image is one tile and one band. At 640x192
-# a quarter of this was slower, and twice it raised the loss's peak from 7 to 12 MB.
+# half of this made the training step slower end to end, and twice it raises
+# min_reprojection_loss's tracemalloc peak with two sources from 6.4 to 10.8 MB.
 _TILE_PIXELS = 16384
 
 

@@ -61,7 +61,7 @@ def _band_rows(width: int) -> int:
 def _row_bands(height: int, width: int) -> list[slice]:
     """Consecutive row slices of ``_band_rows`` rows covering ``height`` rows; none for an
     image with no pixels."""
-    if not width:
+    if not width:  # a zero-width band would take its halo columns from uninitialized memory
         return []
     rows = _band_rows(width)
     return [slice(start, min(start + rows, height)) for start in range(0, height, rows)]

@@ -102,8 +102,9 @@ def test_box_downsample_matches_oracle(rng, scale, channels):
 
 
 def channel_mean_inputs(rng, channels):
-    """Noise with +-inf, NaN and -0.0 entries and one pixel of all -0.0, whose mean numpy
-    gives as +0.0, as a contiguous array and as four strided views."""
+    """Noise with +-inf, NaN and -0.0 entries and one pixel of all -0.0, whose mean's sign
+    is set by the value numpy starts its sums from, as a contiguous array and as four
+    strided views."""
     x = rng.standard_normal((9, 14, channels)) * rng.choice([1.0, 1e8, 1e-300], (9, 14, channels))
     flat = x.reshape(-1)
     for value, at in zip((np.inf, -np.inf, np.nan, -0.0), np.array_split(rng.permutation(flat.size)[:24], 4)):
