@@ -52,6 +52,11 @@ MAX_VOLUME_CELLS = 2**26
 # is no faster than one thread); larger ones cost memory and gain nothing.
 _TILE = 32768
 
+# The widest sweep pool, whatever SWEEPDEPTH_THREADS asks for: each slab gets
+# its own work arrays up front, about 6 MB at a full tile, so 16 slabs lend
+# about 95 MB, four times the widest default pool.
+MAX_SWEEP_THREADS = 16
+
 
 def check_volume_size(height: int, width: int, plane_count: int) -> None:
     """Raise VolumeTooLarge if an (height, width, plane_count) volume exceeds MAX_VOLUME_CELLS."""
@@ -147,18 +152,20 @@ def inverse_depth_planes(d_min: float, d_max: float, count: int = DEFAULT_PLANE_
     return DepthPlaneSet(d_min, d_max, count, "inverse")
 
 
-def _thread_count(run_count: int, default: int | None = None) -> int:
-    """Sweep pool width for ``run_count`` whole runs: SWEEPDEPTH_THREADS (0, unset
-    or not an integer: ``default``, or min(cores, 4) when that is None), at most
-    one thread per run."""
+def _thread_count(run_count: int, run_cells: int = _TILE) -> int:
+    """Sweep pool width for ``run_count`` whole runs of ``run_cells`` cells each:
+    SWEEPDEPTH_THREADS, or when it is 0, unset or not an integer, one thread for
+    runs of fewer than _TILE // 2 cells, where a pool gains little, and
+    min(cores, 4) for larger ones; at most MAX_SWEEP_THREADS, and at most one
+    thread per run."""
     raw = os.environ.get("SWEEPDEPTH_THREADS", "0")
     try:
         n = int(raw)
     except ValueError:
         n = 0
     if n <= 0:
-        n = default or min(os.cpu_count() or 1, 4)
-    return max(1, min(n, run_count))
+        n = 1 if run_cells < _TILE // 2 else min(os.cpu_count() or 1, 4)
+    return max(1, min(n, MAX_SWEEP_THREADS, run_count))
 
 
 def build_cost_volume(
@@ -176,12 +183,14 @@ def build_cost_volume(
     features; contributions average over the sources whose warped sample
     was in bounds. Cells with no valid source get cost +inf.
 
-    The pixels are split into contiguous slabs, one per thread of a pool
-    whose width SWEEPDEPTH_THREADS sets (0 or unset: min(cores, 4); a single
-    slab runs on the calling thread), and each slab is swept in runs of
-    whole pixels with all their planes. A run holds up to
-    min(_TILE, max(H'W', _TILE // 4)) cells, and at least one pixel with all
-    its planes; every slab holds at least one whole run. A run scores into a
+    The pixels are split into contiguous slabs, one per thread of a pool,
+    and each slab is swept in runs of whole pixels with all their planes. A
+    run holds up to min(_TILE, max(H'W', _TILE // 4)) cells, and at least one
+    pixel with all its planes. SWEEPDEPTH_THREADS sets the pool's width; when
+    it is 0 or unset, a sweep whose runs hold fewer than _TILE // 2 cells is
+    one slab and any other takes min(cores, 4). The width is at most
+    MAX_SWEEP_THREADS and the number of runs, so every slab holds at least
+    one whole run; the calling thread waits for the pool. A run scores into a
     run-sized block of its slab, with that slab's work arrays, both
     allocated once per sweep on the calling thread, and is then copied into
     its own rows of ``costs`` and ``valid_count``. A slab's last run
@@ -200,7 +209,8 @@ def build_cost_volume(
         costs.reshape(-1, shape[2])[run] = run_costs  # the run's rows of the volume
         counts.reshape(-1, shape[2])[run] = run_counts
 
-    _run(_sweep(target, sources, K, planes, reduce))
+    with _started(_sweep(target, sources, K, planes, reduce)) as join:
+        join()
     return CostVolume(costs=costs, valid_count=counts)
 
 
@@ -217,9 +227,8 @@ def sweep_argmin(
     are ``build_cost_volume``'s, but each run is reduced to its pixels'
     cheapest plane and validity instead of copied into a volume.
     """
-    slabs, depth = _argmin_sweep(target, sources, K, planes)
-    _run(slabs)  # which drops the slabs, and their work arrays, before the depth map is built
-    return depth()
+    with started_sweep_argmin(target, sources, K, planes) as join:
+        return join()
 
 
 @contextmanager
@@ -233,34 +242,14 @@ def started_sweep_argmin(
     """``sweep_argmin`` on threads of its own while the caller works on.
 
     The checks and every allocation of the sweep happen here, on the calling
-    thread; only the slabs' run loops go to the pool, one thread each. Beside
-    the caller's work, a sweep whose runs hold fewer than _TILE // 2 cells
-    is one slab unless SWEEPDEPTH_THREADS sets the width. ``task``, when
-    given, runs once on a thread of that pool after every slab has ended,
-    also when a slab raises. Yields ``join``, which waits for the sweep and
-    the task, raises the first error (a slab's before the task's), and returns
-    ``sweep_argmin``'s (depth, valid). Leaving the block waits for every pool
-    thread, also when the block raises.
+    thread; only the slabs' run loops go to the pool, one thread each, as wide
+    as ``build_cost_volume`` describes. ``task``, when given, runs once on a
+    thread of that pool after every slab has ended, also when a slab raises.
+    Yields ``join``, which waits for the sweep and the task, raises the first
+    error (a slab's before the task's), and returns ``sweep_argmin``'s
+    (depth, valid). Leaving the block waits for every pool thread, also when
+    the block raises.
     """
-    slabs, depth = _argmin_sweep(target, sources, K, planes, beside_caller=True)
-    with _started(slabs, task) as join_slabs:
-
-        def join() -> tuple[np.ndarray, np.ndarray]:
-            join_slabs()
-            return depth()
-
-        yield join
-
-
-def _argmin_sweep(
-    target: FeatureMap,
-    sources: list[tuple[FeatureMap, Pose]],
-    K: Intrinsics,
-    planes: DepthPlaneSet,
-    beside_caller: bool = False,
-) -> tuple[list[Callable[[], None]], Callable[[], tuple[np.ndarray, np.ndarray]]]:
-    """The checked, allocated slabs of ``sweep_argmin``'s sweep, and the function
-    that reads its (depth, valid) once they have all run."""
     _check_sweep(target, sources, K, planes)
     h, w, _ = target.shape
     best, valid = np.empty(h * w, np.intp), np.empty(h * w, bool)
@@ -268,10 +257,13 @@ def _argmin_sweep(
     def reduce(run: slice, costs: np.ndarray, _counts: np.ndarray) -> None:
         _argmin_rows(costs, best[run], valid[run])
 
-    def depth() -> tuple[np.ndarray, np.ndarray]:
-        return _plane_depths(best, valid, planes).reshape(h, w), valid.reshape(h, w)
+    with _started(_sweep(target, sources, K, planes, reduce), task) as join_slabs:
 
-    return _sweep(target, sources, K, planes, reduce, beside_caller), depth
+        def join() -> tuple[np.ndarray, np.ndarray]:
+            join_slabs()
+            return _plane_depths(best, valid, planes).reshape(h, w), valid.reshape(h, w)
+
+        yield join
 
 
 def _check_sweep(
@@ -301,15 +293,13 @@ def _sweep(
     K: Intrinsics,
     planes: DepthPlaneSet,
     reduce: Callable[[slice, np.ndarray, np.ndarray], None],
-    beside_caller: bool = False,
 ) -> list[Callable[[], None]]:
     """The slabs of a sweep that passed ``_check_sweep``, as ``build_cost_volume``
     describes: each, when called, scores its runs in turn into one run-sized
     block of its own, the (pixels, P) costs and source counts of the run's
     pixels ``run`` of the flattened target. ``reduce(run, costs, counts)``,
     called on the slab's thread, takes what it needs from the block before the
-    slab's next run reuses it. ``beside_caller``: the slabs will run while the
-    calling thread does work of its own.
+    slab's next run reuses it.
     """
     h, w, channels = target.shape
     n_planes = len(planes)
@@ -322,9 +312,7 @@ def _sweep(
     count_dtype = np.min_scalar_type(len(sources))
     per_run = min(n, max(1, min(_TILE, max(n, _TILE // 4)) // n_planes))
     cells = per_run * n_planes
-    # Beside the caller's numpy work, one thread sweeps runs this small faster
-    # than a pool of two (ROADMAP "Settled"), so such a sweep is one slab.
-    workers = _thread_count(n // per_run, 1 if beside_caller and cells < _TILE // 2 else None)
+    workers = _thread_count(n // per_run, cells)
     bounds = [n * k // workers for k in range(workers + 1)]  # each slab holds a whole run
 
     # Each slab's work arrays, count row and run block are allocated here:
@@ -390,16 +378,6 @@ def _started(slabs: list[Callable[[], None]],
                 future.result()
 
         yield join
-
-
-def _run(slabs: list[Callable[[], None]]) -> None:
-    """Run a sweep's slabs to the end, one on the calling thread, several on a pool,
-    and take them out of ``slabs`` as ``_started`` does."""
-    if len(slabs) == 1:
-        slabs.pop()()
-        return
-    with _started(slabs) as join:
-        join()
 
 
 def argmin_depth(cv: CostVolume, planes: DepthPlaneSet) -> tuple[np.ndarray, np.ndarray]:

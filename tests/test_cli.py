@@ -201,6 +201,27 @@ class TestDepth:
         assert code == 0, err
         assert peak < 37e6
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("dump", [False, True])
+    def test_a_sweep_error_exits_cleanly(self, box_dataset, tmp_path, capsys, monkeypatch,
+                                         threads, dump):
+        # 64x48 pixels with 32 planes sweep in 12 runs: one slab at width 1, two at width 2
+        monkeypatch.setenv("SWEEPDEPTH_THREADS", threads)
+
+        def fail(*args):
+            raise SweepDepthError("the sweep failed")
+
+        monkeypatch.setattr(costvolume, "_to_pixels", fail)
+        argv = ["depth", "--data", str(box_dataset), "--out", str(tmp_path / "d.pfm"),
+                "--d-min", "1", "--d-max", "10", "--planes", "32", "--feature-scale", "1",
+                "--sources", "0", "2"]
+        if dump:
+            argv += ["--dump-cv", str(tmp_path / "v.swpcv")]
+        before = threading.active_count()
+        assert run(capsys, *argv) == (1, "", "error: the sweep failed\n")
+        assert threading.active_count() == before
+        assert list(tmp_path.iterdir()) == []
+
     def test_recovers_static_scene(self, lateral_dataset, tmp_path, capsys):
         out = tmp_path / "dcv.pfm"
         code, stdout, _ = run(
@@ -570,6 +591,19 @@ class TestDumpCv:
         cv, planes = read_cost_volume(out)
         assert cv.costs.shape == (12, 16, 4)
         assert len(planes) == 4
+
+    def test_pooled_dump_keeps_its_bytes(self, box_dataset, tmp_path, capsys, monkeypatch):
+        # 64x48 pixels with 32 planes sweep in 12 runs: one slab at width 1, two at width 2
+        outputs = {}
+        for threads in ("1", "2"):
+            monkeypatch.setenv("SWEEPDEPTH_THREADS", threads)
+            depth, dump = tmp_path / f"d{threads}.pfm", tmp_path / f"v{threads}.swpcv"
+            code, _, err = run(capsys, "depth", "--data", str(box_dataset), "--out", str(depth),
+                               "--dump-cv", str(dump), "--d-min", "1", "--d-max", "10",
+                               "--planes", "32", "--feature-scale", "1", "--sources", "0", "2")
+            assert code == 0, err
+            outputs[threads] = depth.read_bytes(), dump.read_bytes()
+        assert outputs["1"] == outputs["2"]
 
     def test_inverse_planes_round_trip(self, lateral_dataset, tmp_path, capsys):
         out = tmp_path / "v.swpcv"

@@ -358,11 +358,24 @@ def test_thread_count_falls_back_on_a_setting_that_is_not_an_integer(monkeypatch
     assert costvolume._thread_count(1) == 1  # never wider than the number of runs
 
 
+def test_an_explicit_width_is_capped(rng, monkeypatch):
+    # _sweep lends each slab its work arrays before any thread starts, so the width
+    # is capped before they are allocated: 25 runs of 8 pixels make 16 slabs, not 25
+    monkeypatch.setenv("SWEEPDEPTH_THREADS", "100000")
+    assert costvolume._thread_count(360) == costvolume.MAX_SWEEP_THREADS == 16
+    monkeypatch.setattr(costvolume, "_TILE", 64)
+    K = Intrinsics(fx=10.0, fy=10.0, cx=99.5, cy=0.0, width=200, height=1)
+    fmap = FeatureMap(data=rng.random((1, 200, 2)), scale=1)
+    slabs = costvolume._sweep(fmap, [(fmap, Pose.from_translation(0.2, 0, 0))], K,
+                              linear_planes(1.0, 10.0, 8), lambda *block: None)
+    assert len(slabs) == 16
+
+
 class TestStartedSweep:
-    """``started_sweep_argmin`` runs the sweep on a pool beside the caller: one slab when its
-    runs hold fewer than _TILE // 2 cells, unless SWEEPDEPTH_THREADS sets the width. Every
-    other sweep keeps the default width of min(cores, 4). A task given to it runs once on
-    that pool after every slab has ended."""
+    """Every sweep picks its width by one rule: with SWEEPDEPTH_THREADS unset, a sweep whose
+    runs hold fewer than _TILE // 2 cells is one slab, and any other a pool of min(cores, 4).
+    ``started_sweep_argmin`` runs the sweep on that pool beside the caller, and a task given
+    to it runs once on that pool after every slab has ended."""
 
     @pytest.fixture
     def pools(self, monkeypatch):
@@ -398,28 +411,47 @@ class TestStartedSweep:
                     relative_pose(frames[1].pose, frames[i].pose)) for i in (0, 2)]
         return f_t, sources, setup.K, linear_planes(1.0, 10.0, 32)
 
-    def test_small_runs_beside_the_caller_are_one_slab(self, rendered_presets, monkeypatch, pools):
-        args = self._box_sweep(rendered_presets)
-        cv, alone = build_cost_volume(*args), sweep_argmin(*args)
-        assert pools == [2, 2]
-        beside = self._started(*args)
-        assert pools == [2, 2, 1]
-        monkeypatch.setenv("SWEEPDEPTH_THREADS", "2")
-        beside_two = self._started(*args)
-        assert pools == [2, 2, 1, 2]
-        self._same(alone, argmin_depth(cv, args[3]))
-        self._same(alone, beside)
-        self._same(alone, beside_two)
-
-    def test_large_runs_beside_the_caller_keep_the_pool(self, rng, pools):
-        # 128x128 pixels with 2 planes: runs of 8192 pixels, 16384 cells
+    @staticmethod
+    def _large_sweep(rng):
+        """128x128 pixels with 2 planes, one source: 2 runs of 8192 pixels, 16384 cells."""
         K = Intrinsics(fx=100.0, fy=100.0, cx=63.5, cy=63.5, width=128, height=128)
         target = FeatureMap(data=rng.random((128, 128, 1)), scale=1)
         sources = [(FeatureMap(data=rng.random((128, 128, 1)), scale=1),
                     Pose.from_translation(0.2, 0, 0))]
-        args = (target, sources, K, linear_planes(1.0, 10.0, 2))
-        self._same(sweep_argmin(*args), self._started(*args))
-        assert pools == [2, 2]
+        return target, sources, K, linear_planes(1.0, 10.0, 2)
+
+    def test_one_width_rule_for_every_sweep(self, rendered_presets, rng, monkeypatch, pools):
+        # 8192-cell runs are one slab and 16384-cell runs a pool of min(2 cores, 4), in
+        # build_cost_volume, sweep_argmin and started_sweep_argmin alike; a set width wins
+        small, large = self._box_sweep(rendered_presets), self._large_sweep(rng)
+        for args, threads, width in ((small, None, 1), (large, None, 2), (small, "2", 2)):
+            if threads:
+                monkeypatch.setenv("SWEEPDEPTH_THREADS", threads)
+            pools.clear()
+            cv, alone, beside = build_cost_volume(*args), sweep_argmin(*args), self._started(*args)
+            assert pools == [width] * 3
+            self._same(alone, argmin_depth(cv, args[3]))
+            self._same(alone, beside)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_a_slab_error_reaches_the_caller(self, rendered_presets, monkeypatch, pools, threads):
+        # one slab or two, every sweep runs its slabs on a pool: the slab's own error
+        # comes out of the call, and no pool thread outlives it
+        monkeypatch.setenv("SWEEPDEPTH_THREADS", str(threads))
+        args = self._box_sweep(rendered_presets)
+        error = SweepDepthError("the slab failed")
+
+        def fail(*arrays):
+            raise error
+
+        monkeypatch.setattr(costvolume, "_to_pixels", fail)
+        before = threading.active_count()
+        for sweep in (build_cost_volume, sweep_argmin):
+            with pytest.raises(SweepDepthError) as raised:
+                sweep(*args)
+            assert raised.value is error
+            assert threading.active_count() == before
+        assert pools == [threads, threads]
 
     @pytest.mark.parametrize("threads", [1, 2, 3])
     def test_task_runs_once_after_every_slab(self, rendered_presets, monkeypatch, pools, threads):
@@ -479,9 +511,8 @@ class TestStartedSweep:
         monkeypatch.delenv("SWEEPDEPTH_THREADS", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         assert costvolume._thread_count(1000) == 2
-        assert costvolume._thread_count(1000, 1) == 1
         monkeypatch.setenv("SWEEPDEPTH_THREADS", "3")
-        assert costvolume._thread_count(1000, 1) == 3
+        assert costvolume._thread_count(1000) == 3
 
 
 class TestArgminDepth:
