@@ -420,18 +420,25 @@ class TestStartedSweep:
                     Pose.from_translation(0.2, 0, 0))]
         return target, sources, K, linear_planes(1.0, 10.0, 2)
 
-    def test_one_width_rule_for_every_sweep(self, rendered_presets, rng, monkeypatch, pools):
-        # 8192-cell runs are one slab and 16384-cell runs a pool of min(2 cores, 4), in
-        # build_cost_volume, sweep_argmin and started_sweep_argmin alike; a set width wins
-        small, large = self._box_sweep(rendered_presets), self._large_sweep(rng)
-        for args, threads, width in ((small, None, 1), (large, None, 2), (small, "2", 2)):
-            if threads:
-                monkeypatch.setenv("SWEEPDEPTH_THREADS", threads)
-            pools.clear()
-            cv, alone, beside = build_cost_volume(*args), sweep_argmin(*args), self._started(*args)
-            assert pools == [width] * 3
-            self._same(alone, argmin_depth(cv, args[3]))
-            self._same(alone, beside)
+    def _one_width(self, args, pools, width):
+        """build_cost_volume, sweep_argmin and started_sweep_argmin each start one pool of
+        ``width`` and give bit-identical results."""
+        pools.clear()
+        cv, alone, beside = build_cost_volume(*args), sweep_argmin(*args), self._started(*args)
+        assert pools == [width] * 3
+        self._same(alone, argmin_depth(cv, args[3]))
+        self._same(alone, beside)
+
+    def test_small_runs_beside_the_caller_are_one_slab(self, rendered_presets, monkeypatch, pools):
+        # 8192-cell runs are one slab in every sweep; a set width wins
+        args = self._box_sweep(rendered_presets)
+        self._one_width(args, pools, 1)
+        monkeypatch.setenv("SWEEPDEPTH_THREADS", "2")
+        self._one_width(args, pools, 2)
+
+    def test_large_runs_beside_the_caller_keep_the_pool(self, rng, pools):
+        # 16384-cell runs are a pool of min(2 cores, 4) in every sweep
+        self._one_width(self._large_sweep(rng), pools, 2)
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_a_slab_error_reaches_the_caller(self, rendered_presets, monkeypatch, pools, threads):
