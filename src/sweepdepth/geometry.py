@@ -76,7 +76,7 @@ class Pose:
         if not np.isfinite(t).all():
             raise InvalidParameter(f"translation must be finite, got {t}")
         with np.errstate(all="ignore"):  # huge entries overflow to inf or NaN, and fail
-            orthonormal = np.allclose(R.T @ R, np.eye(3), atol=_ORTHONORMAL_TOL, rtol=0)
+            orthonormal = (np.abs(R.T @ R - np.eye(3)) <= _ORTHONORMAL_TOL).all()
         if not orthonormal:
             raise InvalidParameter("rotation is not orthonormal")
         if abs(np.linalg.det(R) - 1.0) > _ORTHONORMAL_TOL:

@@ -786,6 +786,79 @@ class TestMain:
         assert code == 1 and err.startswith("error:") and "Broken pipe" in err
 
 
+def _glibc() -> bool:
+    try:
+        return (os.confstr("CS_GNU_LIBC_VERSION") or "").startswith("glibc")
+    except (AttributeError, ValueError, OSError):
+        return False
+
+
+class TestHeapPolicy:
+    """`main` asks glibc to keep the heap pages a command frees, once per process."""
+
+    @pytest.fixture
+    def fresh_policy(self):
+        cli._keep_freed_heap.cache_clear()
+        yield
+        cli._keep_freed_heap.cache_clear()  # the next main sets the real policy again
+
+    @pytest.fixture
+    def libc(self, monkeypatch):
+        calls = []
+
+        class Libc:
+            def mallopt(self, param, value):
+                calls.append((param, value))
+                return 1
+
+        monkeypatch.setattr(os, "confstr", lambda name: "glibc 2.36", raising=False)
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: Libc())
+        return calls
+
+    def test_main_sets_the_top_pad_once(self, fresh_policy, libc, lateral_dataset, capsys):
+        gt = str(lateral_dataset / "depth_0001.pfm")
+        for _ in range(2):
+            assert run(capsys, "eval", "--pred", gt, "--gt", gt)[0] == 0
+        assert libc == [(-2, 64 << 20)]  # M_TOP_PAD only, 64 MiB
+        assert cli._keep_freed_heap() is True
+        assert libc == [(-2, 64 << 20)]
+
+    @pytest.mark.parametrize("libc_name", ["musl", None, ValueError, AttributeError])
+    def test_other_libcs_are_left_alone(self, fresh_policy, libc, monkeypatch, libc_name):
+        def confstr(name):
+            if isinstance(libc_name, type):
+                raise libc_name(name)
+            return libc_name
+
+        monkeypatch.setattr(os, "confstr", confstr)
+        assert cli._keep_freed_heap() is False
+        assert libc == []
+
+    @pytest.mark.parametrize("libc", [object(), type("Refusing", (), {"mallopt": lambda self, p, v: 0})()],
+                             ids=["no_mallopt", "refused"])
+    def test_returns_quietly_without_mallopt(self, fresh_policy, monkeypatch, libc):
+        monkeypatch.setattr(os, "confstr", lambda name: "glibc 2.36", raising=False)
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: libc)
+        assert cli._keep_freed_heap() is False
+
+    @pytest.mark.skipif(not _glibc(), reason="the top pad is a glibc malloc setting")
+    def test_a_repeated_loss_reuses_its_pages(self, tmp_path, capsys):
+        # without the pad glibc trims and unmaps what each `loss` frees, and every further
+        # `loss` at 640x192 faults its working set in again: about 9,000 to 14,000 minor faults
+        resource = pytest.importorskip("resource")
+        write_noise_dataset(tmp_path, width=640, height=192)
+        gt = str(tmp_path / "depth_0001.pfm")
+        argv = ["loss", "--data", str(tmp_path), "--student", gt, "--teacher", gt, *_SWEEP]
+        for _ in range(2):  # the first commands grow the heap to the working set
+            assert run(capsys, *argv)[0] == 0
+        faults = []
+        for _ in range(3):
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            assert run(capsys, *argv)[0] == 0
+            faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+        assert max(faults) < 1000, faults
+
+
 def _copy_with(data, tmp, name, edit):
     """Copy of the dataset whose JSON file ``name`` holds ``edit(parsed original)``
     (text, or raw bytes)."""

@@ -95,6 +95,26 @@ class TestPose:
         with pytest.raises(InvalidParameter, match="3x3"):
             Pose(np.eye(2), np.zeros(3))
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_orthonormal_within_the_tolerance(self, sign):
+        # R = I + e E01 gives (R^T R)[0, 1] = e exactly and [1, 1] = 1 + e^2, which rounds to 1:
+        # an error of exactly the 1e-9 tolerance passes, the next double above it fails
+        def shear(e):
+            R = np.eye(3)
+            R[0, 1] = sign * e
+            return R
+
+        assert np.array_equal(Pose(shear(1e-9), np.zeros(3)).rotation, shear(1e-9))
+        with pytest.raises(InvalidParameter, match="not orthonormal"):
+            Pose(shear(np.nextafter(1e-9, 1.0)), np.zeros(3))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e200])
+    def test_rejects_non_finite_rotation(self, bad):
+        R = np.eye(3)
+        R[2, 0] = bad  # 1e200 squares to inf in R^T R
+        with pytest.raises(InvalidParameter, match="not orthonormal"):
+            Pose(R, np.zeros(3))
+
     def test_rejects_reflection(self):
         R = np.diag([1.0, 1.0, -1.0])
         with pytest.raises(ValueError):
