@@ -438,12 +438,10 @@ _HEAP_PAD = 64 << 20
 def _keep_freed_heap() -> bool:
     """Make glibc keep the heap pages a command frees, and say whether it took. glibc gives
     freed multi-MB numpy buffers back to the kernel, so each command in a process faults its
-    working set in again (about 10,700 minor faults a 640x192 `loss`). With a 64 MiB top pad
-    the heap grows and trims in 64 MiB steps and the next command reuses the freed pages.
-    Only the pad is set: setting the trim or mmap threshold instead, or a pad of 0, turns off
-    glibc's dynamic mmap threshold, and every array of 128 KiB or more is then a fresh mmap.
-    Set here, not at import, since a library must not change its importer's allocator; a
-    program that drives the library in its own loop can set MALLOC_TOP_PAD_=67108864."""
+    working set in again; with the pad the next command reuses the freed pages. Only the pad
+    is set: the trim or mmap threshold instead, or a pad of 0, turns off glibc's dynamic mmap
+    threshold, and every array of 128 KiB or more becomes a fresh mmap. Called from `main`,
+    not at import, since a library must not change its importer's allocator."""
     try:
         libc = os.confstr("CS_GNU_LIBC_VERSION")
     except (AttributeError, ValueError, OSError):  # no confstr, or no such name here

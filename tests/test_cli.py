@@ -834,11 +834,14 @@ class TestHeapPolicy:
         assert cli._keep_freed_heap() is False
         assert libc == []
 
-    @pytest.mark.parametrize("libc", [object(), type("Refusing", (), {"mallopt": lambda self, p, v: 0})()],
-                             ids=["no_mallopt", "refused"])
-    def test_returns_quietly_without_mallopt(self, fresh_policy, monkeypatch, libc):
+    class _Refusing:
+        def mallopt(self, param, value):
+            return 0
+
+    @pytest.mark.parametrize("lib", [object(), _Refusing()], ids=["no_mallopt", "refused"])
+    def test_returns_quietly_without_mallopt(self, fresh_policy, monkeypatch, lib):
         monkeypatch.setattr(os, "confstr", lambda name: "glibc 2.36", raising=False)
-        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: libc)
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: lib)
         assert cli._keep_freed_heap() is False
 
     @pytest.mark.skipif(not _glibc(), reason="the top pad is a glibc malloc setting")
