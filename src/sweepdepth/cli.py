@@ -429,19 +429,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# glibc's mallopt parameter and the heap step: the C heap grows and trims in 64 MiB steps
-_M_TOP_PAD = -2
-_HEAP_PAD = 64 << 20
+# glibc's mallopt parameters and their values: blocks under 32 MiB, the largest mmap threshold
+# glibc's own dynamic rule reaches on 64-bit, come from the heap, which trims in 64 MiB steps
+_M_TOP_PAD, _M_MMAP_THRESHOLD = -2, -3
+_HEAP_PAD, _MMAP_THRESHOLD = 64 << 20, 32 << 20
 
 
-@functools.cache  # once per process: the allocator policy outlives every command
 def _keep_freed_heap() -> bool:
     """Make glibc keep the heap pages a command frees, and say whether it took. glibc gives
     freed multi-MB numpy buffers back to the kernel, so each command in a process faults its
-    working set in again; with the pad the next command reuses the freed pages. Only the pad
-    is set: the trim or mmap threshold instead, or a pad of 0, turns off glibc's dynamic mmap
-    threshold, and every array of 128 KiB or more becomes a fresh mmap. Called from `main`,
-    not at import, since a library must not change its importer's allocator."""
+    working set in again; with a 64 MiB top pad the next command reuses the freed pages.
+    Setting any of glibc's pad or thresholds freezes its dynamic mmap threshold where it
+    stands, at 128 KiB in a fresh process, and every larger array is then a fresh mmap, so the
+    threshold is set first, to the 32 MiB that rule would reach. Called from `main`, not at
+    import, since a library must not change its importer's allocator."""
     try:
         libc = os.confstr("CS_GNU_LIBC_VERSION")
     except (AttributeError, ValueError, OSError):  # no confstr, or no such name here
@@ -449,7 +450,8 @@ def _keep_freed_heap() -> bool:
     if not (libc or "").startswith("glibc"):
         return False
     mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
-    return mallopt is not None and mallopt(_M_TOP_PAD, _HEAP_PAD) != 0
+    return (mallopt is not None and mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD) != 0
+            and mallopt(_M_TOP_PAD, _HEAP_PAD) != 0)
 
 
 def main(argv: list[str] | None = None) -> int:

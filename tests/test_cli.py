@@ -794,13 +794,7 @@ def _glibc() -> bool:
 
 
 class TestHeapPolicy:
-    """`main` asks glibc to keep the heap pages a command frees, once per process."""
-
-    @pytest.fixture
-    def fresh_policy(self):
-        cli._keep_freed_heap.cache_clear()
-        yield
-        cli._keep_freed_heap.cache_clear()  # the next main sets the real policy again
+    """`main` asks glibc to keep the heap pages a command frees."""
 
     @pytest.fixture
     def libc(self, monkeypatch):
@@ -815,16 +809,13 @@ class TestHeapPolicy:
         monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: Libc())
         return calls
 
-    def test_main_sets_the_top_pad_once(self, fresh_policy, libc, lateral_dataset, capsys):
+    def test_main_sets_the_top_pad(self, libc, lateral_dataset, capsys):
         gt = str(lateral_dataset / "depth_0001.pfm")
-        for _ in range(2):
-            assert run(capsys, "eval", "--pred", gt, "--gt", gt)[0] == 0
-        assert libc == [(-2, 64 << 20)]  # M_TOP_PAD only, 64 MiB
-        assert cli._keep_freed_heap() is True
-        assert libc == [(-2, 64 << 20)]
+        assert run(capsys, "eval", "--pred", gt, "--gt", gt)[0] == 0
+        assert libc == [(-3, 32 << 20), (-2, 64 << 20)]  # M_MMAP_THRESHOLD, then M_TOP_PAD
 
     @pytest.mark.parametrize("libc_name", ["musl", None, ValueError, AttributeError])
-    def test_other_libcs_are_left_alone(self, fresh_policy, libc, monkeypatch, libc_name):
+    def test_other_libcs_are_left_alone(self, libc, monkeypatch, libc_name):
         def confstr(name):
             if isinstance(libc_name, type):
                 raise libc_name(name)
@@ -835,14 +826,45 @@ class TestHeapPolicy:
         assert libc == []
 
     class _Refusing:
+        def __init__(self):
+            self.calls = []
+
         def mallopt(self, param, value):
+            self.calls.append(param)
             return 0
 
     @pytest.mark.parametrize("lib", [object(), _Refusing()], ids=["no_mallopt", "refused"])
-    def test_returns_quietly_without_mallopt(self, fresh_policy, monkeypatch, lib):
+    def test_returns_quietly_without_mallopt(self, monkeypatch, lib):
         monkeypatch.setattr(os, "confstr", lambda name: "glibc 2.36", raising=False)
         monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: lib)
         assert cli._keep_freed_heap() is False
+
+    def test_a_refused_threshold_leaves_the_pad_unset(self, monkeypatch):
+        lib = self._Refusing()
+        monkeypatch.setattr(os, "confstr", lambda name: "glibc 2.36", raising=False)
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: lib)
+        assert cli._keep_freed_heap() is False
+        assert lib.calls == [-3]  # the pad alone would freeze glibc's threshold where it stands
+
+    @pytest.mark.skipif(not _glibc(), reason="the mmap threshold is a glibc malloc setting")
+    def test_a_fresh_process_keeps_large_blocks_on_the_heap(self):
+        # the pad alone would freeze glibc's mmap threshold at 128 KiB in a fresh process, and
+        # each 4 MiB block would be a fresh mapping: about 1,000 minor faults a block
+        probe = (
+            "import resource, numpy as np\n"
+            "from sweepdepth import cli\n"
+            "assert cli._keep_freed_heap()\n"
+            "np.ones(1 << 19)\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "for _ in range(20):\n"
+            "    np.ones(1 << 19)\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+        )
+        src = str(Path(sweepdepth.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        out = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": path},
+                             capture_output=True, text=True, check=True, timeout=120).stdout
+        assert int(out) < 1000, out
 
     @pytest.mark.skipif(not _glibc(), reason="the top pad is a glibc malloc setting")
     def test_a_repeated_loss_reuses_its_pages(self, tmp_path, capsys):
