@@ -42,15 +42,10 @@ from .augment import Augmentation, AugmentConfig, apply_augmentation, draw_augme
 from .costvolume import (
     DEFAULT_PLANE_COUNT,
     AdaptiveRangeState,
-    CostVolume,
     DepthPlaneSet,
-    argmin_depth,
-    build_cost_volume,
     check_volume_size,
     started_sweep_argmin,
-    sweep_argmin,
     upsample_nearest,
-    zero_volume,
 )
 from .errors import ShapeMismatch, SweepDepthError
 from .evaluation import (
@@ -156,28 +151,19 @@ class _Sweep:
     shape: tuple[int, int, int]
     inputs: tuple[FeatureMap, list[tuple[FeatureMap, Pose]], Intrinsics] | None
 
-    def volume(self) -> CostVolume:
-        if self.inputs is None:
-            return zero_volume(*self.shape)
-        return build_cost_volume(*self.inputs, self.planes)
+    def started(self, task: Callable[[], None] | None, out: np.ndarray | None) -> AbstractContextManager:
+        """``costvolume.started_sweep_argmin`` of this sweep, with ``task`` and ``out``. With no
+        sweep, the callable the block gets runs ``task`` on the calling thread and leaves ``out``
+        as it is; every cost ties at 0, so its depth is the first plane's, valid everywhere."""
+        if self.inputs is not None:
+            return started_sweep_argmin(*self.inputs, self.planes, task, out=out)
 
-    def argmin(self) -> tuple[np.ndarray, np.ndarray]:
-        """``argmin_depth(self.volume(), self.planes)``, with no volume held."""
-        if self.inputs is None:  # every cost ties at 0: the first plane, valid everywhere
-            return np.full(self.shape[:2], self.planes.depths[0]), np.ones(self.shape[:2], bool)
-        return sweep_argmin(*self.inputs, self.planes)
-
-    def started(self, task: Callable[[], None]) -> AbstractContextManager:
-        """``self.argmin`` as ``costvolume.started_sweep_argmin`` runs it: the sweep, then
-        ``task``, on threads of their own while the block runs, joined by the callable the
-        block gets. With no sweep, that callable runs ``task`` on the calling thread."""
-        if self.inputs is None:
-            def join() -> tuple[np.ndarray, np.ndarray]:
+        def join() -> tuple[np.ndarray, np.ndarray]:
+            if task is not None:
                 task()
-                return self.argmin()
+            return np.full(self.shape[:2], self.planes.depths[0]), np.ones(self.shape[:2], bool)
 
-            return nullcontext(join)
-        return started_sweep_argmin(*self.inputs, self.planes, task)
+        return nullcontext(join)
 
 
 def _sweep_for(args, data: Dataset, source_idxs: list[int] | None) -> _Sweep:
@@ -287,11 +273,11 @@ def cmd_depth(args) -> dict:
     _check_outputs({"depth": args.out, "mask": mask_path, "cost volume": args.dump_cv})
     data = load_dataset(args.data)
     sweep = _sweep_for(args, data, args.sources)
-    if args.dump_cv:
-        cv = sweep.volume()
-        depth_f, valid = argmin_depth(cv, sweep.planes)
-    else:
-        depth_f, valid = sweep.argmin()
+    h, w, p = sweep.shape
+    # a dump's plane-major float32 payload, filled run by run; zeros are the zero volume's
+    payload = np.zeros((p, h * w), np.float32) if args.dump_cv else None
+    with sweep.started(None, out=payload) as join:
+        depth_f, valid = join()
     depth_img = upsample_nearest(depth_f, args.feature_scale, data.K.height, data.K.width)
     # scored before --out, which may name the teacher's file, is written
     mask = consistency_mask(depth_img, sdio.read_pfm(args.teacher)) if args.teacher else None
@@ -303,7 +289,7 @@ def cmd_depth(args) -> dict:
         written["mask"] = mask_path
         written["mask_fraction"] = float(mask.mean())
     if args.dump_cv:
-        sdio.write_cost_volume(args.dump_cv, cv, sweep.planes)
+        sdio.write_cost_volume(args.dump_cv, payload.reshape(p, h, w), sweep.planes)
         written["cost_volume"] = str(args.dump_cv)
     written["argmin_valid_fraction"] = float(valid.mean())
     return written
@@ -330,7 +316,7 @@ def cmd_loss(args) -> dict:
     # Only the mask reads the sweep's depth: the sweep's thread scores the smoothness term
     # after its slab while this thread warps the sources and scores the photometric term,
     # and joins both for the mask.
-    with sweep.started(smoothness) as join:
+    with sweep.started(smoothness, out=None) as join:
         synthesized = []
         for i in loss_sources:
             grid = reproject_grid(student, relative_pose(data.poses[target], data.poses[i]), data.K)

@@ -238,6 +238,8 @@ def started_sweep_argmin(
     K: Intrinsics,
     planes: DepthPlaneSet,
     task: Callable[[], None] | None = None,
+    *,
+    out: np.ndarray | None = None,
 ) -> Iterator[Callable[[], tuple[np.ndarray, np.ndarray]]]:
     """``sweep_argmin`` on threads of its own while the caller works on.
 
@@ -245,6 +247,9 @@ def started_sweep_argmin(
     thread; only the slabs' run loops go to the pool, one thread each, as wide
     as ``build_cost_volume`` describes. ``task``, when given, runs once on a
     thread of that pool after every slab has ended, also when a slab raises.
+    ``out``, when given, is a (P, H'W') array, float32 for a dump's payload,
+    that each run's costs are copied into, plane-major: once joined it holds
+    ``build_cost_volume``'s costs, cast to its dtype, with no volume held.
     Yields ``join``, which waits for the sweep and the task, raises the first
     error (a slab's before the task's), and returns ``sweep_argmin``'s
     (depth, valid). Leaving the block waits for every pool thread, also when
@@ -256,6 +261,8 @@ def started_sweep_argmin(
 
     def reduce(run: slice, costs: np.ndarray, _counts: np.ndarray) -> None:
         _argmin_rows(costs, best[run], valid[run])
+        if out is not None:  # slabs write disjoint columns
+            out[:, run] = costs.T
 
     with _started(_sweep(target, sources, K, planes, reduce), task) as join_slabs:
 

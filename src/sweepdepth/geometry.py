@@ -42,6 +42,9 @@ class Intrinsics:
                 f"principal point ({self.cx}, {self.cy}) outside "
                 f"{self.width}x{self.height} image"
             )
+        # K^-1's entries; a float division that overflows gives inf without a warning
+        if not max(1 / self.fx, 1 / self.fy, self.cx / self.fx, self.cy / self.fy) < np.inf:
+            raise InvalidParameter(f"focal lengths ({self.fx}, {self.fy}) are too small to invert K")
 
     def matrix(self) -> np.ndarray:
         """3x3 calibration matrix K."""

@@ -254,14 +254,16 @@ def write_pose(path: str | Path, pose: Pose) -> None:
     write_json(path, {"R": pose.rotation.reshape(-1).tolist(), "t": pose.translation.tolist()})
 
 
-def write_cost_volume(path: str | Path, cv: CostVolume, planes: DepthPlaneSet) -> None:
+def write_cost_volume(path: str | Path, cv: CostVolume | np.ndarray, planes: DepthPlaneSet) -> None:
     """Dump a volume: 'SWPCV1 H W P d_min d_max' for linear planes, else
-    'SWPCV2 H W P d_min d_max spacing', then plane-major float32."""
-    h, w, p = cv.costs.shape
+    'SWPCV2 H W P d_min d_max spacing', then plane-major float32. ``cv`` may be
+    the (P, H, W) costs alone, which are written as they are if C-order float32."""
+    payload = np.moveaxis(cv.costs, 2, 0) if isinstance(cv, CostVolume) else cv
+    p, h, w = payload.shape
     linear = planes.spacing == "linear"
     magic, tail = (_CV_MAGIC_LINEAR, "") if linear else (_CV_MAGIC_SPACED, f" {planes.spacing}")
     header = f"{magic} {h} {w} {p} {planes.d_min!r} {planes.d_max!r}{tail}\n"
-    _write(path, header, np.moveaxis(cv.costs, 2, 0), "<f4")
+    _write(path, header, payload, "<f4")
 
 
 @_names_its_file

@@ -605,6 +605,24 @@ class TestDumpCv:
             outputs[threads] = depth.read_bytes(), dump.read_bytes()
         assert outputs["1"] == outputs["2"]
 
+    def test_dump_holds_its_payload_not_the_volume(self, tmp_path, capsys, monkeypatch):
+        # numpy reports its buffers to tracemalloc. A 640x192, 96-plane dump's float32
+        # payload is 47.2 MB, filled run by run as the sweep goes; with one slab the peak
+        # is about 71 MB. A float64 volume with its counts, read back by argmin_depth and
+        # copied to float32 for the file, peaked at 165 MB.
+        monkeypatch.setenv("SWEEPDEPTH_THREADS", "1")
+        write_noise_dataset(tmp_path, width=640, height=192)
+        tracemalloc.start()
+        try:
+            code, _, err = run(capsys, "depth", "--data", str(tmp_path), "--out", str(tmp_path / "d.pfm"),
+                               "--dump-cv", str(tmp_path / "v.swpcv"), "--d-min", "1", "--d-max", "10",
+                               "--planes", "96", "--feature-scale", "1", "--sources", "0", "2")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0, err
+        assert peak < 90e6
+
     def test_inverse_planes_round_trip(self, lateral_dataset, tmp_path, capsys):
         out = tmp_path / "v.swpcv"
         code, _, _ = run(
@@ -674,6 +692,11 @@ VOLUME_BYTES = {
         ["depth", "--zero-cv", "--dump-cv", "{tmp}/v.swpcv", "--out", "{tmp}/d.pfm"],
         {"v.swpcv": "eb379116811fbf06c2f1f414c741080376fc0c380eaf0a4d5e3003085d46d63e"},
     ),
+    "dump_cv_zero_volume_draw": (
+        ["depth", "--augment-sample", str(sample_drawing(Augmentation.ZERO_VOLUME)),
+         "--dump-cv", "{tmp}/v.swpcv", "--out", "{tmp}/d.pfm"],
+        {"v.swpcv": "eb379116811fbf06c2f1f414c741080376fc0c380eaf0a4d5e3003085d46d63e"},
+    ),
 }
 
 
@@ -688,24 +711,25 @@ class TestVolumeBytes:
 
 
 class TestNoVolume:
-    """`depth` without a dump and `loss` reduce the sweep as it runs: no volume is built."""
+    """`depth`, with or without a dump, and `loss` reduce the sweep as it runs: no volume
+    is built or read back. A dump is filled run by run; VOLUME_BYTES pins its bytes."""
 
     @pytest.fixture
     def refuse_volumes(self, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("built a cost volume")
+            raise AssertionError("built or read a cost volume")
 
-        for module, name in ((costvolume, "build_cost_volume"), (cli, "build_cost_volume"),
-                             (costvolume, "zero_volume"), (cli, "zero_volume")):
-            monkeypatch.setattr(module, name, refuse)
+        # raising=False: cli binds none of these, and one it bound again would be refused too
+        for module in (costvolume, cli):
+            for name in ("build_cost_volume", "zero_volume", "argmin_depth"):
+                monkeypatch.setattr(module, name, refuse, raising=False)
 
     @pytest.mark.parametrize("extra", [[], ["--zero-cv"], ["--inverse-depth-planes"],
                                        ["--augment-sample", str(sample_drawing(Augmentation.ZERO_VOLUME))]])
-    def test_depth(self, noise_dataset, tmp_path, capsys, request, extra):
+    def test_depth(self, noise_dataset, tmp_path, capsys, refuse_volumes, extra):
         argv = ["depth", "--data", str(noise_dataset), "--sources", "0", "2", *_SWEEP, *extra]
         assert run(capsys, *argv, "--out", str(tmp_path / "a.pfm"),
                    "--dump-cv", str(tmp_path / "v.swpcv"))[0] == 0
-        request.getfixturevalue("refuse_volumes")
         assert run(capsys, *argv, "--out", str(tmp_path / "b.pfm"))[0] == 0
         assert (tmp_path / "b.pfm").read_bytes() == (tmp_path / "a.pfm").read_bytes()
 

@@ -690,7 +690,8 @@ class TestSweepArgmin:
         # --zero-cv and a ZERO_VOLUME draw take the tie rule without a volume
         planes = DepthPlaneSet(2.0, 8.0, 5, spacing)
         want = argmin_depth(zero_volume(3, 4, 5), planes)
-        got = cli._Sweep(planes, (3, 4, 5), None).argmin()
+        with cli._Sweep(planes, (3, 4, 5), None).started(None, out=None) as join:
+            got = join()
         for g, w in zip(got, want):
             assert g.dtype == w.dtype and g.shape == w.shape
             assert g.tobytes() == w.tobytes()

@@ -72,8 +72,9 @@ class TestBackproject:
 
 class TestIntrinsics:
     @pytest.mark.parametrize("name", ["fx", "fy"])
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 5e-324, 1e-308])
     def test_rejects_non_finite_focal_length(self, name, bad):
+        # 1 / 5e-324 and 96 / 1e-308, entries of K^-1, overflow to inf without a warning
         with pytest.raises(InvalidParameter):
             dataclasses.replace(K, **{name: bad})
 
@@ -81,6 +82,14 @@ class TestIntrinsics:
     def test_rejects_principal_point_outside_image(self, cx, cy):
         with pytest.raises(InvalidParameter, match="principal point"):
             dataclasses.replace(K, cx=cx, cy=cy)
+
+    def test_scaled_intrinsics_are_checked_too(self):
+        # with the principal point at 0, K^-1 holds 1 / fx alone: finite for fx 4e-308 and
+        # for its scale-4 camera's 1e-308, but 1 / 2.5e-309 overflows
+        corner = Intrinsics(fx=4e-308, fy=1.0, cx=0.0, cy=0.0, width=8, height=8)
+        assert np.isfinite(np.linalg.inv(corner.scaled(4).matrix())).all()
+        with pytest.raises(InvalidParameter, match="invert K"):
+            corner.scaled(4).scaled(4)
 
 
 class TestPose:
