@@ -47,7 +47,7 @@ from .costvolume import (
     started_sweep_argmin,
     upsample_nearest,
 )
-from .errors import ShapeMismatch, SweepDepthError
+from .errors import HomographyOverflow, ShapeMismatch, SweepDepthError
 from .evaluation import (
     CROP_SCHEMES,
     DEPTH_CAP,
@@ -448,7 +448,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         print(json.dumps(command(args), indent=2))
     except (SweepDepthError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # a camera that passed Intrinsics and cannot map a pose: the camera file is at fault
+        where = f"{Path(args.data) / 'intrinsics.json'}: " if isinstance(exc, HomographyOverflow) else ""
+        print(f"error: {where}{exc}", file=sys.stderr)
         return 1
     return 0
 

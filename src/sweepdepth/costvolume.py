@@ -32,9 +32,11 @@ from .geometry import (
     Pose,
     _bilinear_gather,
     _channel_major,
+    _GatherArrays,
     _PlaneProjection,
-    _WorkArrays,
+    _take_and_blend,
     _to_pixels,
+    _WorkArrays,
     require_positive_depth,
 )
 
@@ -47,7 +49,8 @@ DEFAULT_MOMENTUM = 0.99
 MAX_VOLUME_CELLS = 2**26
 
 # Cells (pixels x planes) per tile of the sweep kernel; each pool thread gets
-# work arrays for one tile, about 6 MB with 3 channels. Smaller tiles spend
+# work arrays for one tile, about 4 MB with 3 channels, and 1.3 MB more when a
+# source is warped cell by cell (its pose rotates). Smaller tiles spend
 # more of the sweep holding the GIL between numpy calls (at 4096 a pool of two
 # is no faster than one thread); larger ones cost memory and gain nothing.
 _TILE = 32768
@@ -183,22 +186,29 @@ def build_cost_volume(
     features; contributions average over the sources whose warped sample
     was in bounds. Cells with no valid source get cost +inf.
 
-    The pixels are split into contiguous slabs, one per thread of a pool,
-    and each slab is swept in runs of whole pixels with all their planes. A
-    run holds up to min(_TILE, max(H'W', _TILE // 4)) cells, and at least one
-    pixel with all its planes. SWEEPDEPTH_THREADS sets the pool's width; when
-    it is 0 or unset, a sweep whose runs hold fewer than _TILE // 2 cells is
-    one slab and any other takes min(cores, 4). The width is at most
-    MAX_SWEEP_THREADS and the number of runs, so every slab holds at least
-    one whole run; the calling thread waits for the pool. A run scores into a
-    run-sized block of its slab, with that slab's work arrays, both
-    allocated once per sweep on the calling thread, and is then copied into
-    its own rows of ``costs`` and ``valid_count``. A slab's last run
-    ends at the slab's last pixel and may overlap the run before it, on the
-    same thread, so no two threads write one cell. Every cell takes the same
-    arithmetic in any run, so the result is bit-identical whatever the pool
-    width, the tile size or the execution order. A volume over
-    MAX_VOLUME_CELLS raises VolumeTooLarge before anything is allocated.
+    The pixels are swept in row-aligned runs, each with all its planes: as
+    many whole rows as fit min(_TILE, max(H'W', _TILE // 4)) cells, or, when
+    one row does not fit, the fewest equal segments of a row that do, of at
+    least one pixel each. The last run of a row, and of the image, ends at
+    its edge and may overlap the run before it, whose copy of the shared
+    pixels is the one kept, so no two runs write one cell. The runs are split
+    into contiguous slabs, one per thread of a pool. SWEEPDEPTH_THREADS sets
+    the pool's width; when it is 0 or unset, a sweep whose runs hold fewer
+    than _TILE // 2 cells is one slab and any other takes min(cores, 4). The
+    width is at most MAX_SWEEP_THREADS and the number of runs; the calling
+    thread waits for the pool. A run scores into a run-sized block of its
+    slab, with that slab's work arrays, both allocated once per sweep on the
+    calling thread, and is then copied into its own rows of ``costs`` and
+    ``valid_count``.
+
+    A source whose pixel terms separate (``_PlaneProjection.separated``), as
+    for any pose without rotation, is warped from a column table and a row
+    table built once per sweep on the calling thread; a run broadcasts their
+    entries against each other. Any other source is warped cell by cell.
+    Both warps give the same bits, and every cell takes the same arithmetic
+    in any run, so the result is bit-identical whatever the pool width, the
+    tile size or the execution order. A volume over MAX_VOLUME_CELLS raises
+    VolumeTooLarge before anything is allocated.
     """
     _check_sweep(target, sources, K, planes)
     shape = (*target.shape[:2], len(planes))
@@ -294,6 +304,102 @@ def _check_sweep(
     check_volume_size(h, w, len(planes))
 
 
+def _run_shape(h: int, w: int, n_planes: int) -> tuple[int, int]:
+    """The (rows, columns) of a sweep's runs, each with all its planes: as many whole
+    rows as fit the run budget of min(_TILE, max(H'W', _TILE // 4)) cells, or, when one
+    row's W'P cells do not fit, the fewest equal segments of a row that do, of at least
+    one pixel each."""
+    budget = min(_TILE, max(h * w, _TILE // 4))
+    if w * n_planes <= budget:
+        return min(h, budget // (w * n_planes)), w
+    segments = -(-w // max(1, budget // n_planes))
+    return 1, -(-w // segments)
+
+
+class _AxisTable:
+    """One axis of a separable source's warp, (N, P) for its N pixel coordinates and P
+    planes: the validity, the floor as a flat-index offset, the offset of the next
+    neighbour along the axis (0 at the far edge), and the blend weights (1 - fraction,
+    fraction). Entries that no valid cell reads are zeroed first, as _bilinear_gather
+    zeroes invalid cells. Built from ``coords``, the axis's coordinates after ``_to_pixels``."""
+
+    def __init__(self, coords: np.ndarray, valid: np.ndarray, size: int, stride: int):
+        np.copyto(coords, 0.0, where=~valid)
+        base = np.floor(coords)
+        fraction = coords - base
+        self.valid = valid
+        self.index = (base * stride).astype(np.intp)  # floor(v) * W' + floor(u) sums exactly
+        self.step = np.multiply(base < size - 1, stride, dtype=np.intp)
+        self.weights = (1.0 - fraction, fraction)
+
+
+class _SeparableWarp:
+    """The warp of a source whose pixel terms separate (``_PlaneProjection.separated``),
+    as a column table (W', P) and a row table (H', P). Each comes from ``_to_pixels`` on
+    (3, N, P) homogeneous coordinates with the other pixel coordinate set to 0, which is
+    in bounds, so its validity is its own axis's. A cell's coordinates, validity, corner
+    indices and weights are the per-cell path's, bit for bit."""
+
+    def __init__(self, terms: tuple[np.ndarray, np.ndarray, float], column: np.ndarray,
+                 K: Intrinsics):
+        tables = []
+        for axis, (coords, size, stride) in enumerate(((terms[0], K.width, 1),
+                                                       (terms[1], K.height, K.width))):
+            q = np.zeros((3, len(coords), column.shape[1]))
+            np.add(coords[:, None], column[axis], out=q[axis])
+            np.add(terms[2], column[2], out=q[2])
+            valid = np.empty(q.shape[1:], bool)
+            _to_pixels(q, K, valid, np.empty(q[:2].shape), np.empty(q[:2].shape, bool))
+            tables.append(_AxisTable(q[axis], valid, size, stride))
+        self.cols, self.rows = tables
+
+    def __call__(self, src: np.ndarray, run: slice, rect: tuple[slice, slice],
+                 work: _GatherArrays) -> np.ndarray:
+        """The (C, cells) samples of the run ``rect`` (rows, columns) from the tables,
+        broadcast row against column; fills ``work.valid``."""
+        rows, cols = self.rows, self.cols
+        r, c = rect
+        shape = (r.stop - r.start, c.stop - c.start, cols.valid.shape[1])
+        np.logical_and(rows.valid[r, None], cols.valid[c], out=work.valid.reshape(shape))
+        index = work.index.reshape(2, 2, *shape)
+        np.add(rows.index[r, None], cols.index[c], out=index[0, 0])
+        np.add(index[0, 0], cols.step[c], out=index[0, 1])
+        np.add(index[0, 0], rows.step[r, None], out=index[1, 0])
+        np.add(index[1, 0], cols.step[c], out=index[1, 1])
+        _take_and_blend(src, index, work.corners.reshape(len(src), 2, 2, *shape),
+                        (cols.weights[0][c], cols.weights[1][c]),
+                        (rows.weights[0][r, None], rows.weights[1][r, None]))
+        return work.corners[:, 0, 0]
+
+
+class _CellWarp:
+    """The warp of any other source, cell by cell: its (3, H'W') pixel terms plus each
+    plane's column, through ``_to_pixels`` and ``_bilinear_gather``."""
+
+    def __init__(self, uv: np.ndarray, column: np.ndarray, K: Intrinsics):
+        self.uv, self.column, self.K = uv, column[:, None, :], K
+
+    def __call__(self, src: np.ndarray, run: slice, rect: tuple[slice, slice],
+                 work: _WorkArrays) -> np.ndarray:
+        """The (C, cells) samples of the pixels ``run``; fills ``work.valid``."""
+        q = work.q.reshape(3, run.stop - run.start, -1)
+        np.add(self.uv[:, run, None], self.column, out=q)
+        _to_pixels(work.q, self.K, work.valid, work.tmp, work.mask)
+        return _bilinear_gather(src, self.K.height, self.K.width, work.q[:2], work)
+
+
+def _warp(pose: Pose, K: Intrinsics, depths: np.ndarray) -> _SeparableWarp | _CellWarp:
+    """A source's warp over the planes at ``depths``: from tables when its pixel terms
+    separate, cell by cell otherwise."""
+    proj = _PlaneProjection.of(pose, K)
+    column = proj.column(depths)
+    terms = proj.separated(K)
+    if terms is None:
+        return _CellWarp(proj.uv, column, K)
+    del proj  # its (3, H'W') pixel terms go before the tables are built
+    return _SeparableWarp(terms, column, K)
+
+
 def _sweep(
     target: FeatureMap,
     sources: list[tuple[FeatureMap, Pose]],
@@ -304,45 +410,49 @@ def _sweep(
     """The slabs of a sweep that passed ``_check_sweep``, as ``build_cost_volume``
     describes: each, when called, scores its runs in turn into one run-sized
     block of its own, the (pixels, P) costs and source counts of the run's
-    pixels ``run`` of the flattened target. ``reduce(run, costs, counts)``,
-    called on the slab's thread, takes what it needs from the block before the
-    slab's next run reuses it.
+    pixels of the flattened target. ``reduce(pixels, costs, counts)``, called
+    on the slab's thread, takes the rows of the block that no earlier run
+    reduced, for the pixels ``pixels``, before the slab's next run reuses it.
     """
     h, w, channels = target.shape
     n_planes = len(planes)
-    n = h * w
     target_cm = _channel_major(target.data)
-    views = []
-    for fmap, pose in sources:
-        proj = _PlaneProjection.of(pose, K)
-        views.append((_channel_major(fmap.data), proj.uv, proj.column(planes.depths)[:, None, :]))
+    views = [(_channel_major(fmap.data), _warp(pose, K, planes.depths)) for fmap, pose in sources]
     count_dtype = np.min_scalar_type(len(sources))
-    per_run = min(n, max(1, min(_TILE, max(n, _TILE // 4)) // n_planes))
+    rows, cols = _run_shape(h, w, n_planes)
+    per_run = rows * cols
     cells = per_run * n_planes
-    workers = _thread_count(n // per_run, cells)
-    bounds = [n * k // workers for k in range(workers + 1)]  # each slab holds a whole run
+    runs = []  # (top row, left column, pixels an earlier run reduced)
+    for top in range(0, h, rows):
+        for left in range(0, w, cols):
+            # the last run of a row, and of the image, ends at its edge
+            first_row, first_col = min(top, h - rows), min(left, w - cols)
+            runs.append((first_row, first_col, (top - first_row) * w + left - first_col))
+    workers = _thread_count(len(runs), cells)
+    bounds = [len(runs) * k // workers for k in range(workers + 1)]
+    arrays_type = (_GatherArrays if all(isinstance(warp, _SeparableWarp) for _, warp in views)
+                   else _WorkArrays)
 
     # Each slab's work arrays, count row and run block are allocated here:
     # allocated in the pool threads, they would sit in per-thread malloc
     # arenas and raise the peak RSS of small sweeps.
-    per_slab = [(_WorkArrays(channels, cells), np.empty(cells, count_dtype),
+    per_slab = [(arrays_type(channels, cells), np.empty(cells, count_dtype),
                  np.empty((per_run, n_planes)), np.empty((per_run, n_planes), count_dtype))
                 for _ in range(workers)]
 
-    def sweep_slab(lo: int, hi: int,
-                   arrays: tuple[_WorkArrays, np.ndarray, np.ndarray, np.ndarray]) -> None:
+    def sweep_slab(slab_runs: list[tuple[int, int, int]],
+                   arrays: tuple[_GatherArrays, np.ndarray, np.ndarray, np.ndarray]) -> None:
         work, denom, costs, counts = arrays
         total, count = costs.reshape(-1), counts.reshape(-1)
-        diff = work.tmp[0]  # free once _bilinear_gather has returned
-        for start in range(lo, hi, per_run):
-            first = min(start, hi - per_run)  # the slab's last run ends at its last pixel
+        diff = work.corners[0, 0, 1]  # free once a warp has returned its samples
+        for top, left, done in slab_runs:
+            first = top * w + left
             run = slice(first, first + per_run)
+            rect = (slice(top, top + rows), slice(left, left + cols))
             total.fill(0.0)
             count.fill(0)
-            for src, uv, column in views:
-                np.add(uv[:, run, None], column, out=work.q.reshape(3, per_run, n_planes))
-                _to_pixels(work.q, K, work.valid, work.tmp, work.mask)
-                warped = _bilinear_gather(src, h, w, work.q[:2], work)
+            for src, warp in views:
+                warped = warp(src, run, rect, work)
                 cube = warped.reshape(channels, per_run, n_planes)  # a view: the cell axis is contiguous
                 cube -= target_cm[:, run, None]
                 np.abs(warped, out=warped)
@@ -353,9 +463,9 @@ def _sweep(
             np.maximum(count, 1, out=denom)
             np.divide(total, denom, out=total)
             np.copyto(total, np.inf, where=count == 0)
-            reduce(run, costs, counts)
+            reduce(slice(first + done, run.stop), costs[done:], counts[done:])
 
-    return [functools.partial(sweep_slab, lo, hi, arrays)
+    return [functools.partial(sweep_slab, runs[lo:hi], arrays)
             for lo, hi, arrays in zip(bounds[:-1], bounds[1:], per_slab)]
 
 

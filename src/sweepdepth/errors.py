@@ -30,6 +30,10 @@ class InvalidParameter(SweepDepthError, ValueError):
     """A camera, pose, or augmentation parameter is outside its valid domain."""
 
 
+class HomographyOverflow(InvalidParameter):
+    """A camera that passed Intrinsics gives a plane homography with an entry float64 cannot hold."""
+
+
 class VolumeTooLarge(SweepDepthError):
     """A cost volume or plane set would exceed the cell budget (costvolume.MAX_VOLUME_CELLS)."""
 

@@ -18,7 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameter, NonFiniteDepth, NonPositiveDepth, ShapeMismatch
+from .errors import (
+    HomographyOverflow,
+    InvalidParameter,
+    NonFiniteDepth,
+    NonPositiveDepth,
+    ShapeMismatch,
+)
 
 _ORTHONORMAL_TOL = 1e-9
 
@@ -228,16 +234,39 @@ class _PlaneProjection:
 
     @classmethod
     def of(cls, T: Pose, K: Intrinsics) -> "_PlaneProjection":
+        """The split homography of ``T`` under ``K``; raises HomographyOverflow when K R K^-1,
+        K t or a pixel term is not finite, as a camera far from square can make them once
+        the pose rotates, though K^-1 is finite."""
         Km = K.matrix()
-        A = Km @ T.rotation @ np.linalg.inv(Km)
         coords = _pixel_coords(K)
         coords[..., 2] = 0.0
-        uv = np.ascontiguousarray((coords @ A.T).reshape(-1, 3).T)
-        return cls(uv=uv, a=A[:, 2].copy(), b=Km @ T.translation)
+        with np.errstate(all="ignore"):  # an entry that overflows is refused below
+            A = Km @ T.rotation @ np.linalg.inv(Km)
+            terms = coords @ A.T
+            del coords  # at most two (H, W, 3) arrays are held at once
+            uv = np.ascontiguousarray(terms.reshape(-1, 3).T)
+            b = Km @ T.translation
+        if not (np.isfinite(A).all() and np.isfinite(b).all() and np.isfinite(uv).all()):
+            raise HomographyOverflow("the plane homography of this camera under a pose overflows")
+        return cls(uv=uv, a=A[:, 2].copy(), b=b)
 
     def column(self, d: float | np.ndarray) -> np.ndarray:
-        """H(d)'s last column: (3, 1) for a plane depth, (3, H*W) for a flat depth map."""
-        return self.a[:, None] + self.b[:, None] / d
+        """H(d)'s last column: (3, 1) for a plane depth, (3, P) for P plane depths, (3, H*W)
+        for a flat depth map; raises HomographyOverflow when an entry is not finite."""
+        with np.errstate(over="ignore"):
+            column = self.a[:, None] + self.b[:, None] / d
+        if not np.isfinite(column).all():
+            raise HomographyOverflow("the plane homography's last column K t / d overflows")
+        return column
+
+    def separated(self, K: Intrinsics) -> tuple[np.ndarray, np.ndarray, float] | None:
+        """(u of each column, v of each row, w) when the pixel terms separate, bit for bit:
+        ``uv[0]`` equal down every column, ``uv[1]`` equal along every row and ``uv[2]`` one
+        value, as for any pose without rotation; None when they do not."""
+        u, v, w = self.uv.reshape(3, K.height, K.width)
+        if (u == u[0]).all() and (v == v[:, :1]).all() and (w == w[0, 0]).all():
+            return u[0].copy(), v[:, 0].copy(), float(w[0, 0])
+        return None
 
 
 def _homography_grid(proj: _PlaneProjection, d: float | np.ndarray, K: Intrinsics) -> PixelGrid:
@@ -258,15 +287,22 @@ def _channel_major(img: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.moveaxis(img, 2, 0)).reshape(img.shape[2], -1)
 
 
-class _WorkArrays:
-    """Work arrays for warping and sampling ``n`` pixels of a C-channel image."""
+class _GatherArrays:
+    """Work arrays for gathering ``n`` bilinear samples of a C-channel image."""
 
     def __init__(self, channels: int, n: int):
-        self.q = np.empty((3, n))
-        self.tmp = np.empty((2, n))
         self.corners = np.empty((channels, 2, 2, n))
         self.index = np.empty((2, 2, n), dtype=np.intp)
         self.valid = np.empty(n, dtype=bool)
+
+
+class _WorkArrays(_GatherArrays):
+    """Work arrays for warping ``n`` pixels with ``_to_pixels`` and then gathering them."""
+
+    def __init__(self, channels: int, n: int):
+        super().__init__(channels, n)
+        self.q = np.empty((3, n))
+        self.tmp = np.empty((2, n))
         self.mask = np.empty((2, n), dtype=bool)
 
 
@@ -277,9 +313,9 @@ def _bilinear_gather(
 
     Returns a (C, n) view into ``work``. Entries where ``work.valid`` is
     false are moved to (0, 0) first, so they read pixel 0 (even a NaN
-    coordinate never becomes an index) and the caller masks them. The four
-    neighbours are gathered by flat index in one ``take``, and the weights
-    are computed once for all channels. Consumes uv.
+    coordinate never becomes an index) and the caller masks them. The
+    neighbours' flat indices and the weights are computed once for all
+    channels, and ``_take_and_blend`` gathers and blends them. Consumes uv.
     """
     np.logical_not(work.valid, out=work.mask[0])
     np.copyto(uv, 0.0, where=work.mask[0])
@@ -295,16 +331,26 @@ def _bilinear_gather(
     np.multiply(work.mask[1], width, out=index[1, 1])
     np.add(index[0, 0], index[1, 1], out=index[1, 0])
     index[1, 1] += index[0, 1]
-    corners = work.corners
-    np.take(src, index, axis=1, out=corners, mode="clip")
     one_minus = work.tmp
     np.subtract(1.0, uv, out=one_minus)
-    corners[:, :, 0] *= one_minus[0]
-    corners[:, :, 1] *= uv[0]
+    return _take_and_blend(src, index, work.corners, (one_minus[0], uv[0]), (one_minus[1], uv[1]))
+
+
+def _take_and_blend(src: np.ndarray, index: np.ndarray, corners: np.ndarray,
+                    u_weights: tuple[np.ndarray, np.ndarray],
+                    v_weights: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """The bilinear blend of ``src`` (C, pixels) at the 2x2 flat indices ``index``
+    (2, 2, *cells), [row][column], into ``corners`` (C, 2, 2, *cells): the left and
+    right columns weighted by ``u_weights`` (1 - fu, fu), then the top and bottom rows
+    by ``v_weights`` (1 - fv, fv), each weight broadcast to the cells. Returns the
+    (C, *cells) view of ``corners`` that holds the samples; ``corners[:, :, 1]`` is free."""
+    np.take(src, index, axis=1, out=corners, mode="clip")
+    corners[:, :, 0] *= u_weights[0]
+    corners[:, :, 1] *= u_weights[1]
     rows = corners[:, :, 0]
     rows += corners[:, :, 1]  # the top and bottom rows, interpolated along u
-    rows[:, 0] *= one_minus[1]
-    rows[:, 1] *= uv[1]
+    rows[:, 0] *= v_weights[0]
+    rows[:, 1] *= v_weights[1]
     out = rows[:, 0]
     out += rows[:, 1]
     return out

@@ -211,7 +211,7 @@ class TestDepth:
         def fail(*args):
             raise SweepDepthError("the sweep failed")
 
-        monkeypatch.setattr(costvolume, "_to_pixels", fail)
+        monkeypatch.setattr(costvolume, "_take_and_blend", fail)  # in the slabs, not the set-up
         argv = ["depth", "--data", str(box_dataset), "--out", str(tmp_path / "d.pfm"),
                 "--d-min", "1", "--d-max", "10", "--planes", "32", "--feature-scale", "1",
                 "--sources", "0", "2"]

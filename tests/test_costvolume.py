@@ -5,6 +5,7 @@ import sys
 import threading
 import tracemalloc
 import warnings
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -144,8 +145,8 @@ class TestBuildCostVolume:
     def test_matches_per_pixel_loop_oracle(self, rng, monkeypatch):
         # Vectorized homography path against the scalar reference, pose with
         # rotation and translation, two sources, 12x10 image, 6 planes. A
-        # _TILE of 32 gives 24 runs of 5 pixels with their 6 planes; 7 gives
-        # 120 runs of one pixel.
+        # _TILE of 32 gives 30 runs of 4 pixels with their 6 planes, three
+        # segments a row; 7 gives 120 runs of one pixel.
         w, h = 12, 10
         K = Intrinsics(fx=15.0, fy=14.0, cx=5.5, cy=4.5, width=w, height=h)
         target = FeatureMap(data=rng.random((h, w, 2)), scale=1)
@@ -181,13 +182,13 @@ class TestBuildCostVolume:
     def test_equals_per_plane_warp_and_sample(self, rendered_presets, monkeypatch, kind, tile):
         # The tiled kernel returns the same bits as composing the public
         # plane_warp_grid and bilinear_sample plane by plane, for 1 and 3
-        # channels. The 64x48 pixels with their 12 planes go in runs of 341
-        # pixels (_TILE 16384, a tile of _TILE // 4 cells), 83 (_TILE 1000)
-        # or 58 (_TILE 700). In one slab that is 10, 38 or 53 runs, the last
-        # overlapping the one before by 338, 82 or 2 pixels; in wider pools
-        # each slab's last run overlaps the one before it.
+        # channels. The 64x48 pixels with their 12 planes go in runs of 5
+        # rows (_TILE 16384, a tile of _TILE // 4 cells), one row (_TILE 1000)
+        # or half a row (_TILE 700): 10, 48 or 96 runs, the last of 5 rows
+        # overlapping the one before by 2 rows.
         # The second source's pose is yawed by 0.02 rad so the homography
-        # has rotation terms.
+        # has rotation terms: it takes the per-cell path and the first source
+        # the tables, in the same runs.
         monkeypatch.setattr(costvolume, "_TILE", tile)
         setup, frames = rendered_presets["moving_box"]
         f_t = extract_features(frames[1].image, kind, 1)
@@ -222,11 +223,10 @@ class TestBuildCostVolume:
 
     @pytest.mark.parametrize("threads", ["1", "4"])
     def test_prime_pixel_count(self, rng, monkeypatch, threads):
-        # A 1x127 strip with 8 planes and a _TILE of 64: runs of 8 pixels.
-        # At width 1 the one slab takes 16 runs, the last over pixels
-        # 119-126, sharing pixel 119 with the run before. At width 4 the
-        # slabs hold 31, 32, 32 and 32 pixels, and the first slab's last run
-        # shares pixel 23 with the run before it, on the same thread.
+        # A 1x127 strip with 8 planes and a _TILE of 64: 16 runs of 8 pixels,
+        # the last over pixels 119-126, sharing pixel 119 with the run before,
+        # which alone reduces it. At width 4 the slabs hold four runs each,
+        # pixels 0-31, 32-63, 64-95 and 96-126.
         monkeypatch.setattr(costvolume, "_TILE", 64)
         monkeypatch.setenv("SWEEPDEPTH_THREADS", threads)
         K = Intrinsics(fx=60.0, fy=60.0, cx=63.0, cy=0.0, width=127, height=1)
@@ -249,11 +249,12 @@ class TestBuildCostVolume:
 
     @pytest.mark.parametrize("threads", ["2", "3", "4"])
     def test_slab_boundaries(self, rng, monkeypatch, threads):
-        # 8 planes and a _TILE of 256: runs of 8 pixels. Strips of 9 and 15
-        # pixels hold one whole run, so they are one slab at any width; 25
-        # pixels hold three, in slabs of 12 and 13 pixels at width 2 or of 8,
-        # 8 and 9 at widths 3 and 4; a slab's second run overlaps its first.
-        # A pool sized by ceil(n / 8) would cut slabs shorter than a run.
+        # 8 planes and a _TILE of 256: at most 8 pixels a run, in equal
+        # segments of the strip. Strips of 9 and 15 pixels are two runs of 5
+        # or 8, which share a pixel, and 25 pixels are four runs of 7, the
+        # last sharing 3 pixels with the one before; slabs hold whole runs,
+        # so at widths 2 to 4 a shared pixel may sit in two slabs, and only
+        # the earlier run reduces it.
         monkeypatch.setattr(costvolume, "_TILE", 256)
         planes = linear_planes(1.0, 10.0, 8)
         interval = sys.getswitchinterval()
@@ -279,16 +280,17 @@ class TestBuildCostVolume:
     @pytest.mark.parametrize("tile, planes", [(32768, 32), (32768, 96), (1000, 12), (8, 12)])
     def test_work_arrays_hold_one_tile(self, rendered_presets, monkeypatch, tile, planes):
         # Peak memory: each pool thread's work arrays hold at most one tile
-        # of cells, and at least one pixel with all its planes.
+        # of cells, and at least one pixel with all its planes. Every set of
+        # work arrays, with or without the per-cell warp's, is a _GatherArrays.
         made = []
+        init = geometry._GatherArrays.__init__
 
-        class Recorded(geometry._WorkArrays):
-            def __init__(self, channels, n):
-                super().__init__(channels, n)
-                made.append(n)
+        def recorded(self, channels, n):
+            init(self, channels, n)
+            made.append(n)
 
         monkeypatch.setattr(costvolume, "_TILE", tile)
-        monkeypatch.setattr(costvolume, "_WorkArrays", Recorded)
+        monkeypatch.setattr(geometry._GatherArrays, "__init__", recorded)
         setup, frames = rendered_presets["static_lateral"]
         f_t = extract_features(frames[1].image, "gradient", 1)
         source = (extract_features(frames[0].image, "gradient", 1),
@@ -314,6 +316,140 @@ def _per_plane_composition(target, sources, K, planes):
         costs[:, :, p] = np.where(count > 0, total / np.maximum(count, 1), np.inf)
         counts[:, :, p] = count
     return costs, counts
+
+
+def _rotation(kind: str) -> np.ndarray:
+    """A rotation by name: "identity", the half turn about the optical axis "flip",
+    "yaw" by 0.02 rad, or "<axis> <sine>" with a cosine of exactly 1 for a subnormal sine."""
+    if kind == "identity":
+        return np.eye(3)
+    if kind == "flip":
+        return np.diag([-1.0, -1.0, 1.0])
+    axis, sine = ("y", np.sin(0.02)) if kind == "yaw" else (kind.split()[0], float(kind.split()[1]))
+    c = np.sqrt(1.0 - sine * sine)
+    i, j = {"x": (1, 2), "y": (2, 0), "z": (0, 1)}[axis]
+    rotation = np.eye(3)
+    rotation[i, i] = rotation[j, j] = c
+    rotation[i, j], rotation[j, i] = -sine, sine
+    return rotation
+
+
+def _same_bits(got: np.ndarray, want: np.ndarray) -> None:
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+class TestSeparableWarp:
+    """A source whose pixel terms separate is swept from a column and a row table, any
+    other cell by cell; both give the bits of the per-plane composition."""
+
+    _ROTATIONS = ["identity", "flip", "z 5e-324", "z 1e-310", "x 5e-324", "y 1e-310", "yaw"]
+    _OFFSETS = [0.0, -0.0, 5e-324, -1e-310, 0.05, -0.3, 1e6, -1e6]
+
+    @given(
+        poses=st.lists(st.tuples(st.sampled_from(_ROTATIONS),
+                                 st.tuples(*[st.sampled_from(_OFFSETS)] * 3)), min_size=1, max_size=2),
+        height=st.integers(1, 9), width=st.integers(1, 9), n_planes=st.integers(2, 8),
+        channels=st.sampled_from([1, 3]), tile=st.integers(1, 200),
+        threads=st.sampled_from(["1", "3"]), seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_every_sweep_is_the_per_plane_composition(self, poses, height, width, n_planes,
+                                                       channels, tile, threads, seed):
+        rng = np.random.default_rng(seed)
+        K = Intrinsics(fx=7.5, fy=6.0, cx=(width - 1) / 2, cy=(height - 1) / 3,
+                       width=width, height=height)
+        target = FeatureMap(data=rng.random((height, width, channels)), scale=1)
+        sources = [(FeatureMap(data=rng.random((height, width, channels)), scale=1),
+                    Pose(_rotation(kind), np.array(t))) for kind, t in poses]
+        planes = linear_planes(0.5, 6.0, n_planes)
+        saved = costvolume._TILE, os.environ.get("SWEEPDEPTH_THREADS")
+        costvolume._TILE, os.environ["SWEEPDEPTH_THREADS"] = tile, threads
+        try:
+            cv = build_cost_volume(target, sources, K, planes)
+            alone = sweep_argmin(target, sources, K, planes)
+            out = np.full((n_planes, height * width), np.nan)
+            with costvolume.started_sweep_argmin(target, sources, K, planes, out=out) as join:
+                beside = join()
+        finally:
+            costvolume._TILE = saved[0]
+            if saved[1] is None:
+                del os.environ["SWEEPDEPTH_THREADS"]
+            else:
+                os.environ["SWEEPDEPTH_THREADS"] = saved[1]
+        want_costs, want_counts = _per_plane_composition(target, sources, K, planes)
+        _same_bits(cv.costs, want_costs)
+        _same_bits(cv.valid_count, want_counts)
+        for got in (alone, beside):
+            for g, w in zip(got, argmin_depth(cv, planes)):
+                _same_bits(g, w)
+        _same_bits(out, np.ascontiguousarray(cv.costs.reshape(-1, n_planes).T))
+
+    @pytest.mark.parametrize("name", ["static_lateral", "static_forward", "moving_box"])
+    def test_tables_and_cells_give_the_same_bits(self, rendered_presets, monkeypatch, name):
+        # the presets' relative poses have no rotation, so every source takes the tables;
+        # with the separability check off, the same sweep runs every source cell by cell
+        setup, frames = rendered_presets[name]
+        f_t = extract_features(frames[1].image, "gradient", 1)
+        sources = [(extract_features(frames[i].image, "gradient", 1),
+                    relative_pose(frames[1].pose, frames[i].pose)) for i in (0, 2)]
+        planes = linear_planes(1.0, 10.0, 32)
+        for _, pose in sources:
+            assert geometry._PlaneProjection.of(pose, setup.K).separated(setup.K) is not None
+        tables = build_cost_volume(f_t, sources, setup.K, planes), sweep_argmin(f_t, sources, setup.K, planes)
+        monkeypatch.setattr(geometry._PlaneProjection, "separated", lambda self, K: None)
+        cells = build_cost_volume(f_t, sources, setup.K, planes), sweep_argmin(f_t, sources, setup.K, planes)
+        for got, want in ((tables[0].costs, cells[0].costs),
+                          (tables[0].valid_count, cells[0].valid_count), *zip(tables[1], cells[1])):
+            _same_bits(got, want)
+        assert np.isfinite(tables[0].costs).mean() > 0.5
+
+    def test_holds_tables_not_pixel_terms(self, rng, monkeypatch):
+        # kitti_fine's shape: 640x192 at scale 1, two sources and 96 planes, in one slab.
+        # Swept cell by cell, with each source's (3, H'W') pixel terms (2.9 MB) held and
+        # the per-cell warp arrays (1.3 MB), it peaks at 12.8 MB; from tables, at 10.8 MB.
+        # Two sources' tables hold 5.3 MB.
+        monkeypatch.setenv("SWEEPDEPTH_THREADS", "1")
+        h, w, n_planes = 192, 640, 96
+        K = Intrinsics(fx=720.0, fy=720.0, cx=319.5, cy=95.5, width=w, height=h)
+
+        def features():  # channel-major memory, as gradient features are
+            return FeatureMap(data=np.moveaxis(rng.random((3, h, w)), 0, -1), scale=1)
+
+        target = features()
+        sources = [(features(), Pose.from_translation(tx, 0.0, tz)) for tx, tz in ((-0.5, -0.8), (0.5, 0.8))]
+        planes = linear_planes(1.0, 10.0, n_planes)
+        terms, table_sizes, held = [], [], []
+        of, table_init, argmin_rows = geometry._PlaneProjection.of, costvolume._AxisTable.__init__, costvolume._argmin_rows
+
+        def recorded_of(cls, *args):
+            proj = of(*args)
+            assert proj.uv.shape == (3, h * w)
+            terms.append(weakref.ref(proj.uv))
+            return proj
+
+        def recorded_table(self, *args):
+            table_init(self, *args)
+            table_sizes.extend(a.size for a in (self.valid, self.index, self.step, *self.weights))
+
+        def reduce_run(*args):
+            held.append(sum(ref() is not None for ref in terms))
+            argmin_rows(*args)
+
+        monkeypatch.setattr(geometry._PlaneProjection, "of", classmethod(recorded_of))
+        monkeypatch.setattr(costvolume._AxisTable, "__init__", recorded_table)
+        monkeypatch.setattr(costvolume, "_argmin_rows", reduce_run)
+        tracemalloc.start()
+        try:
+            depth, valid = sweep_argmin(target, sources, K, planes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12e6
+        assert len(terms) == 2 and len(table_sizes) == 2 * 2 * 5
+        assert max(table_sizes) <= max(h, w) * n_planes
+        assert len(held) == 2 * 192 and not any(held)  # no run sees a source's pixel terms
+        assert valid.mean() > 0.99
 
 
 class TestVolumeBudget:
@@ -451,7 +587,7 @@ class TestStartedSweep:
         def fail(*arrays):
             raise error
 
-        monkeypatch.setattr(costvolume, "_to_pixels", fail)
+        monkeypatch.setattr(costvolume, "_take_and_blend", fail)  # in the slabs, not the set-up
         before = threading.active_count()
         for sweep in (build_cost_volume, sweep_argmin):
             with pytest.raises(SweepDepthError) as raised:
@@ -635,7 +771,7 @@ class TestSweepArgmin:
 
     @pytest.mark.parametrize("spacing", ["linear", "inverse"])
     def test_rendered_scene(self, rendered_presets, threads, spacing):
-        # 64x48 pixels with 96 planes, two sources: runs of 85 pixels
+        # 64x48 pixels with 96 planes, two sources: runs of one row
         setup, frames = rendered_presets["moving_box"]
         f_t = extract_features(frames[1].image, "gradient", 1)
         sources = [(extract_features(frames[i].image, "gradient", 1),
@@ -644,7 +780,7 @@ class TestSweepArgmin:
 
     def test_slab_boundaries(self, rng, monkeypatch, threads):
         # The strips of TestBuildCostVolume.test_slab_boundaries: 8 planes and
-        # a _TILE of 256 give runs of 8 pixels, and a slab's last run
+        # a _TILE of 256 give runs of at most 8 pixels, and a strip's last run
         # overlaps the run before it.
         monkeypatch.setattr(costvolume, "_TILE", 256)
         planes = linear_planes(1.0, 10.0, 8)
@@ -700,7 +836,7 @@ class TestSweepArgmin:
         # numpy reports its buffers to tracemalloc, so the peak counts every
         # array the sweep allocates. One 96x320, 96-plane volume holds 26.5 MB
         # of costs and counts; the reduce path keeps one pool thread's work
-        # arrays for a tile of 32768 cells (1.4 MB with one feature channel),
+        # arrays for a run of one 320-pixel row (2 MB with one feature channel),
         # the channel-major inputs and the per-pixel results.
         monkeypatch.setenv("SWEEPDEPTH_THREADS", "1")
         h, w = 96, 320
@@ -867,10 +1003,9 @@ class TestEndToEndRecovery:
         assert np.median(err[~box]) < floor
 
     def test_thread_count_does_not_change_result(self, rendered_presets, monkeypatch):
-        # 64x48 pixels with their 16 planes in runs of 62 (_TILE 1000) or 43
-        # (_TILE 700). At width 1 that is 50 or 72 runs, the last overlapping
-        # the one before by 28 or 24 pixels; at width 4, four slabs of 768
-        # pixels in 13 or 18 runs each, the last overlapping by 38 or 6.
+        # 64x48 pixels with their 16 planes in runs of half a row at _TILE
+        # 1000 and 700: 96 runs, one slab at width 1, four slabs of 24 runs
+        # at width 4.
         setup, frames = rendered_presets["static_lateral"]
         planes = linear_planes(1.0, 10.0, 16)
         for tile in (1000, 700):

@@ -3,13 +3,14 @@
 import dataclasses
 import hashlib
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sweepdepth.errors import InvalidParameter, NonPositiveDepth, ShapeMismatch
+from sweepdepth.errors import HomographyOverflow, InvalidParameter, NonPositiveDepth, ShapeMismatch
 from sweepdepth.geometry import (
     Intrinsics,
     PixelGrid,
@@ -90,6 +91,22 @@ class TestIntrinsics:
         assert np.isfinite(np.linalg.inv(corner.scaled(4).matrix())).all()
         with pytest.raises(InvalidParameter, match="invert K"):
             corner.scaled(4).scaled(4)
+
+    def test_refuses_a_homography_that_overflows(self):
+        # K^-1 is finite, but rolled by 0.05 rad K R K^-1 holds -fx / fy sin(0.05) = -5e306,
+        # and its pixel terms 99 times that; a plane at 1e-10 m puts fx t_x / d at 1e318
+        wide = dataclasses.replace(K, fx=1e308, fy=1.0)
+        c, s = np.cos(0.05), np.sin(0.05)
+        rolled = Pose(np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]]), np.zeros(3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for d, pose in ((2.0, rolled), (1e-10, Pose.from_translation(1.0, 0.0, 0.0))):
+                with pytest.raises(HomographyOverflow):
+                    plane_warp_grid(d, pose, wide)
+            with pytest.raises(HomographyOverflow):
+                reproject_grid(np.full((K.height, K.width), 2.0), rolled, wide)
+            # at 2 m the same column is finite, and every sample lands out of bounds
+            assert not plane_warp_grid(2.0, Pose.from_translation(1.0, 0.0, 0.0), wide).valid.any()
 
 
 class TestPose:

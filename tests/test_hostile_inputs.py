@@ -149,13 +149,20 @@ def test_hostile_focal_length(dataset, tmp_path, command, name, value):
     # a well-formed intrinsics.json whose K^-1 may not be finite: 1 / 5e-324 and
     # 7.5 / 1e-308 overflow to inf, and a float division gives inf without a warning
     shutil.copytree(dataset, tmp_path / "data")
+    _run_camera(_argv(command, tmp_path / "data", tmp_path), tmp_path, {name: value})
+
+
+def _run_camera(argv, tmp_path, camera):
+    """Exit code of ``argv`` on the dataset under ``tmp_path / "data"`` with ``camera``'s
+    fields set in its intrinsics.json, after asserting that it warned nowhere, and printed
+    a strict-JSON report or failed naming intrinsics.json with no output file."""
     path = tmp_path / "data" / "intrinsics.json"
-    path.write_text(json.dumps({**json.loads(path.read_text()), name: value}))
+    path.write_text(json.dumps({**json.loads(path.read_text()), **camera}))
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(record=True) as caught, \
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         warnings.simplefilter("always")
-        code = main(_argv(command, tmp_path / "data", tmp_path))
+        code = main(argv)
     assert not caught, [str(w.message) for w in caught]
     if code == 0:
         _strict_json(out.getvalue())
@@ -163,6 +170,38 @@ def test_hostile_focal_length(dataset, tmp_path, command, name, value):
         assert code == 1 and err.getvalue().startswith("error:"), (code, err.getvalue())
         assert "intrinsics.json" in err.getvalue(), err.getvalue()
         assert [p.name for p in tmp_path.iterdir()] == ["data"]
+    return code
+
+
+@pytest.fixture(scope="module")
+def rolled_dataset(tmp_path_factory):
+    """static_lateral with frame 0's camera rolled 0.05 rad about its optical axis."""
+    data = tmp_path_factory.mktemp("rolled") / "data"
+    assert main(["synth", "--scene", "static_lateral", "--out", str(data)]) == 0
+    c, s = math.cos(0.05), math.sin(0.05)
+    (data / "pose_0000.json").write_text(json.dumps({"R": [c, -s, 0, s, c, 0, 0, 0, 1],
+                                                     "t": [0, 0, 0]}))
+    return data
+
+
+@pytest.mark.parametrize("command", ["depth", "depth_dump_cv", "loss"])
+@pytest.mark.parametrize("fx, fy", [(1e308, 1.0), (1.0, 1e308), (1e300, 1e-300)])
+def test_hostile_focal_length_under_rotation(rolled_dataset, tmp_path, command, fx, fy):
+    # each camera passes Intrinsics, but under the rolled pose K R K^-1 holds fx / fy
+    # and fy / fx times the roll's sine, and its pixel terms up to 63 times that: one
+    # of them overflows, at feature scale 1, for every command
+    shutil.copytree(rolled_dataset, tmp_path / "data")
+    data = str(tmp_path / "data")
+    sweep = ["--target", "1", "--feature-scale", "1", "--planes", "4", "--d-min", "1", "--d-max", "10"]
+    argv = {
+        "depth": ["depth", "--data", data, *sweep, "--sources", "0", "--out", str(tmp_path / "d.pfm")],
+        "depth_dump_cv": ["depth", "--data", data, *sweep, "--sources", "0",
+                          "--out", str(tmp_path / "d.pfm"), "--dump-cv", str(tmp_path / "v.swpcv")],
+        "loss": ["loss", "--data", data, *sweep, "--cv-sources", "0", "--sources", "0",
+                 "--student", data + "/depth_0001.pfm", "--teacher", data + "/depth_0001.pfm",
+                 "--out", str(tmp_path / "loss.json")],
+    }[command]
+    assert _run_camera(argv, tmp_path, {"fx": fx, "fy": fy}) == 1
 
 
 @pytest.mark.parametrize("how", ["resize", "truncate"])
