@@ -47,7 +47,7 @@ from .costvolume import (
     started_sweep_argmin,
     upsample_nearest,
 )
-from .errors import HomographyOverflow, ShapeMismatch, SweepDepthError
+from .errors import HomographyOverflow, InvalidParameter, ShapeMismatch, SweepDepthError
 from .evaluation import (
     CROP_SCHEMES,
     DEPTH_CAP,
@@ -127,10 +127,19 @@ def _resolve_planes(args) -> DepthPlaneSet:
     if from_flags:
         d_min, d_max = args.d_min, args.d_max
     else:
-        state = sdio.read_json(args.adaptive_state, lambda obj: AdaptiveRangeState(**obj))
+        state = sdio.read_json(args.adaptive_state, _state_from_json)
         d_min, d_max = state.d_min, state.d_max
     spacing = "inverse" if args.inverse_depth_planes else "linear"
     return DepthPlaneSet(d_min, d_max, args.planes, spacing)
+
+
+def _state_from_json(obj: dict) -> AdaptiveRangeState:
+    """An --adaptive-state record: numbers ``d_min``, ``d_max`` and ``momentum`` (by
+    ``io.number``) and the boolean ``frozen``; any other key fails."""
+    if not isinstance(obj.get("frozen", False), bool):
+        raise InvalidParameter(f"frozen must be true or false, got {obj['frozen']!r}")
+    numbers = {name: sdio.number(obj[name], name) for name in ("d_min", "d_max", "momentum") if name in obj}
+    return AdaptiveRangeState(**{**obj, **numbers})
 
 
 def _check_frames(target: int, source_idxs: list[int], count: int) -> None:

@@ -30,11 +30,12 @@ from .features import FeatureMap
 from .geometry import (
     Intrinsics,
     Pose,
+    _axis_terms,
     _bilinear_gather,
     _channel_major,
+    _gather,
     _GatherArrays,
     _PlaneProjection,
-    _take_and_blend,
     _to_pixels,
     _WorkArrays,
     require_positive_depth,
@@ -201,14 +202,15 @@ def build_cost_volume(
     calling thread, and is then copied into its own rows of ``costs`` and
     ``valid_count``.
 
-    A source whose pixel terms separate (``_PlaneProjection.separated``), as
-    for any pose without rotation, is warped from a column table and a row
-    table built once per sweep on the calling thread; a run broadcasts their
-    entries against each other. Any other source is warped cell by cell.
-    Both warps give the same bits, and every cell takes the same arithmetic
-    in any run, so the result is bit-identical whatever the pool width, the
-    tile size or the execution order. A volume over MAX_VOLUME_CELLS raises
-    VolumeTooLarge before anything is allocated.
+    Each source has one warp, built once per sweep on the calling thread: a
+    column and a row table, broadcast against each other in a run, when its
+    pixel terms separate (``_PlaneProjection.separated``), as for any pose
+    without rotation, or else its pixel terms, projected cell by cell. Both
+    sample through ``bilinear_sample``'s gather core and give the same bits,
+    and every cell takes the same arithmetic in any run, so the result is
+    bit-identical whatever the pool width, the tile size or the execution
+    order. A volume over MAX_VOLUME_CELLS raises VolumeTooLarge before
+    anything is allocated.
     """
     _check_sweep(target, sources, K, planes)
     shape = (*target.shape[:2], len(planes))
@@ -316,88 +318,57 @@ def _run_shape(h: int, w: int, n_planes: int) -> tuple[int, int]:
     return 1, -(-w // segments)
 
 
-class _AxisTable:
-    """One axis of a separable source's warp, (N, P) for its N pixel coordinates and P
-    planes: the validity, the floor as a flat-index offset, the offset of the next
-    neighbour along the axis (0 at the far edge), and the blend weights (1 - fraction,
-    fraction). Entries that no valid cell reads are zeroed first, as _bilinear_gather
-    zeroes invalid cells. Built from ``coords``, the axis's coordinates after ``_to_pixels``."""
+def _axis_table(terms: tuple[np.ndarray, np.ndarray, float], axis: int, column: np.ndarray,
+                K: Intrinsics) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The validity and ``_axis_terms``' offsets and weights, (N, P), of the N coordinates
+    ``terms[axis]`` (0: columns, 1: rows) under the P plane columns ``column``: through
+    ``_to_pixels`` with the other pixel coordinate 0, which is in bounds, so the validity
+    is the axis's own. Invalid entries are zeroed first, as ``_bilinear_gather`` zeroes them."""
+    coords = terms[axis]
+    q = np.zeros((3, len(coords), column.shape[1]))
+    np.add(coords[:, None], column[axis], out=q[axis])
+    np.add(terms[2], column[2], out=q[2])
+    valid = np.empty(q.shape[1:], bool)
+    _to_pixels(q, K, valid, np.empty(q[:2].shape), np.empty(q[:2].shape, bool))
+    np.copyto(q[axis], 0.0, where=~valid)
+    size, stride = (K.width, 1) if axis == 0 else (K.height, K.width)
+    return valid, *_axis_terms(q[axis], size, stride, np.empty((2, *valid.shape), np.intp),
+                               np.empty((2, *valid.shape)))
 
-    def __init__(self, coords: np.ndarray, valid: np.ndarray, size: int, stride: int):
-        np.copyto(coords, 0.0, where=~valid)
-        base = np.floor(coords)
-        fraction = coords - base
-        self.valid = valid
-        self.index = (base * stride).astype(np.intp)  # floor(v) * W' + floor(u) sums exactly
-        self.step = np.multiply(base < size - 1, stride, dtype=np.intp)
-        self.weights = (1.0 - fraction, fraction)
 
+class _Warp:
+    """A source's warp over the planes at ``depths``: a column table (W', P) and a row
+    table (H', P) from ``_axis_table`` when its pixel terms separate
+    (``_PlaneProjection.separated``), as for any pose without rotation, or else its
+    (3, H'W') pixel terms, projected cell by cell. Both sample through ``_gather``, and
+    a cell's coordinates, validity, corner indices and weights are the same bits."""
 
-class _SeparableWarp:
-    """The warp of a source whose pixel terms separate (``_PlaneProjection.separated``),
-    as a column table (W', P) and a row table (H', P). Each comes from ``_to_pixels`` on
-    (3, N, P) homogeneous coordinates with the other pixel coordinate set to 0, which is
-    in bounds, so its validity is its own axis's. A cell's coordinates, validity, corner
-    indices and weights are the per-cell path's, bit for bit."""
-
-    def __init__(self, terms: tuple[np.ndarray, np.ndarray, float], column: np.ndarray,
-                 K: Intrinsics):
-        tables = []
-        for axis, (coords, size, stride) in enumerate(((terms[0], K.width, 1),
-                                                       (terms[1], K.height, K.width))):
-            q = np.zeros((3, len(coords), column.shape[1]))
-            np.add(coords[:, None], column[axis], out=q[axis])
-            np.add(terms[2], column[2], out=q[2])
-            valid = np.empty(q.shape[1:], bool)
-            _to_pixels(q, K, valid, np.empty(q[:2].shape), np.empty(q[:2].shape, bool))
-            tables.append(_AxisTable(q[axis], valid, size, stride))
-        self.cols, self.rows = tables
+    def __init__(self, pose: Pose, K: Intrinsics, depths: np.ndarray):
+        proj = _PlaneProjection.of(pose, K)
+        self.K, self.column = K, proj.column(depths)
+        terms = proj.separated(K)
+        self.uv = proj.uv if terms is None else None
+        del proj  # a separable source's pixel terms go before its tables are built
+        self.tables = None if terms is None else [_axis_table(terms, axis, self.column, K)
+                                                  for axis in (0, 1)]
 
     def __call__(self, src: np.ndarray, run: slice, rect: tuple[slice, slice],
                  work: _GatherArrays) -> np.ndarray:
-        """The (C, cells) samples of the run ``rect`` (rows, columns) from the tables,
-        broadcast row against column; fills ``work.valid``."""
-        rows, cols = self.rows, self.cols
+        """The (C, cells) samples of the pixels ``run``, the rectangle ``rect`` (rows,
+        columns); fills ``work.valid``. A warp without tables needs ``_WorkArrays``."""
+        if self.tables is None:
+            q = work.q.reshape(3, run.stop - run.start, -1)
+            np.add(self.uv[:, run, None], self.column[:, None, :], out=q)
+            _to_pixels(work.q, self.K, work.valid, work.tmp, work.mask)
+            return _bilinear_gather(src, self.K.height, self.K.width, work.q[:2], work)
+        (col_valid, col_offsets, col_weights), (row_valid, row_offsets, row_weights) = self.tables
         r, c = rect
-        shape = (r.stop - r.start, c.stop - c.start, cols.valid.shape[1])
-        np.logical_and(rows.valid[r, None], cols.valid[c], out=work.valid.reshape(shape))
-        index = work.index.reshape(2, 2, *shape)
-        np.add(rows.index[r, None], cols.index[c], out=index[0, 0])
-        np.add(index[0, 0], cols.step[c], out=index[0, 1])
-        np.add(index[0, 0], rows.step[r, None], out=index[1, 0])
-        np.add(index[1, 0], cols.step[c], out=index[1, 1])
-        _take_and_blend(src, index, work.corners.reshape(len(src), 2, 2, *shape),
-                        (cols.weights[0][c], cols.weights[1][c]),
-                        (rows.weights[0][r, None], rows.weights[1][r, None]))
+        shape = (r.stop - r.start, c.stop - c.start, col_valid.shape[1])
+        np.logical_and(row_valid[r, None], col_valid[c], out=work.valid.reshape(shape))
+        _gather(src, (col_offsets[:, c], col_weights[:, c]),
+                (row_offsets[:, r, None], row_weights[:, r, None]),
+                work.index.reshape(2, 2, *shape), work.corners.reshape(len(src), 2, 2, *shape))
         return work.corners[:, 0, 0]
-
-
-class _CellWarp:
-    """The warp of any other source, cell by cell: its (3, H'W') pixel terms plus each
-    plane's column, through ``_to_pixels`` and ``_bilinear_gather``."""
-
-    def __init__(self, uv: np.ndarray, column: np.ndarray, K: Intrinsics):
-        self.uv, self.column, self.K = uv, column[:, None, :], K
-
-    def __call__(self, src: np.ndarray, run: slice, rect: tuple[slice, slice],
-                 work: _WorkArrays) -> np.ndarray:
-        """The (C, cells) samples of the pixels ``run``; fills ``work.valid``."""
-        q = work.q.reshape(3, run.stop - run.start, -1)
-        np.add(self.uv[:, run, None], self.column, out=q)
-        _to_pixels(work.q, self.K, work.valid, work.tmp, work.mask)
-        return _bilinear_gather(src, self.K.height, self.K.width, work.q[:2], work)
-
-
-def _warp(pose: Pose, K: Intrinsics, depths: np.ndarray) -> _SeparableWarp | _CellWarp:
-    """A source's warp over the planes at ``depths``: from tables when its pixel terms
-    separate, cell by cell otherwise."""
-    proj = _PlaneProjection.of(pose, K)
-    column = proj.column(depths)
-    terms = proj.separated(K)
-    if terms is None:
-        return _CellWarp(proj.uv, column, K)
-    del proj  # its (3, H'W') pixel terms go before the tables are built
-    return _SeparableWarp(terms, column, K)
 
 
 def _sweep(
@@ -417,7 +388,7 @@ def _sweep(
     h, w, channels = target.shape
     n_planes = len(planes)
     target_cm = _channel_major(target.data)
-    views = [(_channel_major(fmap.data), _warp(pose, K, planes.depths)) for fmap, pose in sources]
+    views = [(_channel_major(fmap.data), _Warp(pose, K, planes.depths)) for fmap, pose in sources]
     count_dtype = np.min_scalar_type(len(sources))
     rows, cols = _run_shape(h, w, n_planes)
     per_run = rows * cols
@@ -430,8 +401,7 @@ def _sweep(
             runs.append((first_row, first_col, (top - first_row) * w + left - first_col))
     workers = _thread_count(len(runs), cells)
     bounds = [len(runs) * k // workers for k in range(workers + 1)]
-    arrays_type = (_GatherArrays if all(isinstance(warp, _SeparableWarp) for _, warp in views)
-                   else _WorkArrays)
+    arrays_type = _GatherArrays if all(warp.tables for _, warp in views) else _WorkArrays
 
     # Each slab's work arrays, count row and run block are allocated here:
     # allocated in the pool threads, they would sit in per-thread malloc

@@ -14,6 +14,7 @@ All operations are pure and operate on float64 numpy arrays.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -306,6 +307,56 @@ class _WorkArrays(_GatherArrays):
         self.mask = np.empty((2, n), dtype=bool)
 
 
+def _axis_terms(coords: np.ndarray, size: int, stride: int, offsets: Sequence[np.ndarray],
+                weights: Sequence[np.ndarray]) -> tuple[Sequence[np.ndarray], Sequence[np.ndarray]]:
+    """One axis of a bilinear gather at the in-bounds ``coords``, along an axis of ``size``
+    pixels whose neighbours lie ``stride`` flat entries apart: into the intp pair
+    ``offsets`` the floor as a flat-index offset, floor * stride cast exactly, and the step
+    to the next neighbour, stride or 0 at the far edge; into the float pair ``weights``
+    (1 - f, f) for the fraction f. ``weights[1]`` may be ``coords``, which is consumed.
+    Returns (offsets, weights)."""
+    floor, fraction = weights
+    np.floor(coords, out=floor)
+    np.subtract(coords, floor, out=fraction)
+    index, step = offsets
+    np.less(floor, size - 1, out=step)
+    if stride != 1:  # a product with 1 is an idle pass
+        step *= stride
+        floor *= stride
+    np.copyto(index, floor, casting="unsafe")
+    np.subtract(1.0, fraction, out=floor)
+    return offsets, weights
+
+
+def _gather(src: np.ndarray, cols: tuple, rows: tuple, index: np.ndarray,
+            corners: np.ndarray) -> np.ndarray:
+    """The bilinear samples of ``src`` (C, pixels) from ``_axis_terms``' (offsets, weights)
+    of the columns and of the rows, broadcast against each other to the cells of ``index``
+    (2, 2, *cells). The 2x2 flat indices, [row][column], go into ``index``; only two of
+    their four sums read a row term, which a table run broadcasts. ``index`` may hold the
+    column offsets as (``index[0, 0]``, ``index[1, 1]``) and the row offsets as
+    (``index[0, 1]``, ``index[1, 0]``): each is read before it is overwritten. The indices'
+    values go into ``corners`` (C, 2, 2, *cells): the left and right columns are weighted
+    by (1 - fu, fu), then the top and bottom rows by (1 - fv, fv). Returns the (C, *cells)
+    view of ``corners`` that holds the samples; ``corners[:, :, 1]`` is free."""
+    (col, col_step), u_weights = cols
+    (row, row_step), v_weights = rows
+    np.add(row, col, out=index[0, 0])
+    np.add(index[0, 0], col_step, out=index[0, 1])
+    np.add(index[0, 0], row_step, out=index[1, 0])
+    np.add(index[1, 0], col_step, out=index[1, 1])
+    np.take(src, index, axis=1, out=corners, mode="clip")
+    corners[:, :, 0] *= u_weights[0]
+    corners[:, :, 1] *= u_weights[1]
+    blend = corners[:, :, 0]
+    blend += corners[:, :, 1]  # the top and bottom rows, interpolated along u
+    blend[:, 0] *= v_weights[0]
+    blend[:, 1] *= v_weights[1]
+    out = blend[:, 0]
+    out += blend[:, 1]
+    return out
+
+
 def _bilinear_gather(
     src: np.ndarray, height: int, width: int, uv: np.ndarray, work: _WorkArrays
 ) -> np.ndarray:
@@ -313,47 +364,16 @@ def _bilinear_gather(
 
     Returns a (C, n) view into ``work``. Entries where ``work.valid`` is
     false are moved to (0, 0) first, so they read pixel 0 (even a NaN
-    coordinate never becomes an index) and the caller masks them. The
-    neighbours' flat indices and the weights are computed once for all
-    channels, and ``_take_and_blend`` gathers and blends them. Consumes uv.
+    coordinate never becomes an index) and the caller masks them. Each
+    axis's offsets and weights are computed once for all channels, into
+    ``work.index`` and ``work.tmp``. Consumes uv.
     """
     np.logical_not(work.valid, out=work.mask[0])
     np.copyto(uv, 0.0, where=work.mask[0])
-    base = work.tmp
-    np.floor(uv, out=base)
-    uv -= base  # uv now holds the fractional weights (fu, fv)
-    np.less(base, [[width - 1], [height - 1]], out=work.mask)  # right, lower neighbour exists
-    base[1] *= width
-    base[1] += base[0]
-    index = work.index  # [row][column] of the 2x2 neighbourhood
-    np.copyto(index[0, 0], base[1], casting="unsafe")  # floor(v) * width + floor(u), exact
-    np.add(index[0, 0], work.mask[0], out=index[0, 1])
-    np.multiply(work.mask[1], width, out=index[1, 1])
-    np.add(index[0, 0], index[1, 1], out=index[1, 0])
-    index[1, 1] += index[0, 1]
-    one_minus = work.tmp
-    np.subtract(1.0, uv, out=one_minus)
-    return _take_and_blend(src, index, work.corners, (one_minus[0], uv[0]), (one_minus[1], uv[1]))
-
-
-def _take_and_blend(src: np.ndarray, index: np.ndarray, corners: np.ndarray,
-                    u_weights: tuple[np.ndarray, np.ndarray],
-                    v_weights: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """The bilinear blend of ``src`` (C, pixels) at the 2x2 flat indices ``index``
-    (2, 2, *cells), [row][column], into ``corners`` (C, 2, 2, *cells): the left and
-    right columns weighted by ``u_weights`` (1 - fu, fu), then the top and bottom rows
-    by ``v_weights`` (1 - fv, fv), each weight broadcast to the cells. Returns the
-    (C, *cells) view of ``corners`` that holds the samples; ``corners[:, :, 1]`` is free."""
-    np.take(src, index, axis=1, out=corners, mode="clip")
-    corners[:, :, 0] *= u_weights[0]
-    corners[:, :, 1] *= u_weights[1]
-    rows = corners[:, :, 0]
-    rows += corners[:, :, 1]  # the top and bottom rows, interpolated along u
-    rows[:, 0] *= v_weights[0]
-    rows[:, 1] *= v_weights[1]
-    out = rows[:, 0]
-    out += rows[:, 1]
-    return out
+    index, tmp = work.index, work.tmp
+    cols = _axis_terms(uv[0], width, 1, (index[0, 0], index[1, 1]), (tmp[0], uv[0]))
+    rows = _axis_terms(uv[1], height, width, (index[0, 1], index[1, 0]), (tmp[1], uv[1]))
+    return _gather(src, cols, rows, index, work.corners)
 
 
 def reproject_grid(depth: np.ndarray, T: Pose, K: Intrinsics) -> PixelGrid:

@@ -211,7 +211,7 @@ class TestDepth:
         def fail(*args):
             raise SweepDepthError("the sweep failed")
 
-        monkeypatch.setattr(costvolume, "_take_and_blend", fail)  # in the slabs, not the set-up
+        monkeypatch.setattr(costvolume, "_gather", fail)  # in the slabs, not the set-up
         argv = ["depth", "--data", str(box_dataset), "--out", str(tmp_path / "d.pfm"),
                 "--d-min", "1", "--d-max", "10", "--planes", "32", "--feature-scale", "1",
                 "--sources", "0", "2"]
@@ -936,6 +936,10 @@ def _bad_input_argv(case, data, tmp):
         "state_d_max_infinity": '{"d_min": 1, "d_max": Infinity}',
         "state_with_unknown_key": '{"d_min": 1, "d_max": 10, "d_mid": 5}',
         "state_momentum_one": '{"d_min": 1, "d_max": 10, "momentum": 1.0}',
+        # JSON true and false are not the numbers 1 and 0, nor is 0 a boolean
+        "state_d_min_true": '{"d_min": true, "d_max": 10, "momentum": false}',
+        "state_momentum_false": '{"d_min": 1, "d_max": 10, "momentum": false}',
+        "state_frozen_zero": '{"d_min": 1, "d_max": 10, "frozen": 0}',
     }
     if case in states:
         state = tmp / "state.json"
@@ -1100,6 +1104,9 @@ def _bad_input_argv(case, data, tmp):
     "pose_translation_nan",
     "state_with_unknown_key",
     "state_momentum_one",
+    "state_d_min_true",
+    "state_momentum_false",
+    "state_frozen_zero",
     "augment_sample_negative",
     "augment_sample_over_64_bits",
     "pred_all_zero_median_scale",
@@ -1162,7 +1169,8 @@ def test_bad_input_is_a_typed_error(case, lateral_dataset, tmp_path):
         assert proc.stdout == "" and not (tmp_path / "err.ppm").exists()
     if case.endswith(("_fraction", "_boolean", "_string")):
         assert "must be a whole number" in proc.stderr
-    if case.endswith(("_as_text", "_true", "_all_booleans")):  # JSON true is not 1, "001" no vector
+    # JSON true is not 1, nor 0 a boolean, and "001" is no vector
+    if case.endswith(("_as_text", "_true", "_false", "_all_booleans", "frozen_zero")):
         assert "must be" in proc.stderr
     if case.startswith("aug_p_plus_q_above_one"):
         assert "p + q <= 1" in proc.stderr
@@ -1170,6 +1178,7 @@ def test_bad_input_is_a_typed_error(case, lateral_dataset, tmp_path):
         assert not (tmp_path / "out").exists()
     if case.startswith(("intrinsics", "pose", "plane", "texture_unknown_key", "mover",
                         "texture_zero_period", "target_index", "scene_not_utf8", "scene_too_large",
-                        "state_d_max_infinity", "state_with_unknown_key", "state_momentum_one",
+                        "state_d_max_infinity", "state_with_unknown_key", "state_momentum",
+                        "state_d_min", "state_frozen",
                         "scene_height", "scene_width", "scene_seed", "camera_motion")):
         assert ".json" in proc.stderr

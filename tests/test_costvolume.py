@@ -420,7 +420,7 @@ class TestSeparableWarp:
         sources = [(features(), Pose.from_translation(tx, 0.0, tz)) for tx, tz in ((-0.5, -0.8), (0.5, 0.8))]
         planes = linear_planes(1.0, 10.0, n_planes)
         terms, table_sizes, held = [], [], []
-        of, table_init, argmin_rows = geometry._PlaneProjection.of, costvolume._AxisTable.__init__, costvolume._argmin_rows
+        of, axis_table, argmin_rows = geometry._PlaneProjection.of, costvolume._axis_table, costvolume._argmin_rows
 
         def recorded_of(cls, *args):
             proj = of(*args)
@@ -428,16 +428,17 @@ class TestSeparableWarp:
             terms.append(weakref.ref(proj.uv))
             return proj
 
-        def recorded_table(self, *args):
-            table_init(self, *args)
-            table_sizes.extend(a.size for a in (self.valid, self.index, self.step, *self.weights))
+        def recorded_table(*args):
+            valid, (index, step), weights = table = axis_table(*args)
+            table_sizes.extend(a.size for a in (valid, index, step, *weights))
+            return table
 
         def reduce_run(*args):
             held.append(sum(ref() is not None for ref in terms))
             argmin_rows(*args)
 
         monkeypatch.setattr(geometry._PlaneProjection, "of", classmethod(recorded_of))
-        monkeypatch.setattr(costvolume._AxisTable, "__init__", recorded_table)
+        monkeypatch.setattr(costvolume, "_axis_table", recorded_table)
         monkeypatch.setattr(costvolume, "_argmin_rows", reduce_run)
         tracemalloc.start()
         try:
@@ -587,7 +588,7 @@ class TestStartedSweep:
         def fail(*arrays):
             raise error
 
-        monkeypatch.setattr(costvolume, "_take_and_blend", fail)  # in the slabs, not the set-up
+        monkeypatch.setattr(costvolume, "_gather", fail)  # in the slabs, not the set-up
         before = threading.active_count()
         for sweep in (build_cost_volume, sweep_argmin):
             with pytest.raises(SweepDepthError) as raised:

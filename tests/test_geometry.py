@@ -4,12 +4,15 @@ import dataclasses
 import hashlib
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import _bilinear_scalar
 
+from sweepdepth import geometry
 from sweepdepth.errors import HomographyOverflow, InvalidParameter, NonPositiveDepth, ShapeMismatch
 from sweepdepth.geometry import (
     Intrinsics,
@@ -335,6 +338,37 @@ class TestBilinearSample:
         out, valid = bilinear_sample(img, full_grid(1, 1, coords))
         assert valid[0, 0]
         assert abs(out[0, 0] - (a * u + b * v + c)) < 1e-9
+
+    @staticmethod
+    def _coordinate(size):
+        """In range, a whole pixel, exactly on an edge, one ulp inside the far edge, or out of range."""
+        edge = float(size - 1)
+        return st.one_of(st.floats(0.0, edge), st.integers(0, size - 1).map(float),
+                         st.sampled_from([0.0, edge, float(np.nextafter(edge, 0.0))]),
+                         st.floats(-1.5, edge + 1.5))
+
+    @pytest.mark.parametrize("tile", [geometry._TILE_PIXELS, 3])  # 3: tiles overlap
+    @given(data=st.data(), h=st.integers(1, 6), w=st.integers(1, 6),
+           channels=st.sampled_from([1, 3]), gh=st.integers(1, 3), gw=st.integers(1, 5),
+           seed=st.integers(0, 2**16))
+    @settings(max_examples=150, deadline=None)
+    def test_equals_the_scalar_oracle(self, tile, data, h, w, channels, gh, gw, seed):
+        rng = np.random.default_rng(seed)
+        img = rng.random((h, w, channels))
+        samples = data.draw(st.lists(st.tuples(self._coordinate(w), self._coordinate(h), st.booleans()),
+                                     min_size=gh * gw, max_size=gh * gw))
+        coords = np.array([(u, v) for u, v, _ in samples]).reshape(gh, gw, 2)
+        flags = np.array([flag for *_, flag in samples]).reshape(gh, gw)
+        with mock.patch.object(geometry, "_TILE_PIXELS", tile):
+            out, valid = bilinear_sample(img, PixelGrid(coords=coords, valid=flags))
+        for i in range(gh):
+            for j in range(gw):
+                want, in_bounds = _bilinear_scalar(img, *coords[i, j])
+                assert valid[i, j] == (in_bounds and flags[i, j])
+                if valid[i, j]:
+                    assert out[i, j].tobytes() == want.tobytes(), (i, j)
+                else:
+                    assert (out[i, j] == 0.0).all()
 
 
 # bilinear_sample samples in tiles of 16384 pixels (geometry._TILE_PIXELS):
