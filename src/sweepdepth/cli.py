@@ -12,7 +12,8 @@ Datasets are directories of frame_%04d.ppm, depth_%04d.pfm, pose_%04d.json
 also removes the frame, depth and pose files D holds past the new last frame,
 up to the first missing index, and D's mover.json when the scene has no mover;
 it leaves every other file in D alone. Width, height, seed and target index
-in a JSON input must be whole numbers: 64 or 64.0, not 64.9, true or "64".
+in a JSON input must be whole numbers: 64 or 64.0, not 64.9, true or "64", and
+every other number a JSON number: 0.5, not "0.5".
 
 Every subcommand prints one JSON object, indented by 2, on stdout; for `loss`
 and `eval` with --out it is byte-identical to that file. Dense output is PFM.
@@ -47,7 +48,7 @@ from .costvolume import (
     started_sweep_argmin,
     upsample_nearest,
 )
-from .errors import HomographyOverflow, InvalidParameter, ShapeMismatch, SweepDepthError
+from .errors import HomographyOverflow, InvalidParameter, NothingInView, ShapeMismatch, SweepDepthError
 from .evaluation import (
     CROP_SCHEMES,
     DEPTH_CAP,
@@ -287,6 +288,8 @@ def cmd_depth(args) -> dict:
     payload = np.zeros((p, h * w), np.float32) if args.dump_cv else None
     with sweep.started(None, out=payload) as join:
         depth_f, valid = join()
+    if not valid.any():
+        raise NothingInView("no pixel of the target lands inside a source image at any plane")
     depth_img = upsample_nearest(depth_f, args.feature_scale, data.K.height, data.K.width)
     # scored before --out, which may name the teacher's file, is written
     mask = consistency_mask(depth_img, sdio.read_pfm(args.teacher)) if args.teacher else None
@@ -330,6 +333,8 @@ def cmd_loss(args) -> dict:
         for i in loss_sources:
             grid = reproject_grid(student, relative_pose(data.poses[target], data.poses[i]), data.K)
             synthesized.append(bilinear_sample(data.images[i], grid))
+        if not any(valid.any() for _image, valid in synthesized):
+            raise NothingInView("no pixel of the target reprojects inside a source image")
 
         def d_cv() -> np.ndarray:
             depth_f, _valid = join()
@@ -457,8 +462,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         print(json.dumps(command(args), indent=2))
     except (SweepDepthError, OSError) as exc:
-        # a camera that passed Intrinsics and cannot map a pose: the camera file is at fault
-        where = f"{Path(args.data) / 'intrinsics.json'}: " if isinstance(exc, HomographyOverflow) else ""
+        # a camera that passed Intrinsics and cannot map a pose, or maps every pixel out of
+        # view: the camera file is at fault
+        camera = isinstance(exc, (HomographyOverflow, NothingInView))
+        where = f"{Path(args.data) / 'intrinsics.json'}: " if camera else ""
         print(f"error: {where}{exc}", file=sys.stderr)
         return 1
     return 0

@@ -35,6 +35,7 @@ from .geometry import (
     _channel_major,
     _gather,
     _GatherArrays,
+    _pieces,
     _PlaneProjection,
     _to_pixels,
     _WorkArrays,
@@ -190,9 +191,9 @@ def build_cost_volume(
     The pixels are swept in row-aligned runs, each with all its planes: as
     many whole rows as fit min(_TILE, max(H'W', _TILE // 4)) cells, or, when
     one row does not fit, the fewest equal segments of a row that do, of at
-    least one pixel each. The last run of a row, and of the image, ends at
-    its edge and may overlap the run before it, whose copy of the shared
-    pixels is the one kept, so no two runs write one cell. The runs are split
+    least one pixel each: the ``_pieces`` of the rows crossed with those of
+    the columns. Where a run overlaps the one before it, that one's copy of
+    the shared pixels is kept, so no two runs write one cell. The runs are split
     into contiguous slabs, one per thread of a pool. SWEEPDEPTH_THREADS sets
     the pool's width; when it is 0 or unset, a sweep whose runs hold fewer
     than _TILE // 2 cells is one slab and any other takes min(cores, 4). The
@@ -393,12 +394,9 @@ def _sweep(
     rows, cols = _run_shape(h, w, n_planes)
     per_run = rows * cols
     cells = per_run * n_planes
-    runs = []  # (top row, left column, pixels an earlier run reduced)
-    for top in range(0, h, rows):
-        for left in range(0, w, cols):
-            # the last run of a row, and of the image, ends at its edge
-            first_row, first_col = min(top, h - rows), min(left, w - cols)
-            runs.append((first_row, first_col, (top - first_row) * w + left - first_col))
+    # (top row, left column, pixels an earlier run reduced)
+    runs = [(top, left, done_rows * w + done_cols)
+            for top, done_rows in _pieces(h, rows) for left, done_cols in _pieces(w, cols)]
     workers = _thread_count(len(runs), cells)
     bounds = [len(runs) * k // workers for k in range(workers + 1)]
     arrays_type = _GatherArrays if all(warp.tables for _, warp in views) else _WorkArrays

@@ -34,6 +34,10 @@ class HomographyOverflow(InvalidParameter):
     """A camera that passed Intrinsics gives a plane homography with an entry float64 cannot hold."""
 
 
+class NothingInView(SweepDepthError):
+    """A command's warps put no target pixel inside any source image: its output would say nothing."""
+
+
 class VolumeTooLarge(SweepDepthError):
     """A cost volume or plane set would exceed the cell budget (costvolume.MAX_VOLUME_CELLS)."""
 

@@ -186,6 +186,12 @@ _BOUNDARY_SNAP = 1e-9
 _TILE_PIXELS = 16384
 
 
+def _pieces(n: int, size: int) -> list[tuple[int, int]]:
+    """(first entry, leading entries the piece before already holds) of each piece of
+    ``size`` entries, 1 <= size <= n, that covers range(n) in order; the last ends at n."""
+    return [(min(start, n - size), max(0, start + size - n)) for start in range(0, n, size)]
+
+
 def _to_pixels(
     q: np.ndarray, K: Intrinsics, valid: np.ndarray, tmp: np.ndarray, mask: np.ndarray
 ) -> None:
@@ -411,9 +417,8 @@ def bilinear_sample(img: np.ndarray, grid: PixelGrid) -> tuple[np.ndarray, np.nd
     Returns (sampled, valid). Sampling interpolates the four integer
     neighbors; pixels whose grid entry is invalid or out of bounds get value
     0 and valid=False. ``img`` may be (H, W) or (H, W, C); the output keeps
-    that layout at the grid's shape. The grid is sampled in tiles of up to
-    _TILE_PIXELS pixels through one set of tile-sized work arrays; the last
-    tile ends at the last pixel and may overlap the one before it.
+    that layout at the grid's shape. The grid is sampled in tiles, the ``_pieces``
+    of up to _TILE_PIXELS pixels, through one set of tile-sized work arrays.
     """
     src = _channel_major(img)
     h, w = np.shape(img)[:2]
@@ -428,8 +433,7 @@ def bilinear_sample(img: np.ndarray, grid: PixelGrid) -> tuple[np.ndarray, np.nd
     tile = max(1, min(n, _TILE_PIXELS))
     work = _WorkArrays(channels, tile)
     u, v = uv = work.q[:2]
-    for start in range(0, n, tile):
-        first = min(start, n - tile)
+    for first, _done in _pieces(n, tile):
         part = slice(first, first + tile)
         uv[:] = coords[part].T
         valid[part] = grid_valid[part] & (u >= 0) & (u <= w - 1) & (v >= 0) & (v <= h - 1)

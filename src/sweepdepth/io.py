@@ -16,6 +16,7 @@ import math
 import os
 import re
 from dataclasses import asdict
+from numbers import Real
 from pathlib import Path
 
 import numpy as np
@@ -208,18 +209,17 @@ def whole_number(value, name: str) -> int:
 
 
 def number(value, name: str) -> float:
-    """A parsed JSON number as a float; a boolean raises InvalidParameter naming the field,
-    since JSON ``true`` is not the number 1."""
-    if isinstance(value, bool):
+    """A parsed JSON number as a float; anything else, a boolean or text included, raises
+    InvalidParameter naming the field: JSON ``true`` is not 1, nor the text ``"64.0"`` 64.0."""
+    if isinstance(value, bool) or not isinstance(value, Real):
         raise InvalidParameter(f"{name} must be a number, got {value!r}")
     return float(value)
 
 
 def numbers(value, name: str) -> list[float]:
-    """Each entry of a parsed JSON array as a float, by ``number``; a string, as the
-    array or as an entry, raises InvalidParameter naming the field: ``"100"`` is not
-    the vector (1, 0, 0), and a vector holds numbers, not ``["1", "0", "0"]``."""
-    if isinstance(value, str) or any(isinstance(entry, str) for entry in value):
+    """Each entry of a parsed JSON array as a float, by ``number``; a string as the array
+    raises InvalidParameter naming the field: ``"100"`` is not the vector (1, 0, 0)."""
+    if isinstance(value, str):
         raise InvalidParameter(f"{name} must be an array of numbers, got {value!r}")
     return [number(entry, name) for entry in value]
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import EmptySources, ShapeMismatch
 from .features import channel_mean
-from .geometry import _TILE_PIXELS, require_positive_depth
+from .geometry import _TILE_PIXELS, _pieces, require_positive_depth
 
 SSIM_C1 = 0.01**2
 SSIM_C2 = 0.03**2
@@ -59,12 +59,12 @@ def _band_rows(width: int) -> int:
 
 
 def _row_bands(height: int, width: int) -> list[slice]:
-    """Consecutive row slices of ``_band_rows`` rows covering ``height`` rows; none for an
-    image with no pixels."""
-    if not width:  # a zero-width band would take its halo columns from uninitialized memory
+    """Consecutive row slices covering ``height`` rows, the new rows of each of the
+    ``_pieces`` of ``_band_rows`` rows, at most ``height``; none for an image with no pixels."""
+    if not height * width:  # a zero-width band would take its halo columns from uninitialized memory
         return []
-    rows = _band_rows(width)
-    return [slice(start, min(start + rows, height)) for start in range(0, height, rows)]
+    rows = min(height, _band_rows(width))
+    return [slice(first + done, first + rows) for first, done in _pieces(height, rows)]
 
 
 def _ssim_work(shape: tuple[int, int, int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

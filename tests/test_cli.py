@@ -488,6 +488,10 @@ class TestLoss:
         # a one-row image has no vertical neighbour pairs and a one-column image no horizontal
         # ones: that smoothness term is 0, not the NaN mean of an empty grid
         write_noise_dataset(tmp_path, width=width, height=height)
+        if width == 1:  # sideways steps move every pixel out of one column: step down instead
+            for t in range(3):
+                (tmp_path / f"pose_{t:04d}.json").write_text(json.dumps(
+                    {"R": [1, 0, 0, 0, 1, 0, 0, 0, 1], "t": [0, 0.25 * t, 0]}))
         gt = str(tmp_path / "depth_0001.pfm")
         argv = ["loss", "--data", str(tmp_path), "--student", gt, "--teacher", gt, *_SWEEP]
         with warnings.catch_warnings():
@@ -500,6 +504,20 @@ class TestLoss:
 
         report = json.loads(stdout, parse_constant=refuse)
         assert all(math.isfinite(value) for value in report.values()), report
+
+    @pytest.mark.parametrize("zero_cv", [False, True], ids=["sweep", "zero_cv"])
+    def test_a_loss_that_covers_no_pixel_is_refused(self, tmp_path, capsys, zero_cv):
+        # a sideways step of 4 px at the student's depth moves every pixel of a one-column
+        # image out of both sources: lp would be 0 with nothing scored
+        write_noise_dataset(tmp_path / "data", width=1, height=24)
+        gt = str(tmp_path / "data" / "depth_0001.pfm")
+        code, stdout, err = run(capsys, "loss", "--data", str(tmp_path / "data"), "--student", gt,
+                                "--teacher", gt, *_SWEEP, *(["--zero-cv"] if zero_cv else []),
+                                "--out", str(tmp_path / "loss.json"))
+        assert (code, stdout) == (1, "")
+        assert err == (f"error: {tmp_path / 'data' / 'intrinsics.json'}: "
+                       "no pixel of the target reprojects inside a source image\n")
+        assert not (tmp_path / "loss.json").exists()
 
     def test_zero_cv_at_the_first_frame(self, lateral_dataset, capsys):
         gt = str(lateral_dataset / "depth_0000.pfm")
@@ -940,6 +958,7 @@ def _bad_input_argv(case, data, tmp):
         "state_d_min_true": '{"d_min": true, "d_max": 10, "momentum": false}',
         "state_momentum_false": '{"d_min": 1, "d_max": 10, "momentum": false}',
         "state_frozen_zero": '{"d_min": 1, "d_max": 10, "frozen": 0}',
+        "state_d_max_as_text": '{"d_min": 1.0, "d_max": "10"}',  # text is not a number
     }
     if case in states:
         state = tmp / "state.json"
@@ -1003,6 +1022,7 @@ def _bad_input_argv(case, data, tmp):
         "intrinsics_height_boolean": ("intrinsics.json", lambda k: json.dumps({**k, "height": True})),
         "intrinsics_width_string": ("intrinsics.json", lambda k: json.dumps({**k, "width": "64"})),
         "intrinsics_fx_true": ("intrinsics.json", lambda k: json.dumps({**k, "fx": True})),
+        "intrinsics_fx_as_text": ("intrinsics.json", lambda k: json.dumps({**k, "fx": str(k["fx"])})),
         "pose_rotation_all_booleans": ("pose_0001.json", lambda p: json.dumps(
             {**p, "R": [bool(r) for r in p["R"]]})),
         "pose_translation_entries_as_text": ("pose_0001.json", lambda p: json.dumps(
@@ -1037,6 +1057,7 @@ def _bad_input_argv(case, data, tmp):
         "camera_motion_entry_as_text": {"camera_motion": [[0, 0, 0], "100"]},
         "camera_motion_entries_as_text": {"camera_motion": [[0, 0, 0], ["0.1", "0", "0"]]},
         "plane_normal_entries_as_text": {"planes": [{**plane, "normal": ["0", "0", "1"]}]},
+        "texture_amp_x_as_text": {"planes": [{**plane, "texture": {"kind": "checker", "amp_x": "0.5"}}]},
         # 10^7 x 10^7 pixels, past any machine's memory: without the check it fails at once
         # in numpy rather than rendering for minutes
         "scene_too_large": {"width": 10**7, "height": 10**7},
@@ -1140,6 +1161,9 @@ def _bad_input_argv(case, data, tmp):
     "intrinsics_fx_true",
     "pose_rotation_all_booleans",
     "aug_p_plus_q_above_one_zero_cv",
+    "intrinsics_fx_as_text",
+    "state_d_max_as_text",
+    "texture_amp_x_as_text",
 ])
 def test_bad_input_is_a_typed_error(case, lateral_dataset, tmp_path):
     argv = _bad_input_argv(case, lateral_dataset, tmp_path)
@@ -1179,6 +1203,6 @@ def test_bad_input_is_a_typed_error(case, lateral_dataset, tmp_path):
     if case.startswith(("intrinsics", "pose", "plane", "texture_unknown_key", "mover",
                         "texture_zero_period", "target_index", "scene_not_utf8", "scene_too_large",
                         "state_d_max_infinity", "state_with_unknown_key", "state_momentum",
-                        "state_d_min", "state_frozen",
+                        "state_d_min", "state_frozen", "state_d_max_as_text", "texture_amp_x",
                         "scene_height", "scene_width", "scene_seed", "camera_motion")):
         assert ".json" in proc.stderr

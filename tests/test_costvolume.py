@@ -277,6 +277,38 @@ class TestBuildCostVolume:
             finally:
                 sys.setswitchinterval(interval)
 
+    @pytest.mark.parametrize("threads", ["1", "2", "3", "4"])
+    @pytest.mark.parametrize("h, w, n_planes, tile", [
+        (1, 127, 8, 64),  # 16 runs of 8 pixels, the last sharing pixel 119
+        (1, 9, 8, 256), (1, 15, 8, 256), (1, 25, 8, 256),  # runs of 5, 8 and 7 pixels
+        (48, 64, 2, 700),  # runs of 5 rows, the last sharing 2 rows
+        (48, 64, 24, 700),  # runs of 22 pixels, three a row, the last sharing 2 pixels
+    ])
+    def test_reduces_every_pixel_once(self, rng, monkeypatch, threads, h, w, n_planes, tile):
+        # Where runs overlap, only the earlier run reduces a shared pixel: the pixels
+        # that every reduce receives partition the image, whichever slab holds the run.
+        monkeypatch.setattr(costvolume, "_TILE", tile)
+        monkeypatch.setenv("SWEEPDEPTH_THREADS", threads)
+        rows, cols = costvolume._run_shape(h, w, n_planes)
+        assert h % rows or w % cols  # the last run of a column or a row overlaps
+        reduced = []
+        sweep = costvolume._sweep
+
+        def recording(target, sources, K, planes, reduce):
+            def recorded(pixels, costs, counts):
+                reduced.append(pixels)
+                reduce(pixels, costs, counts)
+
+            return sweep(target, sources, K, planes, recorded)
+
+        monkeypatch.setattr(costvolume, "_sweep", recording)
+        K = Intrinsics(fx=10.0, fy=10.0, cx=(w - 1) / 2, cy=(h - 1) / 2, width=w, height=h)
+        target = FeatureMap(data=rng.random((h, w, 1)), scale=1)
+        source = (FeatureMap(data=rng.random((h, w, 1)), scale=1), Pose.from_translation(0.2, 0, 0))
+        build_cost_volume(target, [source], K, linear_planes(1.0, 10.0, n_planes))
+        pixels = np.concatenate([np.arange(h * w)[run] for run in reduced])
+        assert (np.bincount(pixels, minlength=h * w) == 1).all()
+
     @pytest.mark.parametrize("tile, planes", [(32768, 32), (32768, 96), (1000, 12), (8, 12)])
     def test_work_arrays_hold_one_tile(self, rendered_presets, monkeypatch, tile, planes):
         # Peak memory: each pool thread's work arrays hold at most one tile

@@ -417,3 +417,18 @@ class TestBilinearTileGolden:
                 digest.update(repr(out.shape).encode())
                 digest.update(out.tobytes())
         assert digest.hexdigest() == GOLDEN_TILE_SHA256[shape]
+
+
+@given(data=st.data(), n=st.integers(1, 300))
+def test_pieces_cover_the_range_once(data, n):
+    # The one piece walk of the sweep's runs, bilinear_sample's tiles and the loss's bands.
+    size = data.draw(st.integers(1, n), label="size")
+    pieces = geometry._pieces(n, size)
+    assert all(0 <= first and first + size <= n for first, _done in pieces)
+    assert pieces[-1][0] + size == n
+    new, end = [], 0  # end: one past the last entry of the piece before
+    for first, done in pieces:
+        assert done == max(0, end - first)
+        new += range(first + done, first + size)
+        end = first + size
+    assert new == list(range(n))

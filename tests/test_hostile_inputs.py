@@ -5,10 +5,14 @@ import io
 import json
 import math
 import shutil
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sweepdepth.cli import main
 from sweepdepth.io import write_ppm
@@ -149,15 +153,60 @@ def test_hostile_focal_length(dataset, tmp_path, command, name, value):
     # a well-formed intrinsics.json whose K^-1 may not be finite: 1 / 5e-324 and
     # 7.5 / 1e-308 overflow to inf, and a float division gives inf without a warning
     shutil.copytree(dataset, tmp_path / "data")
-    _run_camera(_argv(command, tmp_path / "data", tmp_path), tmp_path, {name: value})
+    _run_edited(_argv(command, tmp_path / "data", tmp_path), tmp_path, "intrinsics.json", {name: value})
 
 
-def _run_camera(argv, tmp_path, camera):
-    """Exit code of ``argv`` on the dataset under ``tmp_path / "data"`` with ``camera``'s
-    fields set in its intrinsics.json, after asserting that it warned nowhere, and printed
-    a strict-JSON report or failed naming intrinsics.json with no output file."""
-    path = tmp_path / "data" / "intrinsics.json"
-    path.write_text(json.dumps({**json.loads(path.read_text()), **camera}))
+@pytest.mark.parametrize("command", ["depth", "depth_dump_cv", "loss"])
+def test_camera_that_sees_nothing_is_refused(dataset, tmp_path, command):
+    # fx 1e308 and fy 1e-300 pass Intrinsics, and K R K^-1 is exactly I, but K t / d moves
+    # every pixel out of every source image: the argmin is valid nowhere, and the student's
+    # reprojections cover no pixel, so a depth map, mask or loss report would say nothing
+    shutil.copytree(dataset, tmp_path / "data")
+    argv = _argv(command, tmp_path / "data", tmp_path)
+    assert _run_edited(argv, tmp_path, "intrinsics.json", {"fx": 1e308, "fy": 1e-300}) == 1
+
+
+# Values a well-formed JSON file may hold where a number belongs: floats with subnormals,
+# +-1e308, NaN, +-inf, 0 and negatives; integers around the 16x12 image size; booleans;
+# numeric text; and null.
+_FLOATS = st.one_of(st.sampled_from([5e-324, -5e-324, 1e308, -1e308, math.nan, math.inf,
+                                     -math.inf, 0.0, -0.0, -1.0]),
+                    st.floats(allow_subnormal=True))
+_VALUES = st.one_of(_FLOATS, st.integers(-2, 34), st.booleans(),
+                    st.one_of(_FLOATS, st.integers(-2, 34)).map(str), st.none())
+
+
+def _drawn_fields(data, names):
+    """Some of ``names``, at least one, each with a drawn hostile value."""
+    return data.draw(st.dictionaries(st.sampled_from(names), _VALUES, min_size=1), label="fields")
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), command=st.sampled_from(["depth", "depth_dump_cv", "loss"]))
+def test_drawn_intrinsics_exit_cleanly(dataset, data, command):
+    camera = _drawn_fields(data, ["fx", "fy", "cx", "cy", "width", "height"])
+    with tempfile.TemporaryDirectory() as tmp:  # hypothesis refuses function-scoped tmp_path
+        tmp = Path(tmp)
+        shutil.copytree(dataset, tmp / "data")
+        _run_edited(_argv(command, tmp / "data", tmp), tmp, "intrinsics.json", camera)
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_drawn_adaptive_state_exits_cleanly(dataset, data):
+    state = _drawn_fields(data, ["d_min", "d_max", "momentum", "frozen"])
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        shutil.copytree(dataset, tmp / "data")
+        _run_edited(_argv("depth_adaptive", tmp / "data", tmp), tmp, "state.json", state)
+
+
+def _run_edited(argv, tmp_path, name, fields):
+    """Exit code of ``argv`` on the dataset under ``tmp_path / "data"`` with ``fields`` set in
+    its JSON file ``name``, after asserting that it warned nowhere, and printed a strict-JSON
+    report or failed naming that file with no output file."""
+    path = tmp_path / "data" / name
+    path.write_text(json.dumps({**json.loads(path.read_text()), **fields}))
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(record=True) as caught, \
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -168,7 +217,7 @@ def _run_camera(argv, tmp_path, camera):
         _strict_json(out.getvalue())
     else:
         assert code == 1 and err.getvalue().startswith("error:"), (code, err.getvalue())
-        assert "intrinsics.json" in err.getvalue(), err.getvalue()
+        assert name in err.getvalue(), err.getvalue()
         assert [p.name for p in tmp_path.iterdir()] == ["data"]
     return code
 
@@ -201,7 +250,7 @@ def test_hostile_focal_length_under_rotation(rolled_dataset, tmp_path, command, 
                  "--student", data + "/depth_0001.pfm", "--teacher", data + "/depth_0001.pfm",
                  "--out", str(tmp_path / "loss.json")],
     }[command]
-    assert _run_camera(argv, tmp_path, {"fx": fx, "fy": fy}) == 1
+    assert _run_edited(argv, tmp_path, "intrinsics.json", {"fx": fx, "fy": fy}) == 1
 
 
 @pytest.mark.parametrize("how", ["resize", "truncate"])

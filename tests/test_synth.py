@@ -266,8 +266,10 @@ class TestSceneElementChecks:
             Texture(**{field: value})
 
     def test_texture_coerces_numbers_to_float(self):
-        tex = Texture(kind="checker", cell=2, amp_x="0.5")
-        assert tex.cell == 2.0 and isinstance(tex.cell, float) and tex.amp_x == 0.5
+        tex = Texture(kind="checker", cell=2)
+        assert tex.cell == 2.0 and isinstance(tex.cell, float)
+        with pytest.raises(InvalidParameter, match="texture amp_x must be a finite number"):
+            Texture(kind="checker", amp_x="0.5")  # text is not a number
 
     @pytest.mark.parametrize("field, value", [
         ("normal", (0.0, 1.0)),
