@@ -31,8 +31,8 @@ import itertools
 import json
 import os
 import sys
-from collections.abc import Callable, Sequence
-from contextlib import AbstractContextManager, nullcontext
+from collections.abc import Callable, Iterator, Sequence
+from contextlib import AbstractContextManager, contextmanager, nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -64,27 +64,35 @@ from .geometry import Intrinsics, Pose, bilinear_sample, reproject_grid
 from .losses import _smoothness_out, consistency_mask, smoothness_loss, total_loss
 from .synth import (
     PRESET_NAMES,
+    Frame,
     SceneSetup,
     load_scene_setup,
-    make_sequence,
     mover_rect,
     preset_scene,
     relative_pose,
+    render_sequence,
 )
 
 
 class _Frames(Sequence):
-    """A dataset's images, indexed by frame: each is held as its checked uint8 samples
-    and decoded to floats in [0, 1] by ``io.unit_floats`` each time it is read. No
-    decoded copy is kept, so a frame's floats live only as long as its reader holds them."""
+    """A dataset's images, indexed by frame. A frame's file is read, with every check of
+    ``load_dataset``, when the frame is first read, and from then on held as its uint8
+    samples: a command holds the samples of only the frames it reads. Each read decodes
+    them to floats in [0, 1] by ``io.unit_floats``; no decoded copy is kept, so a frame's
+    floats live only as long as its reader holds them."""
 
-    def __init__(self, samples: list[np.ndarray]):
-        self._samples = samples
+    def __init__(self, paths: list[Path], K: Intrinsics):
+        self._paths = paths
+        self._K = K
+        self._samples: dict[int, np.ndarray] = {}
 
     def __len__(self) -> int:
-        return len(self._samples)
+        return len(self._paths)
 
     def __getitem__(self, t: int) -> np.ndarray:
+        t = range(len(self._paths))[t]  # -1 is the last frame; past the end is an IndexError
+        if t not in self._samples:
+            self._samples[t] = _frame_samples(self._paths[t], self._K)
         return sdio.unit_floats(self._samples[t])
 
 
@@ -100,24 +108,33 @@ def _frame_files(root: Path, t: int) -> tuple[Path, Path, Path]:
     return root / f"frame_{t:04d}.ppm", root / f"depth_{t:04d}.pfm", root / f"pose_{t:04d}.json"
 
 
+def _frame_samples(path: Path, K: Intrinsics) -> np.ndarray:
+    """The uint8 samples of the frame file ``path``; a bad header or payload, or a size
+    other than intrinsics.json's, raises naming the file."""
+    samples = sdio.read_ppm_samples(path)
+    if samples.shape[:2] != (K.height, K.width):
+        raise ShapeMismatch(f"{path} is not the {K.width}x{K.height} of intrinsics.json")
+    return samples
+
+
 def load_dataset(root: str | Path) -> Dataset:
     """The dataset under ``root``. Every frame's header, payload length and size against
-    intrinsics.json are checked here, and a bad one raises naming its file; a frame is
-    decoded to floats each time a command reads it."""
+    intrinsics.json are checked here, and a bad one raises naming its file. No frame's
+    samples are kept: ``images`` reads a frame's file again, with the same checks, when a
+    command first reads that frame."""
     root = Path(root)
     K = sdio.read_intrinsics(root / "intrinsics.json")
-    samples, poses = [], []
+    paths, poses = [], []
     for t in itertools.count():
         frame, _depth, pose = _frame_files(root, t)
         if not frame.exists():
             break
-        samples.append(sdio.read_ppm_samples(frame))
-        if samples[-1].shape[:2] != (K.height, K.width):
-            raise ShapeMismatch(f"{frame} is not the {K.width}x{K.height} of intrinsics.json")
+        _frame_samples(frame, K)
+        paths.append(frame)
         poses.append(sdio.read_pose(pose))
-    if not samples:
+    if not paths:
         raise SweepDepthError(f"no frames under {root}: {frame} is missing")
-    return Dataset(K=K, images=_Frames(samples), poses=poses)
+    return Dataset(K=K, images=_Frames(paths, K), poses=poses)
 
 
 def _resolve_planes(args) -> DepthPlaneSet:
@@ -218,6 +235,19 @@ def _sweep_for(args, data: Dataset, source_idxs: list[int] | None) -> _Sweep:
     return _Sweep(planes, shape, (f_target, sources, K_f))
 
 
+@contextmanager
+def _camera_at_fault(root: str, frames: list[int]) -> Iterator[None]:
+    """Name intrinsics.json and the pose files of ``frames`` in front of a HomographyOverflow
+    or NothingInView raised inside: the camera and the poses of the frames a command warps
+    together overflow a homography or move every pixel out of view, and either may be at fault."""
+    try:
+        yield
+    except (HomographyOverflow, NothingInView) as exc:
+        root = Path(root)
+        files = [root / "intrinsics.json", *(_frame_files(root, t)[2] for t in dict.fromkeys(frames))]
+        raise type(exc)(f"{', '.join(map(str, files))}: {exc}") from exc
+
+
 def _check_outputs(outputs: dict[str, str | None]) -> None:
     """Refuse two outputs (keyed by what they hold) that resolve to the same file."""
     seen: dict[str, str] = {}
@@ -249,31 +279,39 @@ def cmd_synth(args) -> dict:
         raise SweepDepthError(
             f"scene {args.scene!r} is neither a preset {PRESET_NAMES} nor a file"
         )
-    frames = make_sequence(setup.scene, setup.poses, setup.K)
+    # each frame is held as what its files store, 8-bit samples and float32 depth, so only
+    # the frame being rendered is held as float64 (map keeps no frame alive while the next
+    # renders, as a comprehension's loop variable would); every frame renders before any write
+    stored = list(map(_stored, render_sequence(setup.scene, setup.poses, setup.K)))
     rects = [
-        {"time": frame.time, "rect": mover_rect(setup.scene, frame.pose, setup.K, frame.time)}
-        for frame in frames
+        {"time": t, "rect": mover_rect(setup.scene, pose, setup.K, t)}
+        for t, pose in enumerate(setup.poses)
     ]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     # the extra frames of a longer scene written here before must go: load_dataset reads
     # frames up to the first missing index
-    t = len(frames)
+    t = len(stored)
     while stale := [path for path in _frame_files(out, t) if path.exists()]:
         for path in stale:
             path.unlink()
         t += 1
     sdio.write_intrinsics(out / "intrinsics.json", setup.K)
-    for frame in frames:
-        image, depth, pose = _frame_files(out, frame.time)
-        sdio.write_ppm(image, frame.image)
-        sdio.write_pfm(depth, frame.depth_gt)
-        sdio.write_pose(pose, frame.pose)
+    for t, (samples, depth_gt, pose) in enumerate(stored):
+        image, depth, pose_file = _frame_files(out, t)
+        sdio.write_ppm_samples(image, samples)
+        sdio.write_pfm(depth, depth_gt)
+        sdio.write_pose(pose_file, pose)
     if setup.scene.mover is not None:
         sdio.write_json(out / "mover.json", {"frames": rects})
     else:
         (out / "mover.json").unlink(missing_ok=True)
-    return {"out": str(out), "frames": len(frames), "target_index": setup.target_index}
+    return {"out": str(out), "frames": len(stored), "target_index": setup.target_index}
+
+
+def _stored(frame: Frame) -> tuple[np.ndarray, np.ndarray, Pose]:
+    """A rendered frame as its files store it: 8-bit RGB samples, float32 depth and pose."""
+    return sdio.unit_samples(frame.image), frame.depth_gt.astype(np.float32), frame.pose
 
 
 def cmd_depth(args) -> dict:
@@ -286,10 +324,11 @@ def cmd_depth(args) -> dict:
     h, w, p = sweep.shape
     # a dump's plane-major float32 payload, filled run by run; zeros are the zero volume's
     payload = np.zeros((p, h * w), np.float32) if args.dump_cv else None
-    with sweep.started(None, out=payload) as join:
-        depth_f, valid = join()
-    if not valid.any():
-        raise NothingInView("no pixel of the target lands inside a source image at any plane")
+    with _camera_at_fault(args.data, [args.target, *(args.sources or [args.target - 1])]):
+        with sweep.started(None, out=payload) as join:
+            depth_f, valid = join()
+        if not valid.any():
+            raise NothingInView("no pixel of the target lands inside a source image at any plane")
     depth_img = upsample_nearest(depth_f, args.feature_scale, data.K.height, data.K.width)
     # scored before --out, which may name the teacher's file, is written
     mask = consistency_mask(depth_img, sdio.read_pfm(args.teacher)) if args.teacher else None
@@ -328,7 +367,9 @@ def cmd_loss(args) -> dict:
     # Only the mask reads the sweep's depth: the sweep's thread scores the smoothness term
     # after its slab while this thread warps the sources and scores the photometric term,
     # and joins both for the mask.
-    with sweep.started(smoothness, out=None) as join:
+    cv_sources = [] if sweep.inputs is None else args.cv_sources or [target - 1]
+    with _camera_at_fault(args.data, [target, *loss_sources, *cv_sources]), \
+            sweep.started(smoothness, out=None) as join:
         synthesized = []
         for i in loss_sources:
             grid = reproject_grid(student, relative_pose(data.poses[target], data.poses[i]), data.K)
@@ -462,11 +503,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         print(json.dumps(command(args), indent=2))
     except (SweepDepthError, OSError) as exc:
-        # a camera that passed Intrinsics and cannot map a pose, or maps every pixel out of
-        # view: the camera file is at fault
-        camera = isinstance(exc, (HomographyOverflow, NothingInView))
-        where = f"{Path(args.data) / 'intrinsics.json'}: " if camera else ""
-        print(f"error: {where}{exc}", file=sys.stderr)
+        print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0
 

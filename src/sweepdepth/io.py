@@ -146,9 +146,10 @@ def _read_netpbm(path: str | Path, magic: str, bands: int) -> np.ndarray:
     return _payload(buf, offset, np.uint8, (height, width, bands), "netpbm")
 
 
-def _write_netpbm(path: str | Path, magic: str, data: np.ndarray) -> None:
-    h, w = data.shape[:2]
-    _write(path, f"{magic}\n{w} {h}\n255\n", np.round(np.clip(data, 0.0, 1.0) * 255.0), np.uint8)
+def _write_netpbm(path: str | Path, magic: str, samples: np.ndarray) -> None:
+    """Write (height, width, bands) uint8 samples under a maxval-255 header."""
+    h, w = samples.shape[:2]
+    _write(path, f"{magic}\n{w} {h}\n255\n", samples, np.uint8)
 
 
 def read_ppm_samples(path: str | Path) -> np.ndarray:
@@ -162,16 +163,29 @@ def unit_floats(samples: np.ndarray) -> np.ndarray:
     return samples.astype(np.float64) / 255.0
 
 
+def unit_samples(img: np.ndarray) -> np.ndarray:
+    """Floats as the 8-bit samples ``write_ppm`` and ``write_pgm`` store: clipped to
+    [0, 1], scaled by 255 and rounded half to even."""
+    return np.round(np.clip(img, 0.0, 1.0) * 255.0).astype(np.uint8)
+
+
 def read_ppm(path: str | Path) -> np.ndarray:
     """Read a binary P6 image into (H, W, 3) floats in [0, 1]."""
     return unit_floats(read_ppm_samples(path))
+
+
+def write_ppm_samples(path: str | Path, samples: np.ndarray) -> None:
+    """Write (H, W, 3) uint8 samples as a binary P6 image, byte for byte."""
+    if samples.dtype != np.uint8 or samples.ndim != 3 or samples.shape[2] != 3:
+        raise ShapeMismatch(f"PPM samples need (H, W, 3) uint8, got {samples.shape} {samples.dtype}")
+    _write_netpbm(path, "P6", samples)
 
 
 def write_ppm(path: str | Path, img: np.ndarray) -> None:
     img = np.asarray(img, dtype=np.float64)
     if img.ndim != 3 or img.shape[2] != 3:
         raise ShapeMismatch(f"PPM needs (H, W, 3), got {img.shape}")
-    _write_netpbm(path, "P6", img)
+    write_ppm_samples(path, unit_samples(img))
 
 
 def read_pgm(path: str | Path) -> np.ndarray:
@@ -183,7 +197,7 @@ def write_pgm(path: str | Path, img: np.ndarray) -> None:
     img = np.asarray(img, dtype=np.float64)
     if img.ndim != 2:
         raise ShapeMismatch(f"PGM needs (H, W), got {img.shape}")
-    _write_netpbm(path, "P5", img[..., None])
+    _write_netpbm(path, "P5", unit_samples(img)[..., None])
 
 
 @_names_its_file

@@ -15,6 +15,7 @@ texture with it.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -244,9 +245,15 @@ def _mover_hits(mover: Mover, origin: np.ndarray, dirs: np.ndarray, t: float) ->
 
 def make_sequence(scene: Scene, camera_motion: list[Pose], K: Intrinsics) -> list[Frame]:
     """Render one frame per pose, advancing the mover by its per-frame velocity."""
+    return list(render_sequence(scene, camera_motion, K))
+
+
+def render_sequence(scene: Scene, camera_motion: list[Pose], K: Intrinsics) -> Iterator[Frame]:
+    """``make_sequence``'s frames, each rendered when it is asked for, so a caller that keeps
+    only part of each frame holds one whole frame at a time. Fewer than 2 poses raise here."""
     if len(camera_motion) < 2:
         raise InvalidParameter(f"a sequence needs at least 2 poses, got {len(camera_motion)}")
-    return [render(scene, pose, K, t) for t, pose in enumerate(camera_motion)]
+    return (render(scene, pose, K, t) for t, pose in enumerate(camera_motion))
 
 
 def relative_pose(target: Pose, source: Pose) -> Pose:

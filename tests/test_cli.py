@@ -177,6 +177,39 @@ class TestSynth:
         assert peak < 3e6
         assert held < 3e6  # a dropped frame's floats are freed: no decoded copy is kept
 
+    def test_load_dataset_holds_only_the_frames_read(self, tmp_path):
+        # numpy reports its buffers to tracemalloc. A 640x192 frame's 8-bit samples are
+        # 0.37 MB: twelve frames held after load are 4.4 MB, the three read here 1.1 MB.
+        write_noise_dataset(tmp_path, frames=12, width=640, height=192)
+        tracemalloc.start()
+        try:
+            data = cli.load_dataset(tmp_path)
+            for t in (0, 1, 2):
+                data.images[t]
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(data.images) == 12
+        assert held < 2e6
+
+    def test_synth_holds_each_frame_as_its_file_data(self, tmp_path, capsys):
+        # numpy reports its buffers to tracemalloc. At 160x120 a rendered frame is 0.61 MB
+        # of float64 image and depth, and 0.13 MB as the 8-bit samples and float32 depth
+        # its files store: 24 frames held as rendered peak at 16.5 MB, as file data at 5.5 MB,
+        # most of it one frame's render temporaries.
+        scene = tmp_path / "long.json"
+        scene.write_text(json.dumps({**PRESETS["moving_box"], "width": 160, "height": 120,
+                                     "camera_motion": [[0.02 * t, 0.0, 0.0] for t in range(24)]}))
+        tracemalloc.start()
+        try:
+            code, _, err = run(capsys, "synth", "--scene", str(scene), "--out", str(tmp_path / "d"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0, err
+        assert len(list((tmp_path / "d").glob("frame_*.ppm"))) == 24
+        assert peak < 9e6
+
 
 class TestDepth:
     def test_full_resolution_sweep_holds_each_image_once(self, tmp_path, capsys, monkeypatch):
@@ -515,7 +548,10 @@ class TestLoss:
                                 "--teacher", gt, *_SWEEP, *(["--zero-cv"] if zero_cv else []),
                                 "--out", str(tmp_path / "loss.json"))
         assert (code, stdout) == (1, "")
-        assert err == (f"error: {tmp_path / 'data' / 'intrinsics.json'}: "
+        data = tmp_path / "data"
+        files = [data / name for name in ("intrinsics.json", "pose_0001.json", "pose_0000.json",
+                                          "pose_0002.json")]
+        assert err == (f"error: {', '.join(map(str, files))}: "
                        "no pixel of the target reprojects inside a source image\n")
         assert not (tmp_path / "loss.json").exists()
 
@@ -1010,6 +1046,15 @@ def _bad_input_argv(case, data, tmp):
         write_pfm(tmp / "pred.pfm", np.zeros_like(read_pfm(data / "depth_0001.pfm")))
         return ["eval", "--pred", str(tmp / "pred.pfm"), "--gt", str(data / "depth_0001.pfm"),
                 "--median-scale"]
+    if case.startswith("pose_far"):  # pose_0000.json moves every pixel out of view, or K t overflows
+        x = 1e300 if case.startswith("pose_far_out_of_view") else 1e308
+        bad = _copy_with(data, tmp, "pose_0000.json", lambda p: json.dumps({**p, "t": [x, 0, 0]}))
+        frames = ["--data", str(bad), "--d-min", "1", "--d-max", "10", "--target", "1", "--sources", "0"]
+        if case.endswith("_depth"):
+            return ["depth", *frames, "--out", str(tmp / "d.pfm")]
+        gt = str(bad / "depth_0001.pfm")
+        sweep = ["--cv-sources", "2"] if case.startswith("pose_far_out_of_view") else ["--zero-cv"]
+        return ["loss", *frames, "--student", gt, "--teacher", gt, *sweep]
     dataset_edits = {
         "negative_focal_length": ("intrinsics.json",
                                   lambda k: json.dumps({**k, "fx": -k["fx"]})),
@@ -1164,6 +1209,10 @@ def _bad_input_argv(case, data, tmp):
     "intrinsics_fx_as_text",
     "state_d_max_as_text",
     "texture_amp_x_as_text",
+    "pose_far_out_of_view_depth",
+    "pose_far_out_of_view_loss",
+    "pose_far_overflow_depth",
+    "pose_far_overflow_loss_zero_cv",
 ])
 def test_bad_input_is_a_typed_error(case, lateral_dataset, tmp_path):
     argv = _bad_input_argv(case, lateral_dataset, tmp_path)
@@ -1198,6 +1247,9 @@ def test_bad_input_is_a_typed_error(case, lateral_dataset, tmp_path):
         assert "must be" in proc.stderr
     if case.startswith("aug_p_plus_q_above_one"):
         assert "p + q <= 1" in proc.stderr
+    if case.startswith("pose_far"):  # the camera and the warped poses share the blame
+        assert "pose_0000.json" in proc.stderr and "intrinsics.json" in proc.stderr
+        assert ("overflows" in proc.stderr) == case.startswith("pose_far_overflow"), proc.stderr
     if argv[0] == "synth":
         assert not (tmp_path / "out").exists()
     if case.startswith(("intrinsics", "pose", "plane", "texture_unknown_key", "mover",

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sweepdepth.cli import main
@@ -199,6 +199,30 @@ def test_drawn_adaptive_state_exits_cleanly(dataset, data):
         tmp = Path(tmp)
         shutil.copytree(dataset, tmp / "data")
         _run_edited(_argv("depth_adaptive", tmp / "data", tmp), tmp, "state.json", state)
+
+
+# Entries of a pose file, ("R", 0..8) row-major or ("t", 0..2), with the floats above,
+# numeric text or null.
+_POSE_ENTRIES = st.dictionaries(
+    st.sampled_from([("R", i) for i in range(9)] + [("t", i) for i in range(3)]),
+    st.one_of(_FLOATS, _FLOATS.map(str), st.none()), min_size=1)
+
+
+@settings(max_examples=25, deadline=None)
+@given(command=st.sampled_from(["depth", "depth_dump_cv", "loss"]), t=st.integers(0, 2),
+       entries=_POSE_ENTRIES)
+# a source 1e300 m away sees nothing of the target, and at 1e308 m K t overflows
+@example(command="depth", t=0, entries={("t", 0): 1e300})
+@example(command="loss", t=0, entries={("t", 0): 1e308})
+def test_drawn_pose_exits_cleanly(dataset, command, t, entries):
+    name = f"pose_{t:04d}.json"
+    pose = json.loads((dataset / name).read_text())
+    for (key, i), value in entries.items():
+        pose[key][i] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        shutil.copytree(dataset, tmp / "data")
+        _run_edited(_argv(command, tmp / "data", tmp), tmp, name, pose)
 
 
 def _run_edited(argv, tmp_path, name, fields):

@@ -23,12 +23,15 @@ from sweepdepth.io import (
     read_pgm,
     read_pose,
     read_ppm,
+    read_ppm_samples,
+    unit_samples,
     write_cost_volume,
     write_intrinsics,
     write_pfm,
     write_pgm,
     write_pose,
     write_ppm,
+    write_ppm_samples,
 )
 
 
@@ -132,6 +135,16 @@ class TestNetpbm:
         path = tmp_path / "q.ppm"
         write_ppm(path, img)
         assert np.array_equal(read_ppm(path) * 255, [[[128, 0, 255]]])
+
+    def test_samples_write_the_bytes_of_their_floats(self, tmp_path, rng):
+        # a frame kept as its 8-bit samples is written byte for byte as from its floats
+        img = rng.random((6, 5, 3)) * 1.4 - 0.2  # some clipped at each end
+        write_ppm(tmp_path / "floats.ppm", img)
+        write_ppm_samples(tmp_path / "samples.ppm", unit_samples(img))
+        assert (tmp_path / "floats.ppm").read_bytes() == (tmp_path / "samples.ppm").read_bytes()
+        assert np.array_equal(read_ppm_samples(tmp_path / "samples.ppm"), unit_samples(img))
+        with pytest.raises(ShapeMismatch):
+            write_ppm_samples(tmp_path / "s.ppm", img)  # floats are not samples
 
 
 # (reader, header, payload size, hand-made variants after b"" and b"\n")
